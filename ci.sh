@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point. Five jobs:
+# CI entry point. Six jobs:
 #   ./ci.sh verify    — tier-1: configure, build, run the full test suite
 #   ./ci.sh sanitize  — ASan+UBSan build of src/ + tests, warnings-as-errors
 #   ./ci.sh tsan      — TSan build; runs the parallel-runtime test slice
@@ -11,6 +11,8 @@
 #                       (tools/check_engine_perf.py, >30% regression fails),
 #                       and the kernel throughput gate
 #                       (tools/check_kernel_perf.py, same threshold)
+#   ./ci.sh perfbench — the end-to-end benchmark's self-test
+#                       (perfbench/run.py --self-test)
 # No arguments runs all in sequence.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -79,9 +81,10 @@ tsan() {
   # topology/ because the 3D simulator it drives is the newest surface the
   # sanitizers should sweep. kv_cache/ runs its differential decode harness
   # at 1 and 4 pool threads (bit-identity across thread counts is exactly a
-  # TSan question), and serving/ joins as the newest engine-driven surface,
-  # with serving_resilience/ riding along: the fleet scheduler's seeded
-  # determinism contract (same report at any thread count) is a TSan claim.
+  # TSan question), and serving/ and serving_resilience/ join because the
+  # one serving scheduler's seeded determinism contract (same report at any
+  # thread count) is a TSan claim; serving/ also replays its step schedule
+  # on sim::Engine.
   # The lossless wire suites join through compress/ (codec unit tests) and
   # the property/Lossless|Stacked slices: the stacked compressor drives the
   # Top-K/quantize inner codecs' parallel_for gathers under TSan.
@@ -130,21 +133,33 @@ bench() {
     "${ACTCOMP_KERNEL_PERF_PCT:-50.0}"
 }
 
+perfbench() {
+  # Tiny shapes of all four workloads, traced and untraced, built from this
+  # checkout. Fails on any failed operation — each workload checks its own
+  # outputs; simulate checks both serving entry points: the clean replica
+  # completes every request, and the fleet accounts for every request
+  # (completed + shed + failed == offered) — or when the metric names or
+  # units drift from BENCHMARK.json.
+  python3 perfbench/run.py --self-test
+}
+
 case "${1:-all}" in
   verify) verify ;;
   sanitize) sanitize ;;
   tsan) tsan ;;
   docs) docs ;;
   bench) bench ;;
+  perfbench) perfbench ;;
   all)
     verify
     sanitize
     tsan
     docs
     bench
+    perfbench
     ;;
   *)
-    echo "usage: $0 [verify|sanitize|tsan|docs|bench|all]" >&2
+    echo "usage: $0 [verify|sanitize|tsan|docs|bench|perfbench|all]" >&2
     exit 2
     ;;
 esac

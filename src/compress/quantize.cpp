@@ -145,6 +145,19 @@ CompressedMessage QuantizeCompressor::do_encode(const tensor::Tensor& x) {
 tensor::Tensor QuantizeCompressor::do_decode(const CompressedMessage& msg) const {
   tensor::Shape shape{msg.shape_dims};
   const auto [rows, cols] = rows_cols(shape);
+  // Exactly 4 bytes per row, then ceil(numel * b / 8) code bytes
+  // (WIRE_FORMATS.md §3.4), checked before anything is allocated. The row
+  // term is bounded by the body first and the code term is formed as
+  // numel / 8 * b, so a forged shape cannot overflow the length.
+  const uint64_t body = msg.body.size();
+  const auto numel = static_cast<uint64_t>(shape.numel());
+  const auto b = static_cast<uint64_t>(bits_);
+  ACTCOMP_CHECK(static_cast<uint64_t>(rows) <= body / 4 &&
+                    4 * static_cast<uint64_t>(rows) + numel / 8 * b +
+                            (numel % 8 * b + 7) / 8 ==
+                        body,
+                "quantize wire message has " << body << " body bytes for shape "
+                                             << shape.str());
   tensor::Tensor out{shape};
   auto d = out.data();
   size_t off = 0;
@@ -162,8 +175,6 @@ tensor::Tensor QuantizeCompressor::do_decode(const CompressedMessage& msg) const
   const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
   if (row_bits % 8 == 0) {
     const int64_t row_bytes = row_bits / 8;
-    ACTCOMP_CHECK(off + static_cast<size_t>(rows * row_bytes) <= msg.body.size(),
-                  "truncated wire message");
     const std::byte* base = msg.body.data() + off;
     core::parallel_for(0, rows, row_grain(cols), [&](int64_t r0, int64_t r1) {
       std::vector<uint8_t> qbuf(static_cast<size_t>(cols));

@@ -134,8 +134,9 @@ class FaultInjector {
 ///     up but its effective capacity drops, which is exactly the regime where
 ///     escalating to a cheaper wire format recovers the SLO.
 ///
-/// Default-constructed = healthy forever; the resilient scheduler's clean
-/// path is then bit-for-bit the single-replica simulate_serving schedule.
+/// Default-constructed = healthy forever: every step's duration multiplier
+/// is exactly 1.0 and no crash is ever drawn, which is how simulate_serving
+/// runs its one replica.
 struct ReplicaFaultSpec {
   double mtbf_ms = 0.0;          ///< mean up-time between crashes; 0 = never
   double repair_ms = 0.0;        ///< downtime per crash

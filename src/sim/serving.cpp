@@ -4,8 +4,8 @@
 #include <cmath>
 #include <random>
 
-#include "sim/engine.h"
 #include "sim/faults.h"
+#include "sim/serving_resilience.h"
 #include "tensor/check.h"
 
 namespace actcomp::sim {
@@ -87,214 +87,14 @@ void validate_serving_inputs(const std::vector<ServingRequest>& requests,
 
 ServingReport simulate_serving(const std::vector<ServingRequest>& requests,
                                const ServingConfig& cfg) {
+  // Validated against the single-replica config first, so a bad input
+  // reports the ServingConfig field, not the fleet's.
   validate_serving_inputs(requests, cfg);
-  ServingReport rep;
-  rep.requests.resize(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    rep.requests[i].arrival_ms = requests[i].arrival_ms;
-    rep.requests[i].prompt_tokens = requests[i].prompt_tokens;
-  }
-  // Zero requests: nothing to schedule, no engine graph at all.
-  if (requests.empty()) return rep;
-
-  Engine eng;
-  const int arrivals_res = eng.add_resource(0, ExecPolicy::kReadyOrder);
-  const int replica_res = eng.add_resource(1, ExecPolicy::kProgramOrder);
-  std::vector<int> arrival_op(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    // Pure delay: the op "ends" exactly at the request's arrival time.
-    arrival_op[i] = eng.add_op(arrivals_res, requests[i].arrival_ms);
-  }
-
-  struct Live {
-    size_t idx;
-    int64_t cached;     ///< KV positions committed (prompt + generated - 1)
-    int64_t generated;
-    int64_t reserved;   ///< budget tokens held until completion
-  };
-  struct PlannedStep {
-    int op;
-    bool prefill;
-    double start_ms, end_ms;
-    int64_t seqs, new_tokens;
-  };
-  std::vector<Live> running;
-  std::vector<PlannedStep> steps;
-  size_t next = 0;
-  int64_t reserved_total = 0;
-  double last_end = 0.0;
-
-  auto price = [&cfg](const StepShape& shape) {
-    const double ms = cfg.step_cost(shape);
-    ACTCOMP_CHECK(std::isfinite(ms) && ms >= 0.0,
-                  "step_cost returned " << ms << " for a "
-                                        << (shape.prefill ? "prefill" : "decode")
-                                        << " step — must be finite and >= 0");
-    return ms;
-  };
-
-  while (next < requests.size() || !running.empty()) {
-    // Idle replica: the clock jumps to the next arrival (validation
-    // guarantees the FIFO head fits an empty replica, so progress is
-    // assured). In the engine this jump is the prefill op's arrival dep.
-    const double now = running.empty() && next < requests.size()
-                           ? std::max(last_end, requests[next].arrival_ms)
-                           : last_end;
-
-    // Admission wave: FIFO under max_batch and the token budget.
-    std::vector<size_t> admitted;
-    int64_t admit_prompts = 0, admit_context = 0;
-    while (next < requests.size() && requests[next].arrival_ms <= now &&
-           static_cast<int64_t>(running.size() + admitted.size()) <
-               cfg.max_batch &&
-           reserved_total + requests[next].prompt_tokens +
-                   requests[next].max_new_tokens <=
-               cfg.token_budget) {
-      const ServingRequest& r = requests[next];
-      reserved_total += r.prompt_tokens + r.max_new_tokens;
-      admit_prompts += r.prompt_tokens;
-      admit_context += r.prompt_tokens * (r.prompt_tokens + 1) / 2;
-      admitted.push_back(next);
-      ++next;
-    }
-
-    if (!admitted.empty()) {
-      const StepShape shape{true, static_cast<int64_t>(admitted.size()),
-                            admit_prompts, admit_context};
-      const double dur = price(shape);
-      const int op = eng.add_op(replica_res, dur);
-      double start = last_end;
-      for (const size_t idx : admitted) {
-        eng.add_dep(op, arrival_op[idx]);
-        start = std::max(start, requests[idx].arrival_ms);
-      }
-      const double end = start + dur;
-      for (const size_t idx : admitted) {
-        const ServingRequest& r = requests[idx];
-        RequestTiming& t = rep.requests[idx];
-        t.admit_ms = start;
-        t.first_token_ms = end;
-        t.generated = std::min<int64_t>(1, r.max_new_tokens);
-        if (t.generated == r.max_new_tokens) {
-          t.done_ms = end;  // 0- or 1-token requests finish at prefill
-          reserved_total -= r.prompt_tokens + r.max_new_tokens;
-        } else {
-          running.push_back({idx, r.prompt_tokens, t.generated,
-                             r.prompt_tokens + r.max_new_tokens});
-        }
-      }
-      steps.push_back({op, true, start, end, shape.seqs, shape.new_tokens});
-      last_end = end;
-      continue;  // re-check admission before decoding
-    }
-
-    ACTCOMP_ASSERT(!running.empty(),
-                   "serving scheduler stalled with requests pending");
-    int64_t context = 0;
-    for (const Live& l : running) context += l.cached + 1;
-    const StepShape shape{false, static_cast<int64_t>(running.size()),
-                          static_cast<int64_t>(running.size()), context};
-    const double dur = price(shape);
-    const int op = eng.add_op(replica_res, dur);
-    const double start = last_end;
-    const double end = start + dur;
-    std::vector<Live> still;
-    still.reserve(running.size());
-    for (Live& l : running) {
-      l.cached += 1;
-      l.generated += 1;
-      RequestTiming& t = rep.requests[l.idx];
-      t.generated = l.generated;
-      if (l.generated == requests[l.idx].max_new_tokens) {
-        t.done_ms = end;
-        reserved_total -= l.reserved;
-      } else {
-        still.push_back(l);
-      }
-    }
-    running = std::move(still);
-    steps.push_back({op, false, start, end, shape.seqs, shape.new_tokens});
-    last_end = end;
-  }
-
-  // Realize the graph on the engine and check the scheduler's clock against
-  // it exactly — the claim "driven by sim::Engine" is an invariant, not a
-  // comment.
-  const std::vector<OpTiming> times = eng.run();
-  for (const PlannedStep& s : steps) {
-    const OpTiming& t = times[static_cast<size_t>(s.op)];
-    ACTCOMP_ASSERT(t.start_ms == s.start_ms && t.end_ms == s.end_ms,
-                   "engine-realized step times diverge from the scheduler: ["
-                       << t.start_ms << ", " << t.end_ms << "] vs ["
-                       << s.start_ms << ", " << s.end_ms << "]");
-    rep.steps.push_back({s.prefill, t.start_ms, t.end_ms, s.seqs, s.new_tokens});
-  }
-
-  finalize_serving_report(rep);
-  return rep;
-}
-
-void finalize_serving_report(ServingReport& rep,
-                             const std::vector<char>* completed) {
-  for (const StepTiming& s : rep.steps) rep.busy_ms += s.end_ms - s.start_ms;
-  if (rep.requests.empty()) return;
-  ACTCOMP_CHECK(completed == nullptr || completed->size() == rep.requests.size(),
-                "finalize_serving_report: completed mask has "
-                    << (completed ? completed->size() : 0) << " entries for "
-                    << rep.requests.size() << " requests");
-  auto counted = [&](size_t i) {
-    return completed == nullptr || (*completed)[i] != 0;
-  };
-
-  std::vector<double> ttft, tpot, e2e;
-  for (size_t i = 0; i < rep.requests.size(); ++i) {
-    if (!counted(i)) continue;
-    const RequestTiming& t = rep.requests[i];
-    rep.completed += 1;
-    rep.generated_tokens += t.generated;
-    if (t.generated >= 1) ttft.push_back(t.ttft_ms());
-    if (t.generated >= 2) tpot.push_back(t.tpot_ms());
-    e2e.push_back(t.e2e_ms());
-  }
-  rep.ttft = latency_percentiles(std::move(ttft));
-  rep.tpot = latency_percentiles(std::move(tpot));
-  rep.e2e = latency_percentiles(std::move(e2e));
-
-  // Makespan runs from the first ARRIVAL (of any request, even one later
-  // shed — it still offered load) to the last counted completion.
-  const double t0 = rep.requests.front().arrival_ms;
-  double t1 = t0;
-  for (size_t i = 0; i < rep.requests.size(); ++i) {
-    if (counted(i)) t1 = std::max(t1, rep.requests[i].done_ms);
-  }
-  rep.makespan_ms = t1 - t0;
-
-  // Mean concurrency by event-sweep time integration — measured
-  // independently of the per-request latencies so Little's law is a real
-  // cross-check of the bookkeeping, not an algebraic identity.
-  struct Event {
-    double t;
-    int delta;
-  };
-  std::vector<Event> events;
-  events.reserve(rep.requests.size() * 2);
-  for (size_t i = 0; i < rep.requests.size(); ++i) {
-    if (!counted(i)) continue;
-    const RequestTiming& t = rep.requests[i];
-    events.push_back({t.arrival_ms, +1});
-    events.push_back({t.done_ms, -1});
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    return a.t < b.t || (a.t == b.t && a.delta < b.delta);
-  });
-  double integral = 0.0, prev = t0;
-  int count = 0;
-  for (const Event& ev : events) {
-    integral += static_cast<double>(count) * (ev.t - prev);
-    count += ev.delta;
-    prev = ev.t;
-  }
-  rep.mean_concurrency = rep.makespan_ms > 0.0 ? integral / rep.makespan_ms : 0.0;
+  ResilientServingConfig fleet;
+  fleet.max_batch = cfg.max_batch;
+  fleet.token_budget = cfg.token_budget;
+  fleet.cost_ladder = {cfg.step_cost};
+  return simulate_serving_resilient(requests, fleet).serving;
 }
 
 }  // namespace actcomp::sim

@@ -1,4 +1,4 @@
-// Request-level inference serving simulator on the discrete-event engine.
+// Request-level inference serving simulator.
 //
 // Models one model replica serving an arrival stream of generation requests
 // with continuous batching (Orca/vLLM-style): the scheduler admits requests
@@ -12,14 +12,15 @@
 // nothing about hardware or compression — parallel/make_serving_cost bridges
 // ModelParallelSimulator's TP-collective pricing (compressed or not) into it.
 //
-// The scheduler is driven by sim::Engine: every arrival is a pure-delay op on
-// an unbounded ready-order resource and every step is an op on the replica's
-// single program-order lane, with dependency edges from the admitted
-// requests' arrivals. The scheduler's own clock and the engine's realized
-// times are the same max/+ arithmetic; simulate_serving asserts they agree
-// exactly and reports the engine's times. Everything is deterministic: same
-// trace + config => byte-identical report (tests/serving_test.cpp pins this,
-// plus Little's law, work conservation, and p99 monotonicity).
+// There is one scheduler: simulate_serving is a one-replica, fault-free call
+// into the fleet loop of sim/serving_resilience.h, so the single replica and
+// the fleet share every admission, pricing and accounting rule by
+// construction. Each step starts at max(previous step's end, its admitted
+// requests' arrivals) — the max/+ clock of a sim::Engine graph with one
+// program-order lane, which tests/serving_test.cpp rebuilds and checks step
+// for step. Everything is deterministic: same trace + config =>
+// byte-identical report (the tests also pin Little's law, work
+// conservation, and p99 monotonicity).
 #pragma once
 
 #include <cstdint>
@@ -143,22 +144,10 @@ struct ServingReport {
 void validate_serving_inputs(const std::vector<ServingRequest>& requests,
                              const ServingConfig& cfg);
 
-/// Runs the trace to completion. An empty trace returns an empty report (no
-/// engine graph is built — the zero-request edge case degrades gracefully).
+/// Runs the trace to completion on one fault-free replica: the `serving`
+/// report of simulate_serving_resilient with num_replicas = 1 and
+/// cost_ladder = {cfg.step_cost}. An empty trace returns an empty report.
 ServingReport simulate_serving(const std::vector<ServingRequest>& requests,
                                const ServingConfig& cfg);
-
-/// Fills the derived aggregates of a report whose `requests` and `steps` are
-/// already populated: busy_ms (sum of step durations in step order),
-/// completed / generated_tokens, the ttft/tpot/e2e percentiles, makespan and
-/// the event-sweep mean concurrency. When `completed` is non-null it is a
-/// per-request mask (same indexing as rep.requests) and only masked-in
-/// requests contribute to the aggregates — the resilient scheduler uses this
-/// to keep shed/failed requests out of the latency statistics while still
-/// reporting their (empty) timelines. Null counts every request, which is
-/// exactly simulate_serving's accounting; both paths share this code so the
-/// clean-path byte-identity is structural, not coincidental.
-void finalize_serving_report(ServingReport& rep,
-                             const std::vector<char>* completed = nullptr);
 
 }  // namespace actcomp::sim

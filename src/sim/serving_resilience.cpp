@@ -153,6 +153,71 @@ void validate_resilient_serving_inputs(
 
 namespace {
 
+/// Fills the derived aggregates of a report whose `requests` and `steps` are
+/// already populated: busy_ms (sum of step durations in step order),
+/// completed / generated_tokens, the ttft/tpot/e2e percentiles, makespan and
+/// the event-sweep mean concurrency. Only completed requests (`outcomes` has
+/// the same indexing as rep.requests) contribute, so shed and failed requests
+/// keep their empty timelines out of the latency statistics.
+void finalize_serving_report(ServingReport& rep,
+                             const std::vector<RequestOutcome>& outcomes) {
+  for (const StepTiming& s : rep.steps) rep.busy_ms += s.end_ms - s.start_ms;
+  if (rep.requests.empty()) return;
+  const auto completed = [&outcomes](size_t i) {
+    return outcomes[i] == RequestOutcome::kCompleted;
+  };
+
+  std::vector<double> ttft, tpot, e2e;
+  for (size_t i = 0; i < rep.requests.size(); ++i) {
+    if (!completed(i)) continue;
+    const RequestTiming& t = rep.requests[i];
+    rep.completed += 1;
+    rep.generated_tokens += t.generated;
+    if (t.generated >= 1) ttft.push_back(t.ttft_ms());
+    if (t.generated >= 2) tpot.push_back(t.tpot_ms());
+    e2e.push_back(t.e2e_ms());
+  }
+  rep.ttft = latency_percentiles(std::move(ttft));
+  rep.tpot = latency_percentiles(std::move(tpot));
+  rep.e2e = latency_percentiles(std::move(e2e));
+
+  // Makespan runs from the first ARRIVAL (of any request, even one later
+  // shed — it still offered load) to the last counted completion.
+  const double t0 = rep.requests.front().arrival_ms;
+  double t1 = t0;
+  for (size_t i = 0; i < rep.requests.size(); ++i) {
+    if (completed(i)) t1 = std::max(t1, rep.requests[i].done_ms);
+  }
+  rep.makespan_ms = t1 - t0;
+
+  // Mean concurrency by event-sweep time integration — measured
+  // independently of the per-request latencies so Little's law is a real
+  // cross-check of the bookkeeping, not an algebraic identity.
+  struct Event {
+    double t;
+    int delta;
+  };
+  std::vector<Event> events;
+  events.reserve(rep.requests.size() * 2);
+  for (size_t i = 0; i < rep.requests.size(); ++i) {
+    if (!completed(i)) continue;
+    const RequestTiming& t = rep.requests[i];
+    events.push_back({t.arrival_ms, +1});
+    events.push_back({t.done_ms, -1});
+  }
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    return a.t < b.t || (a.t == b.t && a.delta < b.delta);
+  });
+  double integral = 0.0, prev = t0;
+  int count = 0;
+  for (const Event& ev : events) {
+    integral += static_cast<double>(count) * (ev.t - prev);
+    count += ev.delta;
+    prev = ev.t;
+  }
+  rep.mean_concurrency = rep.makespan_ms > 0.0 ? integral / rep.makespan_ms : 0.0;
+}
+
 enum class CopyState { kQueued, kRunning, kDone, kCancelled, kKilled };
 
 struct Copy {
@@ -177,20 +242,20 @@ struct RequestState {
   std::vector<int64_t> copy_ids;
 };
 
-// The discrete-event scheduler's event kinds. The kind value doubles as the
-// tie-break priority at equal timestamps (arrivals land before the dispatch
-// pass so same-instant arrivals join one admission wave, exactly like
-// simulate_serving; a step that ends exactly when its replica crashes still
-// counts). seq — a monotone insertion counter — is the final tie-break, so
-// the heap order is a total order and the whole simulation is deterministic.
+// The discrete-event scheduler's event kinds. Arrivals are not events: the
+// loop reads them through a cursor over the sorted trace and handles every
+// arrival at an instant before any event at that instant. The kind value
+// doubles as the tie-break priority at equal timestamps (a step that ends
+// exactly when its replica crashes still counts). seq — a monotone insertion
+// counter — is the final tie-break, so the heap order is a total order and
+// the whole simulation is deterministic.
 enum EventKind {
-  kEvArrival = 0,
-  kEvRetry = 1,
-  kEvRecover = 2,
-  kEvStepEnd = 3,
-  kEvCrash = 4,
-  kEvHedge = 5,
-  kEvTimeout = 6,
+  kEvRetry = 0,
+  kEvRecover = 1,
+  kEvStepEnd = 2,
+  kEvCrash = 3,
+  kEvHedge = 4,
+  kEvTimeout = 5,
 };
 
 struct Event {
@@ -238,6 +303,12 @@ class ResilientScheduler {
       : requests_(requests), cfg_(cfg) {}
 
   ResilientServingReport run() {
+    // The step timeline is the largest allocation of a replay. Reserved
+    // once, before anything else, it lands in the same free block on every
+    // call with the same trace, so repeated replays hold a steady peak RSS.
+    // Grown by doubling instead, it leaves 10-25 MB holes in the heap that
+    // later calls fill differently, and the peak climbs at random calls.
+    steps_.reserve(step_bound());
     ResilientServingReport out;
     out.offered = static_cast<int64_t>(requests_.size());
     out.serving.requests.resize(requests_.size());
@@ -258,30 +329,33 @@ class ResilientScheduler {
                           static_cast<int>(cfg_.cost_ladder.size()));
     }
     state_.resize(requests_.size());
-    completed_.assign(requests_.size(), 0);
 
     if (requests_.empty()) {
       finalize(out);
       return out;
     }
 
-    for (size_t i = 0; i < requests_.size(); ++i) {
-      push({requests_[i].arrival_ms, kEvArrival, 0,
-            static_cast<int64_t>(i), 0});
-    }
     for (int r = 0; r < cfg_.num_replicas; ++r) {
       schedule_crash(r, 0.0);
     }
 
+    size_t next = 0;  // arrival cursor; validation requires sorted arrivals
     while (resolved_ < requests_.size()) {
-      ACTCOMP_ASSERT(!heap_.empty(),
+      ACTCOMP_ASSERT(next < requests_.size() || !heap_.empty(),
                      "resilient serving scheduler stalled with "
                          << requests_.size() - resolved_
                          << " requests unresolved");
-      const double t = heap_.top().t;
-      // Drain EVERY event at this instant before dispatching: same-time
-      // arrivals form one admission wave, and a handler that schedules a
-      // zero-delay follow-up at t gets it handled in the same drain.
+      double t = next < requests_.size()
+                     ? requests_[next].arrival_ms
+                     : std::numeric_limits<double>::infinity();
+      if (!heap_.empty()) t = std::min(t, heap_.top().t);
+      // Handle EVERYTHING at this instant before dispatching: arrivals
+      // first, so same-time arrivals form one admission wave, then every
+      // event — a handler that schedules a zero-delay follow-up at t gets it
+      // handled in the same drain.
+      for (; next < requests_.size() && requests_[next].arrival_ms == t; ++next) {
+        on_arrival(next, t);
+      }
       while (!heap_.empty() && heap_.top().t == t) {
         const Event ev = heap_.top();
         heap_.pop();
@@ -554,7 +628,6 @@ class ResilientScheduler {
     st.resolved = true;
     st.outcome = RequestOutcome::kCompleted;
     ++resolved_;
-    completed_[c.req] = 1;
     RequestTiming& rt = rep_->serving.requests[c.req];
     rt.admit_ms = c.admit_ms;
     rt.first_token_ms = c.first_token_ms;
@@ -610,9 +683,9 @@ class ResilientScheduler {
       }
       rep.step_admitted.clear();
     } else {
-      std::vector<int64_t> still;
-      still.reserve(rep.running.size());
-      for (const int64_t cid : rep.running) {
+      size_t keep = 0;
+      for (size_t k = 0; k < rep.running.size(); ++k) {
+        const int64_t cid = rep.running[k];
         Copy& c = copies_[static_cast<size_t>(cid)];
         if (c.state != CopyState::kRunning) {
           free_loser(c, rep);
@@ -623,10 +696,10 @@ class ResilientScheduler {
         if (c.generated == requests_[c.req].max_new_tokens) {
           complete_copy(cid, r, rep.step_end);
         } else {
-          still.push_back(cid);
+          rep.running[keep++] = cid;
         }
       }
-      rep.running = std::move(still);
+      rep.running.resize(keep);
     }
   }
 
@@ -686,7 +759,6 @@ class ResilientScheduler {
 
   void handle(const Event& ev) {
     switch (ev.kind) {
-      case kEvArrival: on_arrival(static_cast<size_t>(ev.a), ev.t); break;
       case kEvRetry: on_retry(static_cast<size_t>(ev.a), ev.t); break;
       case kEvRecover: on_recover(static_cast<int>(ev.a), ev.t); break;
       case kEvStepEnd: on_step_end(static_cast<int>(ev.a), ev.b); break;
@@ -702,8 +774,7 @@ class ResilientScheduler {
     if (!rep.up || rep.busy) return;
     sweep_running(rep);
     // Admission wave: FIFO under max_batch and the token budget, stopping at
-    // the first head that does not fit — exactly simulate_serving's rule, so
-    // the clean path realizes the identical schedule.
+    // the first head that does not fit.
     std::vector<int64_t> admitted;
     int64_t prompts = 0, context = 0;
     while (!rep.queue.empty()) {
@@ -758,21 +829,38 @@ class ResilientScheduler {
     push({rep.step_end, kEvStepEnd, 0, r, rep.step_serial});
   }
 
+  /// Steps one fault-free replica runs at most: each prefill admits at least
+  /// one request and each decode step generates a token for at least one, so
+  /// n + sum(max_new_tokens - 1) bounds the count (max_batch 1 reaches it).
+  /// Retries, hedges and restarts after a crash can exceed it; the timeline
+  /// then grows as usual. Capped so a loose bound cannot reserve unbounded
+  /// memory.
+  size_t step_bound() const {
+    constexpr size_t kMaxReservedSteps = size_t{1} << 21;
+    size_t bound = 0;
+    for (const ServingRequest& r : requests_) {
+      if (bound >= kMaxReservedSteps) break;
+      bound += 1 + static_cast<size_t>(std::max<int64_t>(r.max_new_tokens - 1, 0));
+    }
+    return std::min(bound, kMaxReservedSteps);
+  }
+
   void finalize(ResilientServingReport& out) {
     // Steps from all replicas merge into one timeline ordered by start time;
-    // stable sort keeps the deterministic scheduling order among ties. In
-    // the clean path this is already simulate_serving's program order, so
-    // finalize_serving_report sums busy_ms in the identical FP order.
-    std::stable_sort(steps_.begin(), steps_.end(),
-                     [](const StepTiming& x, const StepTiming& y) {
-                       return x.start_ms < y.start_ms;
-                     });
+    // stable sort keeps the deterministic scheduling order among ties. One
+    // replica's steps are already in start order, so the sort is skipped.
+    const auto by_start = [](const StepTiming& x, const StepTiming& y) {
+      return x.start_ms < y.start_ms;
+    };
+    if (!std::is_sorted(steps_.begin(), steps_.end(), by_start)) {
+      std::stable_sort(steps_.begin(), steps_.end(), by_start);
+    }
     out.serving.steps = std::move(steps_);
-    finalize_serving_report(out.serving, &completed_);
     out.outcomes.resize(requests_.size());
     for (size_t i = 0; i < requests_.size(); ++i) {
       out.outcomes[i] = state_[i].outcome;
     }
+    finalize_serving_report(out.serving, out.outcomes);
     for (int r = 0; r < cfg_.num_replicas; ++r) {
       out.replicas[static_cast<size_t>(r)] =
           replicas_[static_cast<size_t>(r)].stats;
@@ -791,7 +879,6 @@ class ResilientScheduler {
   std::vector<Replica> replicas_;
   std::vector<Copy> copies_;
   std::vector<RequestState> state_;
-  std::vector<char> completed_;
   std::vector<StepTiming> steps_;
   std::priority_queue<Event, std::vector<Event>, EventAfter> heap_;
   std::optional<SloDegradationController> controller_;

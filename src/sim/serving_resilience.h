@@ -1,8 +1,9 @@
 // Fault-tolerant multi-replica serving on top of sim/serving + sim/faults.
 //
-// simulate_serving (sim/serving.h) models ONE fault-free replica. This layer
-// models the fleet around it — the part of a production serving stack that
-// decides where a request runs and what happens when that goes wrong:
+// This is the repo's one serving scheduler. simulate_serving (sim/serving.h)
+// is its one-replica, fault-free case; the knobs below model the fleet
+// around that replica — the part of a production serving stack that decides
+// where a request runs and what happens when that goes wrong:
 //
 //   * replica pool — N copies of the same model, each priced by the shared
 //     cost ladder and each with its own seeded ReplicaFaultSpec (fail-stop
@@ -32,11 +33,12 @@
 // Determinism: the scheduler is a single-threaded discrete-event loop whose
 // only randomness is the per-replica ReplicaFaultProcess streams (seeded,
 // raw-draw uniforms), so same trace + config => byte-identical report, on any
-// machine, at any thread-pool width. With one replica and every knob off, the
-// event loop degenerates to exactly simulate_serving's admission/decode
-// schedule and the embedded ServingReport is field-for-field identical —
-// tests/serving_resilience_test.cpp pins both claims, and transitively the
-// PR 7 serving goldens.
+// machine, at any thread-pool width. Arrivals are read through a cursor over
+// the sorted trace, not pushed as events; every arrival at an instant is
+// handled before the heap events at that instant. With one replica and every
+// knob off the loop IS simulate_serving, so the clean path's identity with it
+// is structural; tests/serving_resilience_test.cpp still pins it, and the
+// serving goldens pin both.
 #pragma once
 
 #include <cstdint>
@@ -63,10 +65,6 @@ struct RetryPolicy {
   double backoff_ms = 0.0;    ///< delay before retry a is backoff * 2^(a-1)
   double timeout_ms = 0.0;    ///< abandon a copy outstanding this long; 0 = never
   double hedge_after_ms = 0.0; ///< duplicate to another replica; 0 = never
-
-  bool enabled() const {
-    return max_attempts > 1 || timeout_ms > 0.0 || hedge_after_ms > 0.0;
-  }
 };
 
 /// Load shedding at arrival time. Retried/hedged copies are exempt — once
@@ -77,10 +75,6 @@ struct AdmissionPolicy {
   /// Shed when the routed replica's predicted wait (remaining step + queue
   /// length x EWMA step time + remaining downtime) exceeds this. 0 = off.
   double shed_wait_over_ms = 0.0;
-
-  bool enabled() const {
-    return max_queued_tokens > 0 || shed_wait_over_ms > 0.0;
-  }
 };
 
 /// Hysteresis spec for the SLO degradation controller (the serving twin of

@@ -6,12 +6,19 @@
 
 namespace actcomp::tensor {
 
-Shape::Shape(std::initializer_list<int64_t> dims) : dims_(dims) {
-  for (int64_t d : dims_) ACTCOMP_CHECK(d >= 0, "negative extent in shape " << str());
-}
+Shape::Shape(std::initializer_list<int64_t> dims) : dims_(dims) { validate(); }
 
-Shape::Shape(std::vector<int64_t> dims) : dims_(std::move(dims)) {
-  for (int64_t d : dims_) ACTCOMP_CHECK(d >= 0, "negative extent in shape " << str());
+Shape::Shape(std::vector<int64_t> dims) : dims_(std::move(dims)) { validate(); }
+
+void Shape::validate() const {
+  // Shapes also arrive from outside (wire messages, checkpoints), so the
+  // running product numel() forms must not overflow.
+  int64_t n = 1;
+  for (int64_t d : dims_) {
+    ACTCOMP_CHECK(d >= 0, "negative extent in shape " << str());
+    ACTCOMP_CHECK(!__builtin_mul_overflow(n, d, &n),
+                  "shape " << str() << " has more than 2^63 - 1 elements");
+  }
 }
 
 int64_t Shape::numel() const {

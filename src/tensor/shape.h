@@ -2,7 +2,7 @@
 //
 // A thin value type over std::vector<int64_t> with the handful of queries the
 // rest of the library needs (numel, rank, equality, pretty-printing) and
-// validation that every extent is non-negative.
+// validation that every extent is non-negative and numel fits in int64_t.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +40,8 @@ class Shape {
   std::string str() const;
 
  private:
+  void validate() const;
+
   std::vector<int64_t> dims_;
 };
 

@@ -5,9 +5,11 @@
 // clone() for a deep copy. All tensors are contiguous — reshape() is free,
 // and transposes materialize.
 //
-// The library is CPU-only and single-threaded by design: the accuracy
-// experiments in this reproduction use small models, and the throughput
-// experiments run on the event simulator (src/sim), not on this math.
+// The library is CPU-only. Its kernels split work over the core thread pool
+// (core/threadpool.h) in chunks that depend only on the problem size, so
+// results are bit-identical at any thread count. The accuracy experiments in
+// this reproduction use small models, and the throughput experiments run on
+// the event simulator (src/sim), not on this math.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "autograd/functions.h"
@@ -219,6 +220,86 @@ TEST(Wire, TopKDecodeEncodeRecoversKept) {
   ts::Tensor x = random_activation(12, ts::Shape{10, 10});
   const ts::Tensor via = c.decode(c.encode(x));
   EXPECT_TRUE(ts::allclose(via, c.round_trip(x), 0, 0));
+}
+
+// ---------- hostile wire input (WIRE_FORMATS.md §3.3, §3.4) ----------
+
+namespace {
+int32_t wire_index(const cp::CompressedMessage& m, size_t i) {
+  int32_t j = 0;
+  std::memcpy(&j, m.body.data() + 4 * i, 4);
+  return j;
+}
+void set_wire_index(cp::CompressedMessage& m, size_t i, int32_t j) {
+  std::memcpy(m.body.data() + 4 * i, &j, 4);
+}
+}  // namespace
+
+TEST(Wire, TopKDecodeRejectsTrailingBytes) {
+  cp::TopKCompressor c(0.2);
+  const cp::CompressedMessage good =
+      c.encode(random_activation(13, ts::Shape{10, 10}));
+  EXPECT_NO_THROW(c.decode(good));
+  for (const size_t extra : {1u, 6u}) {  // a stray byte; a whole extra pair
+    cp::CompressedMessage m = good;
+    m.body.resize(m.body.size() + extra);
+    EXPECT_THROW(c.decode(m), std::invalid_argument) << extra << " extra bytes";
+  }
+  cp::CompressedMessage cut = good;
+  cut.body.pop_back();
+  EXPECT_THROW(c.decode(cut), std::invalid_argument);
+}
+
+TEST(Wire, TopKDecodeRejectsDuplicateAndDescendingIndices) {
+  // 256x256 at f = 0.2 keeps k = 13107 > 8192 elements, so the index plane
+  // spans two parallel chunks and the boundary pair is checked too.
+  cp::TopKCompressor c(0.2);
+  const cp::CompressedMessage good =
+      c.encode(random_activation(14, ts::Shape{256, 256}));
+  ASSERT_GT(good.body.size() / 6, 8193u);
+  EXPECT_NO_THROW(c.decode(good));
+  for (const size_t i : {1u, 8192u}) {
+    cp::CompressedMessage dup = good;
+    set_wire_index(dup, i, wire_index(good, i - 1));
+    EXPECT_THROW(c.decode(dup), std::invalid_argument) << "duplicate at " << i;
+    cp::CompressedMessage swapped = good;
+    set_wire_index(swapped, i - 1, wire_index(good, i));
+    set_wire_index(swapped, i, wire_index(good, i - 1));
+    EXPECT_THROW(c.decode(swapped), std::invalid_argument)
+        << "descending at " << i;
+  }
+}
+
+TEST(Wire, QuantizeDecodeRequiresExactBodyLength) {
+  // Byte-aligned rows (4 bits x 32 cols) and rows that straddle bytes
+  // (3 bits x 7 cols) take different decode paths; both check the length.
+  for (const auto& [bits, shape] :
+       {std::pair{4, ts::Shape{6, 32}}, std::pair{3, ts::Shape{5, 7}}}) {
+    SCOPED_TRACE(bits);
+    cp::QuantizeCompressor c(bits);
+    const ts::Tensor x = random_activation(15, shape);
+    const cp::CompressedMessage good = c.encode(x);
+    EXPECT_TRUE(ts::allclose(c.decode(good), c.round_trip(x), 0, 0));
+    cp::CompressedMessage trailing = good;
+    trailing.body.push_back(std::byte{0});
+    EXPECT_THROW(c.decode(trailing), std::invalid_argument);
+    cp::CompressedMessage cut = good;
+    cut.body.pop_back();
+    EXPECT_THROW(c.decode(cut), std::invalid_argument);
+  }
+}
+
+TEST(Wire, QuantizeDecodeChecksLengthBeforeAllocating) {
+  // Forged shapes with an 8-byte body must be rejected as bad input: 2^62
+  // elements must never reach the allocation, and 2^64 must not wrap to an
+  // empty tensor that claims a huge shape.
+  cp::QuantizeCompressor c(4);
+  for (const int log2_dim : {31, 32}) {
+    cp::CompressedMessage forged;
+    forged.shape_dims = {int64_t{1} << log2_dim, int64_t{1} << log2_dim};
+    forged.body.resize(8);
+    EXPECT_THROW(c.decode(forged), std::invalid_argument) << log2_dim;
+  }
 }
 
 // ---------- autoencoder ----------

@@ -13,6 +13,10 @@
 //   - tail monotonicity: a higher arrival rate (same seed) never lowers p99
 //   - graceful degenerate inputs: empty trace, single request, zero-token
 //     generations — plus precise validation errors for impossible inputs
+//   - the engine cross-check: a sim::Engine graph rebuilt from the report
+//     realizes every step at exactly the reported start and end
+//   - arrival tie order: an arrival at a step's end joins the next prefill,
+//     and same-instant arrivals share one
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,6 +25,7 @@
 
 #include "core/compression_plan.h"
 #include "parallel/mp_simulator.h"
+#include "sim/engine.h"
 #include "sim/serving.h"
 
 namespace {
@@ -52,6 +57,49 @@ std::vector<sim::ServingRequest> toy_trace(double rate_per_s, uint64_t seed,
   spec.max_new_tokens = 8;
   spec.seed = seed;
   return sim::poisson_trace(spec);
+}
+
+// Runs the trace on one replica, then rebuilds the report as a sim::Engine
+// graph: every arrival is a pure-delay op on an unbounded ready-order
+// resource, every step an op on a capacity-1 program-order lane priced with
+// the duration the scheduler was handed, and every prefill depends on the
+// arrivals of the next `seqs` requests in FIFO order. The engine's max/+
+// clock must realize each step at exactly the reported start and end.
+void expect_engine_realizes_report(const std::vector<sim::ServingRequest>& trace,
+                                   sim::ServingConfig cfg) {
+  std::vector<double> priced;  // every step_cost result, in call order
+  cfg.step_cost = [&priced, cost = cfg.step_cost](const sim::StepShape& s) {
+    priced.push_back(cost(s));
+    return priced.back();
+  };
+  const auto rep = sim::simulate_serving(trace, cfg);
+  ASSERT_EQ(priced.size(), rep.steps.size());
+
+  sim::Engine eng;
+  const int arrivals = eng.add_resource(0, sim::ExecPolicy::kReadyOrder);
+  const int lane = eng.add_resource(1, sim::ExecPolicy::kProgramOrder);
+  std::vector<int> arrival_op;
+  for (const auto& r : trace) {
+    arrival_op.push_back(eng.add_op(arrivals, r.arrival_ms));
+  }
+  std::vector<int> step_op;
+  size_t next = 0;
+  for (size_t k = 0; k < rep.steps.size(); ++k) {
+    step_op.push_back(eng.add_op(lane, priced[k]));
+    if (!rep.steps[k].prefill) continue;
+    for (int64_t j = 0; j < rep.steps[k].seqs; ++j) {
+      ASSERT_LT(next, arrival_op.size());
+      eng.add_dep(step_op.back(), arrival_op[next++]);
+    }
+  }
+  ASSERT_EQ(next, trace.size()) << "every request is prefilled exactly once";
+
+  const std::vector<sim::OpTiming> times = eng.run();
+  for (size_t k = 0; k < rep.steps.size(); ++k) {
+    const sim::OpTiming& t = times[static_cast<size_t>(step_op[k])];
+    ASSERT_EQ(t.start_ms, rep.steps[k].start_ms) << "step " << k;
+    ASSERT_EQ(t.end_ms, rep.steps[k].end_ms) << "step " << k;
+  }
 }
 
 TEST(PoissonTrace, SeededAndDeterministic) {
@@ -274,6 +322,58 @@ TEST(Serving, MaxBatchSerializesAdmission) {
   EXPECT_GE(rep.requests[1].admit_ms, rep.requests[0].done_ms);
 }
 
+TEST(Serving, ArrivalCursorTieOrder) {
+  // Request 0's prefill ends at exactly t = 2.0, when requests 1 and 2
+  // arrive. Arrivals at an instant are handled before the dispatch at that
+  // instant, so both join ONE prefill that starts at 2.0 — ahead of request
+  // 0's first decode, which then batches all three.
+  sim::ServingConfig cfg = toy_config();
+  cfg.step_cost = [](const sim::StepShape& s) { return s.prefill ? 2.0 : 1.0; };
+  const std::vector<sim::ServingRequest> trace = {
+      {0.0, 8, 3}, {2.0, 8, 3}, {2.0, 8, 3}};
+  const auto rep = sim::simulate_serving(trace, cfg);
+  ASSERT_EQ(rep.steps.size(), 4u);
+  const struct {
+    bool prefill;
+    double start, end;
+    int64_t seqs;
+  } want[] = {{true, 0.0, 2.0, 1},
+              {true, 2.0, 4.0, 2},
+              {false, 4.0, 5.0, 3},
+              {false, 5.0, 6.0, 3}};
+  for (size_t k = 0; k < rep.steps.size(); ++k) {
+    EXPECT_EQ(rep.steps[k].prefill, want[k].prefill) << "step " << k;
+    EXPECT_EQ(rep.steps[k].start_ms, want[k].start) << "step " << k;
+    EXPECT_EQ(rep.steps[k].end_ms, want[k].end) << "step " << k;
+    EXPECT_EQ(rep.steps[k].seqs, want[k].seqs) << "step " << k;
+  }
+  for (const size_t i : {1u, 2u}) {
+    EXPECT_EQ(rep.requests[i].admit_ms, 2.0) << "request " << i;
+    EXPECT_EQ(rep.requests[i].first_token_ms, 4.0) << "request " << i;
+  }
+  for (const auto& t : rep.requests) EXPECT_EQ(t.done_ms, 6.0);
+}
+
+TEST(ServingEngine, RealizesToyTraces) {
+  for (const double rate : {2.0, 8.0, 32.0}) {
+    SCOPED_TRACE(rate);
+    expect_engine_realizes_report(toy_trace(rate, 5), toy_config());
+  }
+}
+
+TEST(ServingEngine, RealizesAdmissionCaps) {
+  const std::vector<sim::ServingRequest> trace = {{0.0, 16, 8}, {0.0, 16, 8}};
+  {
+    SCOPED_TRACE("token budget");
+    expect_engine_realizes_report(trace, toy_config(/*max_batch=*/8,
+                                                    /*token_budget=*/24));
+  }
+  {
+    SCOPED_TRACE("max batch");
+    expect_engine_realizes_report(trace, toy_config(/*max_batch=*/1));
+  }
+}
+
 TEST(ServingValidation, PreciseErrors) {
   const std::vector<sim::ServingRequest> ok = {{0.0, 16, 8}};
   sim::ServingConfig no_cost = toy_config();
@@ -392,6 +492,26 @@ TEST(InferenceCost, ServingEndToEndThroughCalibratedModel) {
   EXPECT_GT(rep.ttft.p50_ms, 0.0);
   EXPECT_GE(rep.ttft.p99_ms, rep.ttft.p50_ms);
   EXPECT_GE(rep.tpot.p99_ms, rep.tpot.p50_ms);
+}
+
+TEST(ServingEngine, RealizesCalibratedTrace) {
+  // The engine check of ServingEndToEndThroughCalibratedModel's trace:
+  // calibrated, non-round durations through the same max/+ clock.
+  parallel::ModelParallelSimulator mp(
+      sim::ClusterSpec::aws_p3(1), nn::BertConfig::bert_large(), {4, 1},
+      parallel::TrainJob{});
+  sim::ServingConfig cfg;
+  cfg.max_batch = 4;
+  cfg.token_budget = 1024;
+  cfg.step_cost =
+      parallel::make_serving_cost(mp, core::CompressionPlan::none());
+  sim::PoissonTraceSpec spec;
+  spec.rate_per_s = 8.0;
+  spec.num_requests = 16;
+  spec.prompt_tokens = 64;
+  spec.max_new_tokens = 8;
+  spec.seed = 2;
+  expect_engine_realizes_report(sim::poisson_trace(spec), cfg);
 }
 
 }  // namespace

@@ -44,6 +44,14 @@ TEST(Shape, NegativeExtentThrows) {
   EXPECT_THROW(ts::Shape({2, -1}), std::invalid_argument);
 }
 
+TEST(Shape, ElementCountOverflowThrows) {
+  // 2^64 elements do not fit in int64_t: rejected, not wrapped to 0.
+  EXPECT_THROW(ts::Shape({int64_t{1} << 32, int64_t{1} << 32}),
+               std::invalid_argument);
+  EXPECT_EQ(ts::Shape({int64_t{1} << 31, int64_t{1} << 31}).numel(),
+            int64_t{1} << 62);
+}
+
 TEST(Shape, DimOutOfRangeThrows) {
   ts::Shape s{2, 3};
   EXPECT_THROW(s.dim(2), std::invalid_argument);
