@@ -24,16 +24,13 @@ int64_t row_grain(int64_t cols) {
 }
 
 // Sum `g` (shaped like the broadcast output) down to `target` (the smaller,
-// right-aligned operand shape).
+// right-aligned operand shape): g viewed as [rows, numel(target)], summed
+// over rows in ascending order.
 ts::Tensor reduce_to_shape(const ts::Tensor& g, const ts::Shape& target) {
   if (g.shape() == target) return g;
-  ts::Tensor out{target};
-  const auto dg = g.data();
-  auto dout = out.data();
-  const size_t nb = static_cast<size_t>(target.numel());
-  ACTCOMP_ASSERT(nb > 0 && dg.size() % nb == 0, "broadcast reduce mismatch");
-  for (size_t i = 0; i < dg.size(); ++i) dout[i % nb] += dg[i];
-  return out;
+  const int64_t nb = target.numel();
+  ACTCOMP_ASSERT(nb > 0 && g.numel() % nb == 0, "broadcast reduce mismatch");
+  return ts::sum_to_last(g.reshape(ts::Shape{g.numel() / nb, nb})).reshape(target);
 }
 
 }  // namespace

@@ -258,22 +258,51 @@ Tensor permute(const Tensor& a, const std::vector<int>& axes) {
     out_dims[static_cast<size_t>(i)] = a.dim(ax);
   }
   Tensor out{Shape(out_dims)};
+  const float* src = a.data().data();
+  float* dst = out.data().data();
+  if (r == 0) {  // a scalar: nothing to permute
+    dst[0] = src[0];
+    return out;
+  }
+  // step[i]: input offset of one step along output axis i.
   const auto in_strides = a.shape().strides();
   const auto out_strides = out.shape().strides();
-  const auto din = a.data();
-  auto dout = out.data();
-  const int64_t n = a.numel();
-  // For each output flat index, reconstruct multi-index and map to input.
-  core::parallel_for(0, n, kEwGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t flat = lo; flat < hi; ++flat) {
-      int64_t rem = flat;
-      int64_t src = 0;
-      for (int i = 0; i < r; ++i) {
-        const int64_t coord = rem / out_strides[static_cast<size_t>(i)];
-        rem %= out_strides[static_cast<size_t>(i)];
-        src += coord * in_strides[static_cast<size_t>(axes[static_cast<size_t>(i)])];
+  std::vector<int64_t> step(static_cast<size_t>(r));
+  for (int i = 0; i < r; ++i) {
+    step[static_cast<size_t>(i)] = in_strides[static_cast<size_t>(axes[static_cast<size_t>(i)])];
+  }
+  const int64_t inner = out_dims.back();
+  const int64_t inner_step = step.back();
+  // Odometer copy: each chunk decodes its first output coordinate once, then
+  // walks the innermost output axis as one run (a memcpy when the input is
+  // contiguous along it) and carries into the outer axes at run ends.
+  core::parallel_for(0, a.numel(), kEwGrain, [&](int64_t lo, int64_t hi) {
+    std::vector<int64_t> coord(static_cast<size_t>(r));
+    int64_t s = 0;
+    int64_t rem = lo;
+    for (int i = 0; i < r; ++i) {
+      const size_t ui = static_cast<size_t>(i);
+      coord[ui] = rem / out_strides[ui];
+      rem %= out_strides[ui];
+      s += coord[ui] * step[ui];
+    }
+    for (int64_t flat = lo; flat < hi;) {
+      const int64_t len = std::min(inner - coord.back(), hi - flat);
+      if (inner_step == 1) {
+        std::memcpy(dst + flat, src + s, static_cast<size_t>(len) * sizeof(float));
+      } else {
+        for (int64_t j = 0; j < len; ++j) dst[flat + j] = src[s + j * inner_step];
       }
-      dout[static_cast<size_t>(flat)] = din[static_cast<size_t>(src)];
+      flat += len;
+      s += (len - inner) * inner_step;  // back to the row start ...
+      coord.back() = 0;
+      for (int i = r - 2; i >= 0; --i) {  // ... then carry one row on
+        const size_t ui = static_cast<size_t>(i);
+        s += step[ui];
+        if (++coord[ui] < out_dims[ui]) break;
+        s -= out_dims[ui] * step[ui];
+        coord[ui] = 0;
+      }
     }
   });
   return out;
@@ -330,13 +359,11 @@ Tensor sum_last(const Tensor& a) {
 Tensor sum_to_last(const Tensor& a) {
   const auto [rows, cols] = rows_cols(a);
   Tensor out{Shape{cols}};
-  const auto din = a.data();
-  auto dout = out.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t c = 0; c < cols; ++c) {
-      dout[static_cast<size_t>(c)] += din[static_cast<size_t>(r * cols + c)];
-    }
-  }
+  const float* din = a.data().data();
+  float* dout = out.data().data();
+  // Whole rows in ascending order: each column sums its rows first to last.
+  const kernels::KernelTable& kt = kernels::active_kernels();
+  for (int64_t r = 0; r < rows; ++r) kt.ew_add(dout, din + r * cols, dout, 0, cols, cols);
   return out;
 }
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "autograd/functions.h"
 #include "autograd/variable.h"
@@ -360,4 +363,31 @@ TEST(Dropout, GradientMatchesMask) {
   const auto dy = y.value().data();
   const auto dg = x.grad().data();
   for (size_t i = 0; i < dy.size(); ++i) EXPECT_FLOAT_EQ(dg[i], dy[i]);
+}
+
+TEST(Broadcast, BiasGradMatchesFlatWalk) {
+  // The bias of a broadcast add takes the upstream gradient summed over
+  // every leading position. It must equal the flat walk `db[i % nb] += g[i]`
+  // bit for bit: each bias element adds its rows in ascending order.
+  ts::Generator gen(23);
+  for (const auto& [xs, bs] :
+       {std::pair{ts::Shape{512, 128}, ts::Shape{128}},
+        std::pair{ts::Shape{5, 7, 33}, ts::Shape{7, 33}},
+        std::pair{ts::Shape{3, 1, 17}, ts::Shape{1, 17}}}) {
+    SCOPED_TRACE(xs.str() + " + " + bs.str());
+    ag::Variable x = ag::Variable::leaf(gen.normal(xs), true);
+    ag::Variable b = ag::Variable::leaf(gen.normal(bs), true);
+    // Spread magnitudes so a different summation order would round
+    // differently.
+    ts::Tensor seed = gen.normal(xs);
+    for (float& v : seed.data()) v *= std::exp(3.0f * v);
+    ag::add(x, b).backward(seed);
+
+    const auto dg = seed.data();
+    std::vector<float> want(static_cast<size_t>(bs.numel()), 0.0f);
+    for (size_t i = 0; i < dg.size(); ++i) want[i % want.size()] += dg[i];
+    const auto got = b.grad().data();
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0);
+  }
 }

@@ -1,11 +1,14 @@
 // Unit and property tests for the tensor substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
 #include <sstream>
 
+#include "core/threadpool.h"
 #include "tensor/check.h"
 #include "tensor/fp16.h"
 #include "tensor/io.h"
@@ -254,6 +257,83 @@ TEST(Ops, PermuteInvalidAxesThrows) {
   ts::Tensor a{ts::Shape{2, 3}};
   EXPECT_THROW(ts::permute(a, {0, 0}), std::invalid_argument);
   EXPECT_THROW(ts::permute(a, {0}), std::invalid_argument);
+}
+
+namespace {
+
+// Permute by decoding every output index with one div/mod per axis: the
+// obviously-correct walk the odometer copy in ts::permute must reproduce.
+ts::Tensor permute_oracle(const ts::Tensor& a, const std::vector<int>& axes) {
+  const size_t r = axes.size();
+  std::vector<int64_t> out_dims(r);
+  for (size_t i = 0; i < r; ++i) out_dims[i] = a.dim(axes[i]);
+  ts::Tensor out{ts::Shape(out_dims)};
+  const auto in_strides = a.shape().strides();
+  const auto out_strides = out.shape().strides();
+  const auto din = a.data();
+  auto dout = out.data();
+  for (int64_t flat = 0; flat < out.numel(); ++flat) {
+    int64_t rem = flat;
+    int64_t src = 0;
+    for (size_t i = 0; i < r; ++i) {
+      src += rem / out_strides[i] * in_strides[static_cast<size_t>(axes[i])];
+      rem %= out_strides[i];
+    }
+    dout[static_cast<size_t>(flat)] = din[static_cast<size_t>(src)];
+  }
+  return out;
+}
+
+std::vector<uint32_t> float_bits(const ts::Tensor& t) {
+  std::vector<uint32_t> bits(static_cast<size_t>(t.numel()));
+  if (!bits.empty()) std::memcpy(bits.data(), t.data().data(), bits.size() * 4);
+  return bits;
+}
+
+}  // namespace
+
+TEST(Permute, MatchesDivModOracle) {
+  const int saved_threads = actcomp::core::num_threads();
+  // Ranks 0-5 with zero, unit and odd extents. Shapes above 2 * 8192
+  // elements span several parallel chunks whose starts land mid-row, so the
+  // per-chunk coordinate decode and the carries across row ends are checked.
+  const std::vector<ts::Shape> shapes = {
+      ts::Shape{},           ts::Shape{0},           ts::Shape{1},
+      ts::Shape{20011},      ts::Shape{0, 5},        ts::Shape{1, 1},
+      ts::Shape{3, 7},       ts::Shape{131, 257},    ts::Shape{512, 512},
+      ts::Shape{1, 0, 3},    ts::Shape{5, 1, 9},     ts::Shape{33, 31, 17},
+      ts::Shape{2, 0, 3, 1}, ts::Shape{3, 5, 1, 7},  ts::Shape{9, 11, 13, 17},
+      ts::Shape{8, 64, 4, 32}, ts::Shape{1, 3, 1, 5, 1},
+      ts::Shape{3, 5, 7, 11, 13}};
+  for (const ts::Shape& shape : shapes) {
+    ts::Tensor a{shape};
+    auto d = a.data();
+    for (size_t i = 0; i < d.size(); ++i) d[i] = static_cast<float>(i) + 0.5f;
+    std::vector<int> axes(static_cast<size_t>(shape.rank()));
+    std::iota(axes.begin(), axes.end(), 0);
+    // Every permutation up to rank 4; identity, reversal and two rotations
+    // at rank 5.
+    std::vector<std::vector<int>> perms;
+    if (shape.rank() <= 4) {
+      do perms.push_back(axes);
+      while (std::next_permutation(axes.begin(), axes.end()));
+    } else {
+      perms = {{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {1, 2, 3, 4, 0}, {4, 0, 1, 2, 3}};
+    }
+    for (const std::vector<int>& perm : perms) {
+      const auto want = float_bits(permute_oracle(a, perm));
+      for (const int threads : {1, 4}) {
+        actcomp::core::set_num_threads(threads);
+        const ts::Tensor got = ts::permute(a, perm);
+        ASSERT_EQ(got.shape(), permute_oracle(a, perm).shape());
+        std::ostringstream label;
+        label << shape.str() << " perm";
+        for (const int ax : perm) label << ' ' << ax;
+        EXPECT_EQ(float_bits(got), want) << label.str() << " t=" << threads;
+      }
+    }
+  }
+  actcomp::core::set_num_threads(saved_threads);
 }
 
 TEST(Ops, ConcatSliceLastRoundTrip) {
