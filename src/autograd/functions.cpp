@@ -290,8 +290,8 @@ Variable bias_act(const Variable& x, const Variable& b, Act act) {
   ts::Tensor pre;
   ts::Tensor out;
   if (act == Act::kGelu) {
-    // gelu's tanh body stays scalar (libm), so the fusion is tape-level
-    // only: the exact ts::add and ts::gelu kernels run, under one node.
+    // Tape-level fusion: the exact ts::add and ts::gelu kernels run, under
+    // one node, so the bytes match the composition's.
     pre = ts::add(xv, bv);
     out = ts::gelu(pre);
   } else {  // Act::kRelu — one pass writes pre (kept for backward) and out.

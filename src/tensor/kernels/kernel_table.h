@@ -65,6 +65,10 @@ struct KernelTable {
   // max(pre[i], 0). pre is kept for the byte-exact backward.
   void (*ew_bias_relu)(const float* x, const float* b, float* pre, float* out,
                        int64_t lo, int64_t hi, int64_t nb);
+  // GELU (tanh form) and its derivative. Every tier points at the one
+  // polynomial in kernels_generic.h, compiled under its own -m flags.
+  void (*ew_gelu)(const float* a, float* out, int64_t lo, int64_t hi);
+  void (*ew_gelu_grad)(const float* a, float* out, int64_t lo, int64_t hi);
 
   // ---- row reductions ----
   // max over x[0..n) with the scalar tie/NaN semantics (-inf for n == 0).

@@ -28,6 +28,8 @@ const KernelTable* avx2_kernels() {
       avx2i::ew_relu,
       avx2i::ew_scale,
       avx2i::ew_bias_relu,
+      generic::ew_gelu,
+      generic::ew_gelu_grad,
       avx2i::row_max,
       avx2i::row_minmax,
       // Double-precision two-pass statistics: 256-bit lanes buy nothing

@@ -356,6 +356,8 @@ const KernelTable* avx512_kernels() {
       avx512i::ew_relu,
       avx512i::ew_scale,
       avx512i::ew_bias_relu,
+      generic::ew_gelu,
+      generic::ew_gelu_grad,
       // Fallback-heavy scans and 8-bit packing: the 256-bit versions are
       // already bound by the semantic screening / byte shuffles.
       avx2i::row_max,

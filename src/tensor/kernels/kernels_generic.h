@@ -1,7 +1,9 @@
 // Scalar reference implementations for every KernelTable entry.
 //
 // These are the loops the repo ran before the SIMD overhaul, verbatim —
-// they define the bytes every wider tier must reproduce. They are inline
+// they define the bytes every wider tier must reproduce. (GELU is the
+// exception: its polynomial is newer, and every tier's table points at
+// this one loop.) They are inline
 // so each per-ISA TU can also use them for remainders and semantic
 // fallbacks (NaN lanes, ±0 ties) without cross-TU calls; all kernel TUs
 // compile with -ffp-contract=off, so the math is flag-identical wherever
@@ -9,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -79,6 +82,61 @@ static inline void ew_bias_relu(const float* x, const float* b, float* pre,
     const float p = x[i] + b[i % nb];
     pre[i] = p;
     out[i] = p > 0.0f ? p : 0.0f;
+  }
+}
+
+// ---- GELU (tanh form) ----
+//
+// One source for every tier: plain float arithmetic with no libm call and
+// no branch, so each tier's TU autovectorizes it at its own width and
+// -ffp-contract=off keeps every lane's rounding identical to the scalar
+// tier. tanh(u) = (1 - e) / (1 + e) with e = exp(-2|u|) and the sign put
+// back; exp is e = 2^k * exp(r), k = round(z / ln2), |r| <= ln2/2, with a
+// Chebyshev fit of (exp(r) - 1 - r) / r^2. |u| is clamped to 9 first, where
+// e <= 2^-25 and t is exactly 1: that also maps NaN and ±Inf to a finite
+// argument, so k always fits an int32 (the float-to-int conversion is
+// defined), and the NaN or Inf in x reaches the result through the outer
+// arithmetic exactly as it does through libm's tanh.
+
+inline constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+inline constexpr float kGeluA = 0.044715f;
+
+static inline float gelu_tanh(float u) {
+  constexpr float kMaxArg = 9.0f;
+  constexpr float kLog2e = 1.44269504088896341f;
+  constexpr float kLn2Hi = 0.693359375f;  // 9 significant bits: k * kLn2Hi is exact
+  constexpr float kLn2Lo = -2.12194440e-4f;
+  constexpr float kRound = 12582912.0f;  // 1.5 * 2^23: (y + kRound) - kRound rounds y
+  // min(|u|, 9) on the bit patterns: for a cleared sign bit the integer
+  // order is the float order, with +Inf and every NaN above 9. (A float
+  // select here lets GCC split the loop on the clamp, which stops the
+  // vectorizer below AVX-512.)
+  const int32_t au = std::bit_cast<int32_t>(std::fabs(u));
+  const float v = std::bit_cast<float>(std::min(au, std::bit_cast<int32_t>(kMaxArg)));
+  const float z = -2.0f * v;  // [-18, 0]
+  const float k = (z * kLog2e + kRound) - kRound;  // integral, [-26, 0]
+  const float r = (z - k * kLn2Hi) - k * kLn2Lo;
+  const float q =
+      0.5f + r * (0.16666576f + r * (0.041666554f + r * (0.0083632594f + r * 0.0013926284f)));
+  const float scale = std::bit_cast<float>((static_cast<int32_t>(k) + 127) << 23);  // 2^k
+  const float e = (1.0f + (r + r * r * q)) * scale;
+  return std::copysign((1.0f - e) / (1.0f + e), u);
+}
+
+static inline void ew_gelu(const float* a, float* out, int64_t lo, int64_t hi) {
+  for (int64_t i = lo; i < hi; ++i) {
+    const float x = a[i];
+    const float t = gelu_tanh(kGeluC * (x + kGeluA * x * x * x));
+    out[i] = 0.5f * x * (1.0f + t);
+  }
+}
+
+static inline void ew_gelu_grad(const float* a, float* out, int64_t lo, int64_t hi) {
+  for (int64_t i = lo; i < hi; ++i) {
+    const float x = a[i];
+    const float t = gelu_tanh(kGeluC * (x + kGeluA * x * x * x));
+    const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
+    out[i] = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
   }
 }
 

@@ -108,6 +108,8 @@ const KernelTable& scalar_kernels() {
       generic::ew_relu,
       generic::ew_scale,
       generic::ew_bias_relu,
+      generic::ew_gelu,
+      generic::ew_gelu_grad,
       generic::row_max,
       generic::row_minmax,
       generic::rows_moments,

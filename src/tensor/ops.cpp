@@ -39,7 +39,8 @@ bool right_aligned(const Shape& big, const Shape& small) {
 // Elementwise ops route through the active SIMD kernel tier
 // (tensor/kernels): the parallel_for chunking — and thus 1-vs-N-thread
 // identity — stays here in the caller, and the kernel handles [lo, hi).
-// Transcendentals (exp, log, tanh, ...) stay as scalar libm lambdas.
+// GELU's tanh is the kernel layer's polynomial (DESIGN.md §15); exp, log,
+// tanh and sigmoid stay as scalar libm lambdas.
 
 Tensor binary_kernel(const Tensor& a, const Tensor& b,
                      void (*kfn)(const float*, const float*, float*, int64_t,
@@ -141,25 +142,11 @@ Tensor relu(const Tensor& a) {
   return unary_kernel(a, kernels::active_kernels().ew_relu);
 }
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-}  // namespace
-
 Tensor gelu(const Tensor& a) {
-  return unary(a, [](float x) {
-    const float u = kGeluC * (x + kGeluA * x * x * x);
-    return 0.5f * x * (1.0f + std::tanh(u));
-  });
+  return unary_kernel(a, kernels::active_kernels().ew_gelu);
 }
-
 Tensor gelu_grad(const Tensor& a) {
-  return unary(a, [](float x) {
-    const float u = kGeluC * (x + kGeluA * x * x * x);
-    const float t = std::tanh(u);
-    const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
-    return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-  });
+  return unary_kernel(a, kernels::active_kernels().ew_gelu_grad);
 }
 
 Tensor map(const Tensor& a, const std::function<float(float)>& f) {

@@ -401,3 +401,87 @@ TEST(SimdIdentity, BiasActMatchesComposition) {
     core::set_num_threads(1);
   }
 }
+
+namespace {
+
+// GELU inputs for the tier-identity tests: signed zeros, infinities, NaNs,
+// subnormals, |x| where x^3 (and x^2) overflow, a sweep across the tanh
+// saturation edge (|u| from ~6.5 to ~11 as |x| runs 4.5 -> 5.5), then
+// seeded normals out to 3+ parallel chunks.
+std::vector<float> gelu_inputs() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float fmax = std::numeric_limits<float>::max();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  std::vector<float> v = {0.0f,   -0.0f,  inf,    -inf,   nan,    -nan,
+                          denorm, -denorm, 1e-40f, -1e-40f, 1e-20f, -1e-20f,
+                          2e12f,  -2e12f, 1e13f,  -1e13f, 1e20f,  -1e20f,
+                          fmax,   -fmax};
+  for (int i = 0; i <= 2000; ++i) {
+    const float x = 4.5f + static_cast<float>(i) * 5e-4f;
+    v.push_back(x);
+    v.push_back(-x);
+  }
+  ts::Generator gen(47);
+  const ts::Tensor noise = gen.normal(ts::Shape{20000}, 0.0f, 3.0f);
+  for (float x : noise.data()) v.push_back(x);
+  return v;
+}
+
+}  // namespace
+
+TEST(SimdIdentity, GeluBytesMatchScalarAcrossTiers) {
+  ThreadGuard tguard;
+  const std::vector<float> vals = gelu_inputs();
+  const ts::Tensor x{ts::Shape{static_cast<int64_t>(vals.size())}, vals};
+  IsaGuard scalar_guard(core::SimdIsa::kScalar);
+  core::set_num_threads(1);
+  const auto ref = tensor_bytes(ts::gelu(x));
+  const auto ref_grad = tensor_bytes(ts::gelu_grad(x));
+  for_each_supported_isa([&](core::SimdIsa isa) {
+    IsaGuard guard(isa);
+    for (int threads : {1, 4}) {
+      core::set_num_threads(threads);
+      EXPECT_EQ(tensor_bytes(ts::gelu(x)), ref)
+          << core::simd_isa_name(isa) << " t=" << threads;
+      EXPECT_EQ(tensor_bytes(ts::gelu_grad(x)), ref_grad)
+          << core::simd_isa_name(isa) << " t=" << threads;
+    }
+  });
+}
+
+TEST(SimdIdentity, GeluBiasActBytesMatchScalarAcrossTiers) {
+  ThreadGuard tguard;
+  namespace ag = actcomp::autograd;
+  // [601, 37]: the special inputs fill the first rows, one per element,
+  // and the rest are the seeded normals. 22237 elements span 3 chunks.
+  std::vector<float> vals = gelu_inputs();
+  vals.resize(601 * 37);
+  const ts::Tensor xv{ts::Shape{601, 37}, vals};
+  ts::Generator gen(48);
+  const ts::Tensor bv = gen.normal(ts::Shape{37});
+
+  const auto run = [&] {
+    ag::Variable x = ag::Variable::leaf(xv, true);
+    ag::Variable b = ag::Variable::leaf(bv, true);
+    ag::Variable y = ag::bias_act(x, b, ag::Act::kGelu);
+    ts::Generator seed_gen(49);
+    y.backward(seed_gen.normal(y.value().shape()));
+    return std::array<std::vector<uint8_t>, 3>{
+        tensor_bytes(y.value()), tensor_bytes(x.grad()), tensor_bytes(b.grad())};
+  };
+  IsaGuard scalar_guard(core::SimdIsa::kScalar);
+  core::set_num_threads(1);
+  const auto ref = run();
+  for_each_supported_isa([&](core::SimdIsa isa) {
+    IsaGuard guard(isa);
+    for (int threads : {1, 4}) {
+      core::set_num_threads(threads);
+      const auto got = run();
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], ref[i])
+            << "output " << i << " " << core::simd_isa_name(isa) << " t=" << threads;
+      }
+    }
+  });
+}

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -634,4 +635,72 @@ TEST(Compare, RelErrorAndMaxAbsDiff) {
   EXPECT_NEAR(ts::rel_error(a, b), 0.1f / std::sqrt(1.1f * 1.1f + 4.0f), 1e-5f);
   EXPECT_FALSE(ts::allclose(a, b));
   EXPECT_TRUE(ts::allclose(a, b, 0.2f, 0.0f));
+}
+
+// ---------- GELU: the kernel polynomial against the libm formula ----------
+
+namespace {
+
+// The tanh-form GELU and its derivative through libm's tanh: the formula
+// the kernel replaced, with the same constants and operation order.
+float gelu_libm(float x) {
+  const float u = 0.7978845608028654f * (x + 0.044715f * x * x * x);
+  return 0.5f * x * (1.0f + std::tanh(u));
+}
+float gelu_grad_libm(float x) {
+  const float u = 0.7978845608028654f * (x + 0.044715f * x * x * x);
+  const float t = std::tanh(u);
+  const float du = 0.7978845608028654f * (1.0f + 3.0f * 0.044715f * x * x);
+  return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
+}
+
+}  // namespace
+
+TEST(Gelu, PolynomialWithinLibmBound) {
+  // Every 1e-4 over [-12, 12]: past |x| ~ 5.2 both tanh values are exactly
+  // ±1, so the grid covers the whole non-saturated range.
+  const int64_t n = 240001;
+  ts::Tensor x{ts::Shape{n}};
+  auto dx = x.data();
+  for (int64_t i = 0; i < n; ++i) {
+    dx[static_cast<size_t>(i)] = -12.0f + 24.0f * static_cast<float>(i) / (n - 1);
+  }
+  const ts::Tensor g = ts::gelu(x);
+  const ts::Tensor gg = ts::gelu_grad(x);
+  double worst = 0.0;
+  double worst_grad = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const size_t u = static_cast<size_t>(i);
+    worst = std::max(worst, std::fabs(double{g.data()[u]} - gelu_libm(dx[u])));
+    worst_grad =
+        std::max(worst_grad, std::fabs(double{gg.data()[u]} - gelu_grad_libm(dx[u])));
+  }
+  EXPECT_LE(worst, 1e-6);
+  EXPECT_LE(worst_grad, 4e-6);
+}
+
+TEST(Gelu, NonFiniteAndHugeInputsMatchLibm) {
+  // NaN and ±Inf reach the kernel's float-to-int step only after the clamp;
+  // the sanitizer build (float-cast-overflow) traps if one ever gets there
+  // unclamped. Huge |x| overflows x^3 (1e13) or x^2 (1e20) to ±Inf.
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> xs = {std::numeric_limits<float>::quiet_NaN(),
+                                 -std::numeric_limits<float>::quiet_NaN(),
+                                 inf, -inf, 1e13f, -1e13f, 1e20f, -1e20f,
+                                 std::numeric_limits<float>::max(),
+                                 -std::numeric_limits<float>::max(), 0.0f, -0.0f};
+  const ts::Tensor x{ts::Shape{static_cast<int64_t>(xs.size())}, xs};
+  const ts::Tensor g = ts::gelu(x);
+  const ts::Tensor gg = ts::gelu_grad(x);
+  for (size_t i = 0; i < xs.size(); ++i) {
+    for (const auto& [got, want] : {std::pair{g.data()[i], gelu_libm(xs[i])},
+                                    std::pair{gg.data()[i], gelu_grad_libm(xs[i])}}) {
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(got)) << "x=" << xs[i] << " got " << got;
+      } else {
+        EXPECT_EQ(got, want) << "x=" << xs[i];
+        EXPECT_EQ(std::signbit(got), std::signbit(want)) << "x=" << xs[i];
+      }
+    }
+  }
 }
