@@ -70,33 +70,8 @@ CompressedMessage RandomKCompressor::do_encode(const tensor::Tensor& x) {
 }
 
 tensor::Tensor RandomKCompressor::do_decode(const CompressedMessage& msg) const {
-  tensor::Shape shape{msg.shape_dims};
-  const int64_t k = k_for(shape.numel());
-  ACTCOMP_CHECK(static_cast<size_t>(k) * 6 <= msg.body.size(),
-                "truncated random-k wire message");
-  tensor::Tensor out{shape};
-  auto d = out.data();
-  const std::byte* idx_base = msg.body.data();
-  const std::byte* val_base = msg.body.data() + static_cast<size_t>(k) * 4;
-  const int64_t numel = shape.numel();
-  // Sampling is without replacement, so wire indices are unique and the
-  // parallel scatter writes disjoint elements. Values batch-decode through
-  // the SIMD fp16 kernel.
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
-  core::parallel_for(0, k, kEwGrain, [&](int64_t b, int64_t e) {
-    const int64_t len = e - b;
-    std::vector<uint16_t> half(static_cast<size_t>(len));
-    std::vector<float> vals(static_cast<size_t>(len));
-    std::memcpy(half.data(), val_base + b * 2, static_cast<size_t>(len) * 2);
-    kt.fp16_decode(half.data(), vals.data(), len);
-    for (int64_t i = b; i < e; ++i) {
-      int32_t j = 0;
-      std::memcpy(&j, idx_base + i * 4, 4);
-      ACTCOMP_CHECK(j >= 0 && j < numel, "random-k index out of range on wire");
-      d[static_cast<size_t>(j)] = vals[static_cast<size_t>(i - b)];
-    }
-  });
-  return out;
+  const tensor::Shape shape{msg.shape_dims};
+  return wire::decode_sparse(msg.body, shape, k_for(shape.numel()), "random-k");
 }
 
 autograd::Variable RandomKCompressor::apply(const autograd::Variable& x) {

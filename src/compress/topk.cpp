@@ -142,50 +142,8 @@ CompressedMessage TopKCompressor::do_encode(const tensor::Tensor& x) {
 }
 
 tensor::Tensor TopKCompressor::do_decode(const CompressedMessage& msg) const {
-  tensor::Shape shape{msg.shape_dims};
-  const int64_t numel = shape.numel();
-  const int64_t k = k_for(numel);
-  // Exactly 6 bytes per kept element (WIRE_FORMATS.md §3.3), compared by
-  // division so a forged shape cannot overflow the product.
-  ACTCOMP_CHECK(msg.body.size() % 6 == 0 &&
-                    msg.body.size() / 6 == static_cast<size_t>(k),
-                "top-k wire message has " << msg.body.size()
-                                          << " body bytes, want 6 x " << k);
-  const std::byte* idx_base = msg.body.data();
-  const std::byte* val_base = msg.body.data() + static_cast<size_t>(k) * 4;
-  const auto index = [idx_base](int64_t i) {
-    int32_t j = 0;
-    std::memcpy(&j, idx_base + i * 4, 4);
-    return int64_t{j};
-  };
-  // Indices must be strictly ascending and in range, all checked before the
-  // scatter writes anything: that makes its per-element writes disjoint, so
-  // it parallelizes cleanly even on forged input.
-  core::parallel_for(0, k, kEwGrain, [&](int64_t b, int64_t e) {
-    int64_t prev = b == 0 ? -1 : index(b - 1);
-    for (int64_t i = b; i < e; ++i) {
-      const int64_t j = index(i);
-      ACTCOMP_CHECK(j > prev, "top-k indices not strictly ascending on wire");
-      prev = j;
-    }
-  });
-  ACTCOMP_CHECK(k == 0 || index(k - 1) < numel,
-                "top-k index out of range on wire");
-  tensor::Tensor out{shape};
-  auto d = out.data();
-  // Values are batch-decoded through the SIMD fp16 kernel, then scattered.
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
-  core::parallel_for(0, k, kEwGrain, [&](int64_t b, int64_t e) {
-    const int64_t len = e - b;
-    std::vector<uint16_t> half(static_cast<size_t>(len));
-    std::vector<float> vals(static_cast<size_t>(len));
-    std::memcpy(half.data(), val_base + b * 2, static_cast<size_t>(len) * 2);
-    kt.fp16_decode(half.data(), vals.data(), len);
-    for (int64_t i = b; i < e; ++i) {
-      d[static_cast<size_t>(index(i))] = vals[static_cast<size_t>(i - b)];
-    }
-  });
-  return out;
+  const tensor::Shape shape{msg.shape_dims};
+  return wire::decode_sparse(msg.body, shape, k_for(shape.numel()), "top-k");
 }
 
 tensor::Tensor TopKCompressor::round_trip(const tensor::Tensor& x) {

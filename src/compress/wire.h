@@ -35,4 +35,13 @@ void append_fp16(std::vector<std::byte>& buf, const tensor::Tensor& t);
 std::vector<float> read_fp16(const std::vector<std::byte>& buf, size_t& off,
                              int64_t n);
 
+/// Decode a sparse index+value body (WIRE_FORMATS.md §3.3, Top-K and
+/// Random-K) into a dense tensor of `shape`. The body must be exactly 6·k
+/// bytes and its indices strictly ascending in [0, numel); both are checked
+/// before the output is allocated, and any violation throws
+/// std::invalid_argument with `codec` in the message.
+tensor::Tensor decode_sparse(const std::vector<std::byte>& body,
+                             const tensor::Shape& shape, int64_t k,
+                             const char* codec);
+
 }  // namespace actcomp::compress::wire

@@ -270,6 +270,44 @@ TEST(Wire, TopKDecodeRejectsDuplicateAndDescendingIndices) {
   }
 }
 
+TEST(Wire, RandomKDecodeRejectsTrailingBytes) {
+  cp::RandomKCompressor c(0.2, 31);
+  const cp::CompressedMessage good =
+      c.encode(random_activation(16, ts::Shape{10, 10}));
+  EXPECT_NO_THROW(c.decode(good));
+  for (const size_t extra : {1u, 6u}) {  // a stray byte; a whole extra pair
+    cp::CompressedMessage m = good;
+    m.body.resize(m.body.size() + extra);
+    EXPECT_THROW(c.decode(m), std::invalid_argument) << extra << " extra bytes";
+  }
+  cp::CompressedMessage cut = good;
+  cut.body.pop_back();
+  EXPECT_THROW(c.decode(cut), std::invalid_argument);
+}
+
+TEST(Wire, RandomKDecodeRejectsDuplicateAndDescendingIndices) {
+  // k = 13107 > 8192: the index plane spans two parallel chunks, so the
+  // pair straddling the chunk boundary is checked too.
+  cp::RandomKCompressor c(0.2, 32);
+  const cp::CompressedMessage good =
+      c.encode(random_activation(17, ts::Shape{256, 256}));
+  ASSERT_GT(good.body.size() / 6, 8193u);
+  EXPECT_NO_THROW(c.decode(good));
+  for (const size_t i : {1u, 8192u}) {
+    cp::CompressedMessage dup = good;
+    set_wire_index(dup, i, wire_index(good, i - 1));
+    EXPECT_THROW(c.decode(dup), std::invalid_argument) << "duplicate at " << i;
+    cp::CompressedMessage swapped = good;
+    set_wire_index(swapped, i - 1, wire_index(good, i));
+    set_wire_index(swapped, i, wire_index(good, i - 1));
+    EXPECT_THROW(c.decode(swapped), std::invalid_argument)
+        << "descending at " << i;
+  }
+  cp::CompressedMessage past_end = good;
+  set_wire_index(past_end, good.body.size() / 6 - 1, 256 * 256);
+  EXPECT_THROW(c.decode(past_end), std::invalid_argument);
+}
+
 TEST(Wire, QuantizeDecodeRequiresExactBodyLength) {
   // Byte-aligned rows (4 bits x 32 cols) and rows that straddle bytes
   // (3 bits x 7 cols) take different decode paths; both check the length.
