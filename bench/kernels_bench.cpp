@@ -1,6 +1,7 @@
 // Machine-readable kernel benchmark: times the parallel compute core
-// (blocked GEMM, compressor encode/decode, one end-to-end fine-tune step)
-// across thread counts. Output is a canonical RunReport document
+// (blocked GEMM, GELU, permute, compressor encode/decode, one end-to-end
+// fine-tune step) across thread counts, and the profiler's overhead on that
+// step. Output is a canonical RunReport document
 // (actcomp.run_report.v1, see obs/report.h): each measurement is one entry
 // of the "records" array carrying {op, shape, threads, ns_op, gb_s} plus
 // op-specific extras (gflops, speedup_vs_seed). The checked-in baseline
@@ -15,6 +16,8 @@
 //
 // --quick trims the shape sweep to a few-second run for CI (ci.sh bench);
 // the full sweep is what baselines are regenerated from.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +33,7 @@
 #include "core/simd.h"
 #include "core/threadpool.h"
 #include "nn/bert.h"
+#include "obs/profiler.h"
 #include "obs/report.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
@@ -165,6 +169,61 @@ void bench_matmul_tiers(int64_t m, int64_t k, int64_t n) {
   core::set_num_threads(1);
 }
 
+// gelu and gelu_grad per SIMD tier, like bench_matmul_tiers: every tier
+// runs the same polynomial source, so the records show what each tier's
+// autovectorized copy is worth. GB/s counts one read and one write.
+void bench_gelu_tiers() {
+  ts::Generator gen(13);
+  const ts::Tensor x = gen.normal(ts::Shape{8, 64, 512}, 0.0f, 2.0f);
+  const double bytes = 8.0 * static_cast<double>(x.numel());
+  const core::SimdIsa restore = core::simd_isa();
+  for (int t = 0; t <= static_cast<int>(core::detected_simd_isa()); ++t) {
+    const auto isa = static_cast<core::SimdIsa>(t);
+    core::set_simd_isa(isa);
+    for (const bool grad : {false, true}) {
+      const std::string op =
+          std::string(grad ? "gelu_grad_" : "gelu_") + core::simd_isa_name(isa);
+      for (int threads : {1, 4}) {
+        core::set_num_threads(threads);
+        const double tsec =
+            best_of(5, [&] { grad ? ts::gelu_grad(x) : ts::gelu(x); });
+        emit(op, "8x64x512", threads, tsec * 1e9, bytes / tsec / 1e9);
+        std::printf("%-16s %-15s t=%d  %8.3f ms  %6.2f GB/s\n", op.c_str(),
+                    "8x64x512", threads, tsec * 1e3, bytes / tsec / 1e9);
+      }
+    }
+  }
+  core::set_simd_isa(restore);
+  core::set_num_threads(1);
+}
+
+// tensor::permute at the attention head split (its inner axis stays
+// contiguous) and a square transpose (its inner axis is strided).
+void bench_permute() {
+  ts::Generator gen(17);
+  struct Case {
+    const char* label;
+    ts::Shape shape;
+    std::vector<int> axes;
+  };
+  const Case cases[] = {
+      {"8x64x4x32/0213", ts::Shape{8, 64, 4, 32}, {0, 2, 1, 3}},
+      {"512x512/10", ts::Shape{512, 512}, {1, 0}},
+  };
+  for (const Case& c : cases) {
+    const ts::Tensor x = gen.normal(c.shape);
+    const double bytes = 8.0 * static_cast<double>(x.numel());
+    for (int threads : {1, 4}) {
+      core::set_num_threads(threads);
+      const double tsec = best_of(5, [&] { ts::permute(x, c.axes); });
+      emit("permute", c.label, threads, tsec * 1e9, bytes / tsec / 1e9);
+      std::printf("%-16s %-15s t=%d  %8.3f ms  %6.2f GB/s\n", "permute", c.label,
+                  threads, tsec * 1e3, bytes / tsec / 1e9);
+    }
+  }
+  core::set_num_threads(1);
+}
+
 template <typename C>
 void bench_compressor(const char* label, C& c, const ts::Tensor& x) {
   const double in_bytes = static_cast<double>(x.numel()) * 4.0;
@@ -224,48 +283,114 @@ void bench_lossless(const ts::Tensor& x) {
   }
 }
 
-void bench_finetune_step() {
-  nn::BertConfig cfg;
-  cfg.vocab_size = 1024;
-  cfg.hidden = 128;
-  cfg.num_layers = 4;
-  cfg.num_heads = 4;
-  cfg.intermediate = 512;
-  cfg.max_seq = 64;
-  cfg.dropout = 0.0f;
-  const int64_t batch = 8, seq = 64;
-  nn::EncoderInput in;
-  in.batch = batch;
-  in.seq = seq;
-  for (int64_t i = 0; i < batch * seq; ++i) in.token_ids.push_back(i % 1000);
-  in.segment_ids.assign(static_cast<size_t>(batch * seq), 0);
-  in.lengths.assign(static_cast<size_t>(batch), seq);
-  const ts::Tensor target{ts::Shape{batch, seq, cfg.hidden}};
+// The fine-tune workload: BertModel b8 s64 h128 l4 forward, MSE loss,
+// backward and an Adam step, on a fixed batch.
+class FinetuneStep {
+ public:
+  FinetuneStep() : gen_(5), model_(config(), gen_), params_(model_.parameters()),
+                   opt_(params_, 1e-4f), target_(ts::Shape{kBatch, kSeq, 128}) {
+    in_.batch = kBatch;
+    in_.seq = kSeq;
+    for (int64_t i = 0; i < kBatch * kSeq; ++i) in_.token_ids.push_back(i % 1000);
+    in_.segment_ids.assign(static_cast<size_t>(kBatch * kSeq), 0);
+    in_.lengths.assign(static_cast<size_t>(kBatch), kSeq);
+    run();  // warm-up (allocations, first-touch)
+  }
 
-  char shape[64];
-  std::snprintf(shape, sizeof(shape), "b%lld_s%lld_h%lld_l%d",
-                static_cast<long long>(batch), static_cast<long long>(seq),
-                static_cast<long long>(cfg.hidden), static_cast<int>(cfg.num_layers));
+  static const char* shape() { return "b8_s64_h128_l4"; }
+
+  void run() {
+    ts::Generator fgen(7);
+    ag::Variable y = model_.forward(in_, fgen, true);
+    ag::Variable loss = ag::mse_loss(y, target_);
+    for (auto& p : params_) p.zero_grad();
+    loss.backward();
+    opt_.step();
+  }
+
+ private:
+  static constexpr int64_t kBatch = 8;
+  static constexpr int64_t kSeq = 64;
+
+  static nn::BertConfig config() {
+    nn::BertConfig cfg;
+    cfg.vocab_size = 1024;
+    cfg.hidden = 128;
+    cfg.num_layers = 4;
+    cfg.num_heads = 4;
+    cfg.intermediate = 512;
+    cfg.max_seq = kSeq;
+    cfg.dropout = 0.0f;
+    return cfg;
+  }
+
+  ts::Generator gen_;
+  nn::BertModel model_;
+  std::vector<ag::Variable> params_;
+  actcomp::train::Adam opt_;
+  ts::Tensor target_;
+  nn::EncoderInput in_;
+};
+
+void bench_finetune_step() {
   for (int threads : {1, 4}) {
     core::set_num_threads(threads);
-    ts::Generator gen(5);
-    nn::BertModel model(cfg, gen);
-    std::vector<ag::Variable> params = model.parameters();
-    actcomp::train::Adam opt(params, 1e-4f);
-    auto step = [&] {
-      ts::Generator fgen(7);
-      ag::Variable y = model.forward(in, fgen, true);
-      ag::Variable loss = ag::mse_loss(y, target);
-      for (auto& p : params) p.zero_grad();
-      loss.backward();
-      opt.step();
-    };
-    step();  // warm-up (allocations, first-touch)
-    const double t = best_of(3, step);
-    emit("finetune_step", shape, threads, t * 1e9, 0.0);
-    std::printf("finetune_step %-18s t=%d  %8.1f ms/step\n", shape, threads,
-                t * 1e3);
+    FinetuneStep step;
+    const double t = best_of(3, [&] { step.run(); });
+    emit("finetune_step", FinetuneStep::shape(), threads, t * 1e9, 0.0);
+    std::printf("finetune_step %-18s t=%d  %8.1f ms/step\n", FinetuneStep::shape(),
+                threads, t * 1e3);
   }
+  core::set_num_threads(1);
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+// The enabled profiler's cost on the fine-tune step (DESIGN.md §11), timed
+// in one process as `pairs` interleaved pairs of steps, one with the
+// profiler off and one with it on; the order flips every pair so drift
+// cancels. The record's `ratio` is the median of the per-pair on/off
+// ratios, which tools/check_overhead.py gates.
+void bench_profiler_overhead(int pairs) {
+  const bool restore = obs::profiler_enabled();
+  for (int threads : {1, 4}) {
+    core::set_num_threads(threads);
+    FinetuneStep step;
+    std::vector<double> off_ms, on_ms, ratios;
+    for (int p = 0; p < pairs; ++p) {
+      double ms[2] = {0.0, 0.0};
+      for (const int on : p % 2 ? std::array{1, 0} : std::array{0, 1}) {
+        obs::set_profiler_enabled(on == 1);
+        const auto t0 = Clock::now();
+        step.run();
+        ms[on] = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+        obs::set_profiler_enabled(false);
+      }
+      off_ms.push_back(ms[0]);
+      on_ms.push_back(ms[1]);
+      ratios.push_back(ms[1] / ms[0]);
+    }
+    const double ratio = median(ratios);
+    obs::json::Value r = obs::json::Value::object();
+    r.set("op", "profiler_overhead");
+    r.set("shape", FinetuneStep::shape());
+    r.set("threads", threads);
+    r.set("ns_op", median(off_ms) * 1e6);
+    r.set("gb_s", 0.0);
+    r.set("ns_on", median(on_ms) * 1e6);
+    r.set("ratio", ratio);
+    r.set("pairs", pairs);
+    obs::RunReport::current()->add_record(std::move(r));
+    ++g_emitted;
+    std::printf("profiler on/off %-16s t=%d  %8.1f / %8.1f ms  median ratio %.4f "
+                "(%d pairs)\n", FinetuneStep::shape(), threads, median(on_ms),
+                median(off_ms), ratio, pairs);
+  }
+  obs::set_profiler_enabled(restore);
   core::set_num_threads(1);
 }
 
@@ -303,6 +428,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n");
+  bench_gelu_tiers();
+  bench_permute();
+
+  std::printf("\n");
   {
     ts::Generator gen(11);
     // The 64x16384 shape runs in BOTH modes so `--quick` (the CI gate) and
@@ -323,6 +452,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n");
   bench_finetune_step();
+  bench_profiler_overhead(quick ? 30 : 60);
 
   // The argv path gets the same canonical document the RunReport writes to
   // $ACTCOMP_REPORT_DIR — this is what baselines are committed from.

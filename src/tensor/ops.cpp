@@ -244,13 +244,10 @@ Tensor permute(const Tensor& a, const std::vector<int>& axes) {
     seen[static_cast<size_t>(ax)] = true;
     out_dims[static_cast<size_t>(i)] = a.dim(ax);
   }
+  if (r == 0) return a.clone();  // a scalar: nothing to permute
   Tensor out{Shape(out_dims)};
   const float* src = a.data().data();
   float* dst = out.data().data();
-  if (r == 0) {  // a scalar: nothing to permute
-    dst[0] = src[0];
-    return out;
-  }
   // step[i]: input offset of one step along output axis i.
   const auto in_strides = a.shape().strides();
   const auto out_strides = out.shape().strides();

@@ -1,53 +1,50 @@
 #!/usr/bin/env python3
 """Profiler overhead gate (./ci.sh bench).
 
-Compares two kernels_bench RunReports — one run with ACTCOMP_PROF=0, one
-with ACTCOMP_PROF=1 — and fails when the enabled profiler slows the
-end-to-end fine-tune step down by more than the threshold (default 2%, the
-ISSUE acceptance bound; DESIGN.md §11 states the contract).
+Reads the `profiler_overhead` records of one kernels_bench RunReport and
+fails when the enabled profiler slows the end-to-end fine-tune step down by
+more than the threshold (default 2%; DESIGN.md §11 states the contract).
 
-The gate reads the `finetune_step` records because that is the composite
-workload: every zone in the hot path (tensor kernels, parallel_for,
-autograd, optimizer) fires there, so its slowdown bounds what a real
-training step pays for observability.
+kernels_bench times interleaved pairs of fine-tune steps in one process,
+one step with the profiler off and one with it on
+(obs::set_profiler_enabled), and records the median of the per-pair on/off
+ratios. Pairing in one process cancels the drift that made two separate
+profiler-off and profiler-on runs disagree by tens of percent on the same
+code. The fine-tune step is the composite workload: every zone in the hot
+path (tensor kernels, parallel_for, autograd, optimizer) fires there, so its
+slowdown bounds what a real training step pays for observability.
 
-Usage: check_overhead.py PROF_OFF.json PROF_ON.json [threshold_pct]
+Usage: check_overhead.py REPORT.json [threshold_pct]
 """
 
 import json
 import sys
 
 
-def finetune_ns(path):
+def overhead_records(path):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     if doc.get("schema") != "actcomp.run_report.v1":
         raise SystemExit(f"{path}: not an actcomp.run_report.v1 document")
-    out = {}
-    for rec in doc.get("records", []):
-        if rec.get("op") == "finetune_step":
-            out[(rec["shape"], rec["threads"])] = rec["ns_op"]
-    if not out:
-        raise SystemExit(f"{path}: no finetune_step records")
-    return out
+    recs = [r for r in doc.get("records", []) if r.get("op") == "profiler_overhead"]
+    if not recs:
+        raise SystemExit(f"{path}: no profiler_overhead records")
+    return recs
 
 
 def main(argv):
-    if len(argv) < 3:
+    if len(argv) < 2:
         raise SystemExit(__doc__)
-    off = finetune_ns(argv[1])
-    on = finetune_ns(argv[2])
-    threshold_pct = float(argv[3]) if len(argv) > 3 else 2.0
+    threshold_pct = float(argv[2]) if len(argv) > 2 else 2.0
 
     failed = False
-    for key in sorted(off):
-        if key not in on:
-            raise SystemExit(f"missing finetune_step record {key} in {argv[2]}")
-        overhead_pct = (on[key] / off[key] - 1.0) * 100.0
+    for rec in sorted(overhead_records(argv[1]), key=lambda r: r["threads"]):
+        overhead_pct = (rec["ratio"] - 1.0) * 100.0
         status = "ok" if overhead_pct < threshold_pct else "FAIL"
-        print(f"finetune_step shape={key[0]} threads={key[1]}: "
-              f"off {off[key] / 1e6:.1f} ms, on {on[key] / 1e6:.1f} ms, "
-              f"overhead {overhead_pct:+.2f}% [{status}]")
+        print(f"finetune_step shape={rec['shape']} threads={rec['threads']}: "
+              f"off {rec['ns_op'] / 1e6:.1f} ms, on {rec['ns_on'] / 1e6:.1f} ms "
+              f"(medians), median on/off ratio over {rec['pairs']} pairs "
+              f"{overhead_pct:+.2f}% [{status}]")
         if overhead_pct >= threshold_pct:
             failed = True
     if failed:
