@@ -140,13 +140,14 @@ ag::Variable MultiHeadAttention::forward_cached(const ag::Variable& x,
   ag::Variable v = wv_.forward(x);
   cache.append(layer, k.value(), v.value());
 
+  // Keys and values leave the cache already split into heads (keys
+  // transposed), so each costs one copy of the cache per token.
   ag::Variable q3 = split_heads(q, b, n, heads_, head_dim_);
-  ag::Variable k3 = split_heads(ag::Variable::leaf(cache.keys(layer, total)), b,
-                                total, heads_, head_dim_);
-  ag::Variable v3 = split_heads(ag::Variable::leaf(cache.values(layer, total)),
-                                b, total, heads_, head_dim_);
+  ag::Variable kt =
+      ag::Variable::leaf(cache.keys_t_by_head(layer, total, heads_));  // [b*nh, dh, total]
+  ag::Variable v3 = ag::Variable::leaf(cache.values_by_head(layer, total, heads_));
 
-  ag::Variable scores = ag::matmul(q3, ag::transpose_last2(k3));  // [b*nh, n, total]
+  ag::Variable scores = ag::matmul(q3, kt);  // [b*nh, n, total]
   scores = ag::mul_scalar(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
   scores =
       ag::add(scores, ag::Variable::leaf(causal_mask(b * heads_, n, total, start)));

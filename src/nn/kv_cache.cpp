@@ -94,14 +94,19 @@ void KvCache::commit() {
   step_open_ = false;
 }
 
-tensor::Tensor KvCache::gather(const tensor::Tensor& store, int64_t layer,
-                               int64_t total) const {
-  const int64_t visible =
-      len_ + (step_open_ && slots_[static_cast<size_t>(layer)].appended ? step_n_
-                                                                        : 0);
+const KvCache::Slot& KvCache::readable(int64_t layer, int64_t total) const {
+  ACTCOMP_CHECK(layer >= 0 && layer < num_layers(),
+                "KvCache: layer " << layer << " out of range [0, " << num_layers()
+                                  << ")");
+  const Slot& slot = slots_[static_cast<size_t>(layer)];
+  const int64_t visible = len_ + (step_open_ && slot.appended ? step_n_ : 0);
   ACTCOMP_CHECK(total >= 0 && total <= visible,
                 "KvCache: requested " << total << " positions of layer " << layer
                                       << ", only " << visible << " are cached");
+  return slot;
+}
+
+tensor::Tensor KvCache::gather(const tensor::Tensor& store, int64_t total) const {
   ts::Tensor out{ts::Shape{batch_, total, hidden_}};
   const auto src = store.data();
   auto dst = out.data();
@@ -114,15 +119,53 @@ tensor::Tensor KvCache::gather(const tensor::Tensor& store, int64_t layer,
 }
 
 tensor::Tensor KvCache::keys(int64_t layer, int64_t total) const {
-  ACTCOMP_CHECK(layer >= 0 && layer < num_layers(),
-                "KvCache::keys: layer " << layer << " out of range");
-  return gather(slots_[static_cast<size_t>(layer)].k, layer, total);
+  return gather(readable(layer, total).k, total);
 }
 
 tensor::Tensor KvCache::values(int64_t layer, int64_t total) const {
-  ACTCOMP_CHECK(layer >= 0 && layer < num_layers(),
-                "KvCache::values: layer " << layer << " out of range");
-  return gather(slots_[static_cast<size_t>(layer)].v, layer, total);
+  return gather(readable(layer, total).v, total);
+}
+
+int64_t KvCache::head_dim(int64_t heads) const {
+  ACTCOMP_CHECK(heads > 0 && hidden_ % heads == 0,
+                "KvCache: hidden " << hidden_ << " does not split into " << heads
+                                   << " heads");
+  return hidden_ / heads;
+}
+
+tensor::Tensor KvCache::keys_t_by_head(int64_t layer, int64_t total,
+                                       int64_t heads) const {
+  const float* src = readable(layer, total).k.data().data();
+  const int64_t dh = head_dim(heads);
+  ts::Tensor out{ts::Shape{batch_ * heads, dh, total}};
+  float* dst = out.data().data();
+  // Row h*dh + d of a sequence's [hidden, total] transpose is head h's row
+  // d, so each sequence transposes as one block.
+  for (int64_t b = 0; b < batch_; ++b) {
+    float* block = dst + b * hidden_ * total;
+    for (int64_t p = 0; p < total; ++p) {
+      const float* row = src + (b * cap_ + p) * hidden_;
+      for (int64_t c = 0; c < hidden_; ++c) block[c * total + p] = row[c];
+    }
+  }
+  return out;
+}
+
+tensor::Tensor KvCache::values_by_head(int64_t layer, int64_t total,
+                                       int64_t heads) const {
+  const float* src = readable(layer, total).v.data().data();
+  const int64_t dh = head_dim(heads);
+  ts::Tensor out{ts::Shape{batch_ * heads, total, dh}};
+  float* dst = out.data().data();
+  for (int64_t b = 0; b < batch_; ++b) {
+    for (int64_t h = 0; h < heads; ++h) {
+      for (int64_t p = 0; p < total; ++p) {
+        std::copy_n(src + (b * cap_ + p) * hidden_ + h * dh, dh, dst);
+        dst += dh;
+      }
+    }
+  }
+  return out;
 }
 
 void KvCache::rollback(int64_t new_len) {

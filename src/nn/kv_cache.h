@@ -55,21 +55,32 @@ class KvCache {
   tensor::Tensor keys(int64_t layer, int64_t total) const;
   tensor::Tensor values(int64_t layer, int64_t total) const;
 
+  /// The same rows split into `heads` heads, in the layouts attention
+  /// multiplies by: keys transposed per head as [batch*heads, hidden/heads,
+  /// total], values as [batch*heads, total, hidden/heads]. Each is one copy
+  /// out of the cache, equal to transpose_last2 / the head split of
+  /// keys() / values().
+  tensor::Tensor keys_t_by_head(int64_t layer, int64_t total, int64_t heads) const;
+  tensor::Tensor values_by_head(int64_t layer, int64_t total, int64_t heads) const;
+
   /// Truncates to a shorter committed prefix (no step may be open).
   void rollback(int64_t new_len);
   /// rollback(0): forget everything, keep storage.
   void reset() { rollback(0); }
 
  private:
-  void grow(int64_t needed);
-  tensor::Tensor gather(const tensor::Tensor& store, int64_t layer,
-                        int64_t total) const;
-
   struct Slot {
     tensor::Tensor k;  // [batch, cap, hidden]
     tensor::Tensor v;  // [batch, cap, hidden]
     bool appended = false;  ///< this layer's rows for the open step
   };
+
+  void grow(int64_t needed);
+  /// The slot of `layer`, after checking that its first `total` rows are
+  /// cached.
+  const Slot& readable(int64_t layer, int64_t total) const;
+  tensor::Tensor gather(const tensor::Tensor& store, int64_t total) const;
+  int64_t head_dim(int64_t heads) const;
 
   int64_t batch_;
   int64_t hidden_;

@@ -13,6 +13,7 @@
 #include "core/threadpool.h"
 #include "nn/bert.h"
 #include "nn/kv_cache.h"
+#include "tensor/ops.h"
 #include "tensor/random.h"
 
 namespace {
@@ -277,6 +278,55 @@ TEST(KvCache, StepTransactionIsEnforced) {
   EXPECT_THROW(cache.rollback(2), std::invalid_argument);
   EXPECT_THROW(cache.keys(0, 2), std::invalid_argument);
   EXPECT_THROW(cache.keys(2, 0), std::invalid_argument);
+}
+
+/// keys()/values() rows split into heads: [b, total, hidden] ->
+/// [b*heads, total, hidden/heads].
+Tensor split_rows(const Tensor& rows, int64_t heads) {
+  const int64_t b = rows.dim(0), total = rows.dim(1), dh = rows.dim(2) / heads;
+  return actcomp::tensor::permute(rows.reshape(actcomp::tensor::Shape{b, total, heads, dh}),
+                                  {0, 2, 1, 3})
+      .reshape(actcomp::tensor::Shape{b * heads, total, dh});
+}
+
+TEST(KvCache, HeadLayoutsMatchSplitKeysAndValues) {
+  // Two layers, batch 3, hidden 8. Capacity 2, so the 3-position first
+  // step regrows the storage; every read then skips the capacity's unused
+  // rows between sequences.
+  const int64_t layers = 2, batch = 3, hidden = 8;
+  KvCache cache(layers, batch, hidden, 2);
+  Generator gen(59);
+  auto check_layer = [&](int64_t layer, int64_t total) {
+    for (int64_t heads : {1, 2, 4, 8}) {
+      SCOPED_TRACE("layer " + std::to_string(layer) + ", total " +
+                   std::to_string(total) + ", heads " + std::to_string(heads));
+      expect_bytes_equal(
+          cache.keys_t_by_head(layer, total, heads),
+          actcomp::tensor::transpose_last2(split_rows(cache.keys(layer, total), heads)),
+          "keys by head");
+      expect_bytes_equal(cache.values_by_head(layer, total, heads),
+                         split_rows(cache.values(layer, total), heads),
+                         "values by head");
+    }
+  };
+  for (int64_t n : {3, 1, 1}) {
+    cache.begin_step(n);
+    for (int64_t layer = 0; layer < layers; ++layer) {
+      cache.append(layer, gen.normal(actcomp::tensor::Shape{batch, n, hidden}),
+                   gen.normal(actcomp::tensor::Shape{batch, n, hidden}));
+      // Inside the open step the rows just appended are visible.
+      for (int64_t total : {int64_t{1}, cache.len() + n}) check_layer(layer, total);
+      EXPECT_EQ(cache.keys_t_by_head(layer, 0, 2).shape().str(),
+                (actcomp::tensor::Shape{batch * 2, hidden / 2, 0}).str());
+      EXPECT_EQ(cache.values_by_head(layer, 0, 2).shape().str(),
+                (actcomp::tensor::Shape{batch * 2, 0, hidden / 2}).str());
+    }
+    cache.commit();
+  }
+  EXPECT_THROW(cache.keys_t_by_head(0, 1, 3), std::invalid_argument);  // 8 % 3
+  EXPECT_THROW(cache.values_by_head(0, 1, 0), std::invalid_argument);
+  EXPECT_THROW(cache.keys_t_by_head(0, cache.len() + 1, 2), std::invalid_argument);
+  EXPECT_THROW(cache.values_by_head(layers, 1, 2), std::invalid_argument);
 }
 
 TEST(KvCache, PositionsBeyondMaxSeqThrow) {
