@@ -5,15 +5,18 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <tuple>
 
 #include "autograd/functions.h"
 #include "compress/autoencoder.h"
 #include "compress/error_feedback.h"
 #include "compress/identity.h"
+#include "compress/lossless.h"
 #include "compress/quantize.h"
 #include "compress/randomk.h"
 #include "compress/settings.h"
 #include "compress/topk.h"
+#include "core/threadpool.h"
 #include "tensor/fp16.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
@@ -338,6 +341,103 @@ TEST(Wire, QuantizeDecodeChecksLengthBeforeAllocating) {
     forged.body.resize(8);
     EXPECT_THROW(c.decode(forged), std::invalid_argument) << log2_dim;
   }
+}
+
+// ---------- pinned wire bytes ----------
+
+namespace {
+
+uint64_t fnv1a(const std::byte* p, size_t n) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (size_t i = 0; i < n; ++i) {
+    h ^= static_cast<uint8_t>(p[i]);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+uint64_t fnv1a(const std::vector<std::byte>& v) { return fnv1a(v.data(), v.size()); }
+
+/// FNV-1a of every codec's encoded body for one seeded [256, 1024]
+/// activation, labelled. 262,144 elements is past twice the 65,536-element
+/// chunk the original Top-K selection split its input into, so its chunked
+/// path is the one these digests pinned. Random-K encodes twice, so the
+/// second draw from the advanced generator is pinned too.
+std::vector<std::pair<std::string, uint64_t>> wire_digests() {
+  const int64_t hidden = 1024;
+  ts::Generator gx(2024);
+  const ts::Tensor x = gx.normal(ts::Shape{256, hidden}, 0.0f, 2.0f);
+  std::vector<std::pair<std::string, uint64_t>> out;
+  for (const cp::Setting s : cp::all_settings()) {
+    ts::Generator g(77);
+    const cp::CompressorPtr c = cp::make_compressor(s, hidden, g);
+    const std::string label = cp::setting_label(s);
+    out.emplace_back(label, fnv1a(c->encode(x).body));
+    if (label[0] == 'R') out.emplace_back(label + "#2", fnv1a(c->encode(x).body));
+  }
+  out.emplace_back("lossless", fnv1a(cp::LosslessCompressor().encode(x).body));
+  for (const auto& [label, setting, layout] :
+       {std::tuple{"T3-ll", cp::Setting::kT3, cp::segments_topk()},
+        std::tuple{"Q2-ll", cp::Setting::kQ2, cp::segments_quantize()}}) {
+    ts::Generator g(77);
+    cp::StackedCompressor c(cp::make_compressor(setting, hidden, g),
+                            cp::LosslessCodec{}, layout);
+    out.emplace_back(label, fnv1a(c.encode(x).body));
+  }
+  // The raw fp32 image: byte planes that are not fp16's.
+  std::vector<std::byte> fp32(static_cast<size_t>(x.numel()) * 4);
+  std::memcpy(fp32.data(), x.data().data(), fp32.size());
+  for (const cp::LosslessCodec& codec : cp::standard_lossless_codecs()) {
+    out.emplace_back(codec.name(), fnv1a(codec.encode(fp32)));
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Wire, EncodedBytesMatchPinnedDigests) {
+  // Every codec's wire bytes, pinned when the encoders were first written.
+  // A faster encoder must emit exactly these bytes, at any thread count.
+  const std::vector<std::pair<std::string, uint64_t>> pinned = {
+      {"w/o", 0xbe5669085ac6b7c3ull},
+      {"A1", 0x4fbc8ed5adafc577ull},
+      {"A2", 0xf222281456d701b7ull},
+      {"T1", 0x805831777bb02660ull},
+      {"T2", 0x4a531d1ded79732full},
+      {"T3", 0xce97b9b9488e4905ull},
+      {"T4", 0x3128ba6a266eeb19ull},
+      {"R1", 0xe46647a8918473c8ull},
+      {"R1#2", 0x0b1984cd841044feull},
+      {"R2", 0x9994b04d2e7915ddull},
+      {"R2#2", 0x9bab7aa9954779ecull},
+      {"R3", 0xb89a55a12f2bbdf1ull},
+      {"R3#2", 0xbc1e69596ee23044ull},
+      {"R4", 0x87259e1e0b9f7558ull},
+      {"R4#2", 0xd59be8dc20e64349ull},
+      {"Q1", 0x1b8e24cf7a67a373ull},
+      {"Q2", 0x8c72e8bc905274c4ull},
+      {"Q3", 0xf1b07b2c20246d58ull},
+      {"lossless", 0x4cd6778f193c54f1ull},
+      {"T3-ll", 0x29692c5f96c19428ull},
+      {"Q2-ll", 0xb70d9213898b3e8cull},
+      {"rle/bp2", 0xc3ff6a0082a90981ull},
+      {"huffman/bp2", 0x26204356cfb8f06eull},
+      {"rle+huffman/bp2", 0xcb5cf6aeae71948bull},
+      {"rle+huffman/bp4", 0x17fb77e1a4455d75ull},
+  };
+  const int saved = actcomp::core::num_threads();
+  for (const int threads : {1, 4}) {
+    actcomp::core::set_num_threads(threads);
+    const auto got = wire_digests();
+    ASSERT_EQ(got.size(), pinned.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].first, pinned[i].first);
+      EXPECT_EQ(got[i].second, pinned[i].second)
+          << "{\"" << got[i].first << "\", 0x" << std::hex << got[i].second
+          << "ull}, t=" << std::dec << threads;
+    }
+  }
+  actcomp::core::set_num_threads(saved);
 }
 
 // ---------- autoencoder ----------
