@@ -26,6 +26,9 @@ constexpr int64_t kPlanePrefixBytes = 9;
 /// Longest Huffman code the encoder will emit; deeper trees (possible only
 /// on adversarial distributions) fall back to the raw plane encoding.
 constexpr int kMaxCodeLen = 32;
+/// Huffman decode-table width: one lookup resolves any code this long or
+/// shorter.
+constexpr int kTableBits = 11;
 /// Decoder sanity bound: PackBits expands at most 64x (2 encoded bytes ->
 /// up to 128 raw) and Huffman at most 8x (>= 1 bit per symbol), so no valid
 /// container's raw payload exceeds 512x its encoded size plus small headers.
@@ -234,6 +237,14 @@ bool canonical_codes(const uint8_t lens[256], uint32_t codes[256]) {
   return true;
 }
 
+/// `code`'s low `len` bits in reverse order: the stream is LSB-first, so a
+/// code's first (most significant) bit goes out first.
+uint32_t reverse_code(uint32_t code, int len) {
+  uint32_t rev = 0;
+  for (int b = 0; b < len; ++b) rev |= ((code >> b) & 1u) << (len - 1 - b);
+  return rev;
+}
+
 std::optional<std::vector<std::byte>> huffman_encode(const std::byte* p,
                                                      int64_t n) {
   int64_t counts[256] = {};
@@ -244,28 +255,33 @@ std::optional<std::vector<std::byte>> huffman_encode(const std::byte* p,
   if (!canonical_codes(lens, codes)) return std::nullopt;
 
   // Bit-reverse each code once so emission is a single shift-or per symbol.
-  uint32_t rev[256] = {};
+  uint32_t rev[256];
+  uint64_t total_bits = 0;
   for (int s = 0; s < 256; ++s) {
-    for (int b = 0; b < lens[s]; ++b) {
-      rev[s] |= ((codes[s] >> b) & 1u) << (lens[s] - 1 - b);
-    }
+    rev[s] = reverse_code(codes[s], lens[s]);
+    total_bits += static_cast<uint64_t>(counts[s]) * lens[s];
   }
-  std::vector<std::byte> out;
-  out.reserve(static_cast<size_t>(256 + n / 2 + 16));
-  for (int s = 0; s < 256; ++s) out.push_back(static_cast<std::byte>(lens[s]));
+  std::vector<std::byte> out(static_cast<size_t>(256 + (total_bits + 7) / 8));
+  for (int s = 0; s < 256; ++s) out[static_cast<size_t>(s)] = static_cast<std::byte>(lens[s]);
+  // A 64-bit accumulator flushed a little-endian 32-bit word at a time: it
+  // holds < 32 bits before each code and codes are <= 32 bits, so it never
+  // overflows, and each stored word is four whole stream bytes.
+  std::byte* dst = out.data() + 256;
   uint64_t acc = 0;
   int nbits = 0;
   for (int64_t i = 0; i < n; ++i) {
     const auto s = static_cast<uint8_t>(p[i]);
     acc |= static_cast<uint64_t>(rev[s]) << nbits;
     nbits += lens[s];
-    while (nbits >= 8) {
-      out.push_back(static_cast<std::byte>(acc & 0xFFu));
-      acc >>= 8;
-      nbits -= 8;
+    if (nbits >= 32) {
+      const auto word = static_cast<uint32_t>(acc);
+      std::memcpy(dst, &word, 4);
+      dst += 4;
+      acc >>= 32;
+      nbits -= 32;
     }
   }
-  if (nbits > 0) out.push_back(static_cast<std::byte>(acc & 0xFFu));
+  for (; nbits > 0; nbits -= 8, acc >>= 8) *dst++ = static_cast<std::byte>(acc & 0xFFu);
   return out;
 }
 
@@ -310,17 +326,33 @@ std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
                     "over-full Huffman length table on wire");
     }
   }
+  // Lookup table over the next kTableBits stream bits. The stream is
+  // LSB-first, so a code starts at the index's lowest bit: each code of at
+  // most kTableBits bits fills, bit-reversed, every entry it is a prefix of.
+  // An entry packs length << 8 | symbol; 0 marks a pattern that starts no
+  // such code (a longer code, or none at all).
+  uint16_t table[1 << kTableBits] = {};
+  for (int l = 1; l <= kTableBits; ++l) {
+    for (uint32_t c = 0; c < count[l]; ++c) {
+      const uint32_t rev = reverse_code(first[l] + c, l);
+      const auto entry = static_cast<uint16_t>(l << 8 | syms[offset[l] + c]);
+      for (uint32_t pad = 0; pad < (1u << (kTableBits - l)); ++pad) {
+        table[rev | pad << l] = entry;
+      }
+    }
+  }
 
   const std::byte* bits = p + 256;
-  const int64_t nbits_total = (n - 256) * 8;
+  const int64_t nbytes = n - 256;
   int64_t bitpos = 0;
-  std::vector<std::byte> out;
-  out.reserve(static_cast<size_t>(expected));
-  for (int64_t i = 0; i < expected; ++i) {
+  // One symbol, one bit at a time: the path for codes longer than the table,
+  // patterns no code covers, and the stream's last 8 bytes. Every malformed
+  // stream is rejected here.
+  const auto decode_bitwise = [&]() {
     uint32_t code = 0;
     int len = 0;
     for (;;) {
-      ACTCOMP_CHECK(bitpos < nbits_total, "truncated Huffman bitstream on wire");
+      ACTCOMP_CHECK(bitpos < nbytes * 8, "truncated Huffman bitstream on wire");
       const int bit =
           (static_cast<uint8_t>(bits[bitpos >> 3]) >> (bitpos & 7)) & 1;
       ++bitpos;
@@ -329,13 +361,31 @@ std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
       ACTCOMP_CHECK(len <= kMaxCodeLen, "invalid Huffman code on wire");
       if (count[len] > 0 && code >= first[len] &&
           code < first[len] + count[len]) {
-        out.push_back(static_cast<std::byte>(
-            syms[offset[len] + (code - first[len])]));
-        break;
+        return static_cast<std::byte>(syms[offset[len] + (code - first[len])]);
       }
     }
+  };
+  std::vector<std::byte> out(static_cast<size_t>(expected));
+  int64_t i = 0;
+  while (i < expected) {
+    // While 8 whole bytes remain, one load holds >= 57 unread bits: room for
+    // five table hits of <= 11 bits each.
+    int used = 0;
+    if ((bitpos >> 3) + 8 <= nbytes) {
+      uint64_t word = 0;
+      std::memcpy(&word, bits + (bitpos >> 3), 8);
+      word >>= bitpos & 7;
+      for (int hit = 0; hit < 5 && i < expected; ++hit) {
+        const uint16_t entry = table[(word >> used) & ((1u << kTableBits) - 1)];
+        if (entry == 0) break;
+        out[static_cast<size_t>(i++)] = static_cast<std::byte>(entry & 0xFF);
+        used += entry >> 8;
+      }
+      bitpos += used;
+    }
+    if (used == 0) out[static_cast<size_t>(i++)] = decode_bitwise();
   }
-  ACTCOMP_CHECK((bitpos + 7) / 8 == n - 256,
+  ACTCOMP_CHECK((bitpos + 7) / 8 == nbytes,
                 "Huffman bitstream has trailing bytes on wire");
   return out;
 }

@@ -1,6 +1,7 @@
 #include "compress/randomk.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -41,11 +42,22 @@ int64_t RandomKCompressor::k_for(int64_t numel) const {
 
 CompressedMessage RandomKCompressor::do_encode(const tensor::Tensor& x) {
   const int64_t n = x.numel();
-  std::vector<int64_t> kept = gen_.sample_without_replacement(n, k_for(n));
-  std::sort(kept.begin(), kept.end());
+  const int64_t k = k_for(n);
+  // Wire order is ascending: mark the k distinct draws in an n-bit bitmap,
+  // then read them back in one scan.
+  std::vector<uint64_t> drawn(static_cast<size_t>((n + 63) / 64));
+  for (const int64_t j : gen_.sample_without_replacement(n, k)) {
+    drawn[static_cast<size_t>(j >> 6)] |= uint64_t{1} << (j & 63);
+  }
+  std::vector<int64_t> kept;
+  kept.reserve(static_cast<size_t>(k));
+  for (size_t w = 0; w < drawn.size(); ++w) {
+    for (uint64_t bits = drawn[w]; bits != 0; bits &= bits - 1) {
+      kept.push_back(static_cast<int64_t>(w * 64) + std::countr_zero(bits));
+    }
+  }
   CompressedMessage msg;
   msg.shape_dims = x.shape().dims();
-  const int64_t k = static_cast<int64_t>(kept.size());
   msg.body.resize(static_cast<size_t>(k) * 6);
   const auto d = x.data();
   std::byte* idx_base = msg.body.data();

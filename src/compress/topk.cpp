@@ -1,10 +1,12 @@
 #include "compress/topk.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
-#include <numeric>
+#include <mutex>
 #include <sstream>
+#include <utility>
 
 #include "compress/wire.h"
 #include "core/threadpool.h"
@@ -16,13 +18,22 @@ namespace actcomp::compress {
 
 namespace {
 
-// Fixed chunk width for the parallel candidate pass. A constant (never
-// derived from the thread count) keeps the candidate layout — and therefore
-// the selected set — identical for any ACTCOMP_THREADS.
-constexpr int64_t kChunk = int64_t{1} << 16;
+// Elements per parallel chunk for the selection passes. A constant (never
+// derived from the thread count): every pass reduces to integer counts per
+// chunk, so the selected set is identical for any ACTCOMP_THREADS.
+constexpr int64_t kSelectGrain = int64_t{1} << 15;
 
 // Elements per parallel chunk for the gather/scatter loops.
 constexpr int64_t kEwGrain = int64_t{1} << 13;
+
+/// The selection key of x: the bit pattern of |x|. For non-NaN floats the
+/// unsigned key order is the magnitude order (±0 tie, subnormals and ±Inf
+/// included); every NaN sorts above +Inf.
+inline uint32_t magnitude_key(float v) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits & 0x7FFFFFFFu;
+}
 
 }  // namespace
 
@@ -47,70 +58,78 @@ int64_t TopKCompressor::k_for(int64_t numel) const {
 std::vector<int64_t> TopKCompressor::select(const tensor::Tensor& x) const {
   const int64_t n = x.numel();
   const int64_t k = k_for(n);
-  const auto d = x.data();
-  // Magnitudes are precomputed by the SIMD abs kernel so the comparator is
-  // a plain buffer read. ew_abs clears the sign bit exactly like fabs, so
-  // the comparator sees the same floats — and picks the same set — as the
-  // old on-the-fly version.
-  std::vector<float> mag(static_cast<size_t>(n));
-  {
-    const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
-    core::parallel_for(0, n, kEwGrain, [&](int64_t lo, int64_t hi) {
-      kt.ew_abs(d.data(), mag.data(), lo, hi);
+  if (k == 0) return {};
+  const float* d = x.data().data();
+
+  // Radix select of the k-th largest 31-bit key T, one digit per pass (11,
+  // 11, then 9 bits, top digit first). Each pass histograms only the keys
+  // whose higher digits equal T's digits found so far; `need` counts the
+  // keys still to take from that prefix, so it ends as the number of keys
+  // equal to T the selection keeps.
+  uint32_t prefix = 0;
+  int64_t need = k;
+  for (const auto& [shift, width] :
+       {std::pair{20, 11}, std::pair{9, 11}, std::pair{0, 9}}) {
+    const uint32_t mask = (1u << width) - 1;
+    const int prefix_shift = shift + width;
+    std::array<int64_t, 2048> hist{};
+    std::mutex mu;
+    core::parallel_for(0, n, kSelectGrain, [&](int64_t lo, int64_t hi) {
+      std::array<uint32_t, 2048> local{};
+      for (int64_t i = lo; i < hi; ++i) {
+        const uint32_t key = magnitude_key(d[i]);
+        if ((key >> prefix_shift) == prefix) ++local[(key >> shift) & mask];
+      }
+      const std::lock_guard<std::mutex> lock(mu);
+      for (uint32_t v = 0; v <= mask; ++v) hist[v] += local[v];
     });
+    uint32_t digit = mask;
+    while (hist[digit] < need) need -= hist[digit--];
+    prefix = prefix << width | digit;
   }
-  // Strict total order: |magnitude| descending, index ascending as the
-  // tie-break. Under a total order the top-k *set* is unique, which is what
-  // makes the chunked pass below exact rather than approximate.
-  const auto before = [&](int64_t a, int64_t b) {
-    const float fa = mag[static_cast<size_t>(a)];
-    const float fb = mag[static_cast<size_t>(b)];
-    if (fa != fb) return fa > fb;
-    return a < b;
-  };
+  const uint32_t threshold = prefix;
 
-  if (n <= 2 * kChunk || k == n) {
-    // Small inputs: the seed path. nth_element + sort of the head is
-    // O(n + k log k), matching a device topk.
-    std::vector<int64_t> idx(static_cast<size_t>(n));
-    std::iota(idx.begin(), idx.end(), 0);
-    std::nth_element(idx.begin(), idx.begin() + k, idx.end(), before);
-    idx.resize(static_cast<size_t>(k));
-    std::sort(idx.begin(), idx.end());  // ascending index order on the wire
-    return idx;
+  // Keep every key above T and the `need` lowest-index keys equal to T:
+  // the top k under (|x| descending, index ascending). Per-chunk counts
+  // give each chunk its share of the ties and its output offset, so one
+  // ascending pass writes the indices straight into wire order.
+  const int64_t nchunks = (n + kSelectGrain - 1) / kSelectGrain;
+  std::vector<int64_t> above(static_cast<size_t>(nchunks));
+  std::vector<int64_t> ties(static_cast<size_t>(nchunks));
+  core::parallel_for(0, n, kSelectGrain, [&](int64_t lo, int64_t hi) {
+    int64_t gt = 0, eq = 0;
+    for (int64_t i = lo; i < hi; ++i) {
+      const uint32_t key = magnitude_key(d[i]);
+      gt += key > threshold;
+      eq += key == threshold;
+    }
+    above[static_cast<size_t>(lo / kSelectGrain)] = gt;
+    ties[static_cast<size_t>(lo / kSelectGrain)] = eq;
+  });
+  std::vector<int64_t> offset(static_cast<size_t>(nchunks));
+  int64_t pos = 0;
+  for (size_t c = 0; c < offset.size(); ++c) {
+    ties[c] = std::min(ties[c], need);
+    need -= ties[c];
+    offset[c] = pos;
+    pos += above[c] + ties[c];
   }
-
-  // Parallel exact top-k: each fixed-width chunk reduces to its own top
-  // min(k, chunk_len) candidates. Any member of the global top-k is by
-  // definition among the top-k of its chunk, so the candidate union
-  // provably contains the answer; a final nth_element over it reproduces
-  // the seed's selection exactly.
-  const int64_t nchunks = (n + kChunk - 1) / kChunk;
-  std::vector<int64_t> counts(static_cast<size_t>(nchunks));
-  std::vector<int64_t> offsets(static_cast<size_t>(nchunks) + 1, 0);
-  for (int64_t c = 0; c < nchunks; ++c) {
-    const int64_t len = std::min(kChunk, n - c * kChunk);
-    counts[static_cast<size_t>(c)] = std::min(k, len);
-    offsets[static_cast<size_t>(c) + 1] =
-        offsets[static_cast<size_t>(c)] + counts[static_cast<size_t>(c)];
-  }
-  std::vector<int64_t> cand(static_cast<size_t>(offsets.back()));
-  core::parallel_for(0, nchunks, 1, [&](int64_t c0, int64_t c1) {
-    for (int64_t c = c0; c < c1; ++c) {
-      const int64_t b = c * kChunk;
-      const int64_t len = std::min(kChunk, n - b);
-      const int64_t kc = counts[static_cast<size_t>(c)];
-      std::vector<int64_t> idx(static_cast<size_t>(len));
-      std::iota(idx.begin(), idx.end(), b);
-      if (kc < len) std::nth_element(idx.begin(), idx.begin() + kc, idx.end(), before);
-      std::copy(idx.begin(), idx.begin() + kc,
-                cand.begin() + offsets[static_cast<size_t>(c)]);
+  std::vector<int64_t> kept(static_cast<size_t>(k));
+  core::parallel_for(0, n, kSelectGrain, [&](int64_t lo, int64_t hi) {
+    const size_t c = static_cast<size_t>(lo / kSelectGrain);
+    int64_t* out = kept.data() + offset[c];
+    int64_t tie_quota = ties[c];
+    for (int64_t i = lo; i < hi; ++i) {
+      const uint32_t key = magnitude_key(d[i]);
+      if (key > threshold) {
+        *out++ = i;
+      } else if (key == threshold && tie_quota > 0) {
+        *out++ = i;
+        --tie_quota;
+      }
     }
   });
-  std::nth_element(cand.begin(), cand.begin() + k, cand.end(), before);
-  cand.resize(static_cast<size_t>(k));
-  std::sort(cand.begin(), cand.end());
-  return cand;
+  return kept;
 }
 
 CompressedMessage TopKCompressor::do_encode(const tensor::Tensor& x) {

@@ -6,21 +6,39 @@
 namespace actcomp::compress::wire {
 
 namespace {
-// Elements per parallel chunk for the index check and the scatter.
+// Elements per parallel chunk for the fp16 streams, the index check and the
+// scatter.
 constexpr int64_t kEwGrain = int64_t{1} << 13;
 }  // namespace
 
 void append_fp16(std::vector<std::byte>& buf, const tensor::Tensor& t) {
-  for (float v : t.data()) append_pod<uint16_t>(buf, tensor::fp32_to_fp16_bits(v));
+  const int64_t n = t.numel();
+  const size_t base = buf.size();
+  buf.resize(base + static_cast<size_t>(n) * 2);
+  const float* src = t.data().data();
+  std::byte* dst = buf.data() + base;
+  const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
+  core::parallel_for(0, n, kEwGrain, [&](int64_t b, int64_t e) {
+    uint16_t half[kEwGrain];
+    kt.fp16_encode(src + b, half, e - b);
+    std::memcpy(dst + b * 2, half, static_cast<size_t>(e - b) * 2);
+  });
 }
 
 std::vector<float> read_fp16(const std::vector<std::byte>& buf, size_t& off,
                              int64_t n) {
+  ACTCOMP_CHECK(n >= 0 && off <= buf.size() &&
+                    (buf.size() - off) / 2 >= static_cast<uint64_t>(n),
+                "truncated wire message");
   std::vector<float> out(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    out[static_cast<size_t>(i)] =
-        tensor::fp16_bits_to_fp32(read_pod<uint16_t>(buf, off));
-  }
+  const std::byte* src = buf.data() + off;
+  const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
+  core::parallel_for(0, n, kEwGrain, [&](int64_t b, int64_t e) {
+    uint16_t half[kEwGrain];
+    std::memcpy(half, src + b * 2, static_cast<size_t>(e - b) * 2);
+    kt.fp16_decode(half, out.data() + b, e - b);
+  });
+  off += static_cast<size_t>(n) * 2;
   return out;
 }
 

@@ -31,7 +31,8 @@ T read_pod(const std::vector<std::byte>& buf, size_t& off) {
 /// Append every element of `t` as IEEE fp16.
 void append_fp16(std::vector<std::byte>& buf, const tensor::Tensor& t);
 
-/// Read `n` fp16 values starting at `off` into fp32.
+/// Read `n` fp16 values starting at `off` into fp32. Throws
+/// std::invalid_argument, before allocating, unless 2·n bytes remain.
 std::vector<float> read_fp16(const std::vector<std::byte>& buf, size_t& off,
                              int64_t n);
 

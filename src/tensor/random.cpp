@@ -1,8 +1,6 @@
 #include "tensor/random.h"
 
 #include <cmath>
-#include <numeric>
-#include <unordered_map>
 
 #include "tensor/check.h"
 
@@ -48,19 +46,35 @@ std::vector<int64_t> Generator::sample_without_replacement(int64_t n, int64_t k)
   ACTCOMP_CHECK(k >= 0 && k <= n,
                 "cannot sample " << k << " distinct values from [0, " << n << ")");
   // Partial Fisher–Yates on a sparse permutation: O(k) time and space even for
-  // huge n (activation tensors have millions of elements).
-  std::unordered_map<int64_t, int64_t> displaced;
-  displaced.reserve(static_cast<size_t>(k) * 2);
+  // huge n (activation tensors have millions of elements). Displaced positions
+  // live in a flat open-addressing table, linear probing over a power-of-two
+  // count of at least 2k slots, so it is never more than half full. A slot
+  // holds a position (-1 when empty) and the value now at that position.
+  struct Slot {
+    int64_t pos = -1;
+    int64_t value = 0;
+  };
+  int log2_slots = 1;
+  while ((int64_t{1} << log2_slots) < 2 * k) ++log2_slots;
+  const uint64_t slot_mask = (uint64_t{1} << log2_slots) - 1;
+  std::vector<Slot> slots(static_cast<size_t>(slot_mask + 1));
+  const auto slot_of = [&](int64_t pos) -> Slot& {
+    // Fibonacci hashing: the top bits of pos times 2^64 / phi.
+    uint64_t h =
+        (static_cast<uint64_t>(pos) * 0x9E3779B97F4A7C15ull) >> (64 - log2_slots);
+    while (slots[h].pos != -1 && slots[h].pos != pos) h = (h + 1) & slot_mask;
+    return slots[h];
+  };
   std::vector<int64_t> out;
   out.reserve(static_cast<size_t>(k));
   for (int64_t i = 0; i < k; ++i) {
     const int64_t j = randint(i, n - 1);
-    const auto it_j = displaced.find(j);
-    const int64_t vj = it_j == displaced.end() ? j : it_j->second;
-    const auto it_i = displaced.find(i);
-    const int64_t vi = it_i == displaced.end() ? i : it_i->second;
+    Slot& sj = slot_of(j);
+    const int64_t vj = sj.pos == j ? sj.value : j;
+    const Slot& si = slot_of(i);
+    const int64_t vi = si.pos == i ? si.value : i;
     out.push_back(vj);
-    displaced[j] = vi;
+    sj = Slot{j, vi};
   }
   return out;
 }

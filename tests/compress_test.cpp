@@ -2,8 +2,11 @@
 // gradient behaviour, settings registry, and error feedback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <numeric>
 #include <set>
 #include <tuple>
 
@@ -88,6 +91,93 @@ TEST(TopK, GradientIsMasked) {
   EXPECT_FLOAT_EQ(g[0], 1.0f);
   EXPECT_FLOAT_EQ(g[4], 1.0f);
   for (size_t i : {1u, 2u, 3u, 5u, 6u, 7u}) EXPECT_FLOAT_EQ(g[i], 0.0f);
+}
+
+namespace {
+
+/// The original selection, kept as the oracle: nth_element under
+/// (|x| descending, index ascending), then the kept indices in ascending
+/// order. Defined for non-NaN input only.
+std::vector<int32_t> topk_oracle(const ts::Tensor& x, int64_t k) {
+  const auto d = x.data();
+  std::vector<int64_t> idx(d.size());
+  std::iota(idx.begin(), idx.end(), 0);
+  std::nth_element(idx.begin(), idx.begin() + k, idx.end(), [&](int64_t a, int64_t b) {
+    const float fa = std::fabs(d[static_cast<size_t>(a)]);
+    const float fb = std::fabs(d[static_cast<size_t>(b)]);
+    if (fa != fb) return fa > fb;
+    return a < b;
+  });
+  idx.resize(static_cast<size_t>(k));
+  std::sort(idx.begin(), idx.end());
+  return std::vector<int32_t>(idx.begin(), idx.end());
+}
+
+/// The index plane of a Top-K body (WIRE_FORMATS.md §3.3).
+std::vector<int32_t> wire_indices(const cp::CompressedMessage& m) {
+  std::vector<int32_t> idx(m.body.size() / 6);
+  std::memcpy(idx.data(), m.body.data(), idx.size() * 4);
+  return idx;
+}
+
+/// Magnitudes from a small set, signs at random: long runs of equal keys,
+/// ±x pairs, ±0, subnormals and ±Inf.
+ts::Tensor tie_heavy(int64_t n, uint64_t seed) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float mags[] = {0.0f, std::numeric_limits<float>::denorm_min(), 1e-40f,
+                        0.5f, 1.0f, 1.5f, 2.0f, inf};
+  ts::Generator gen(seed);
+  ts::Tensor x{ts::Shape{n}};
+  for (float& v : x.data()) {
+    const float m = mags[gen.randint(0, 7)];
+    v = gen.bernoulli(0.5) ? -m : m;
+  }
+  return x;
+}
+
+}  // namespace
+
+TEST(TopK, EncodedIndicesMatchNthElementOracle) {
+  const int saved = actcomp::core::num_threads();
+  for (const int64_t n : {1, 7, 65536, 131072, 131073, 524288}) {
+    std::vector<double> fractions = {1.0 / static_cast<double>(n), 1.0};
+    for (const cp::Setting s : {cp::Setting::kT1, cp::Setting::kT2,
+                                cp::Setting::kT3, cp::Setting::kT4}) {
+      fractions.push_back(cp::sparse_fraction(s));
+    }
+    for (const bool ties : {false, true}) {
+      const ts::Tensor x = ties ? tie_heavy(n, 40 + static_cast<uint64_t>(n))
+                                : random_activation(41, ts::Shape{n});
+      for (const double f : fractions) {
+        cp::TopKCompressor c(f);
+        const std::vector<int32_t> want = topk_oracle(x, c.k_for(n));
+        for (const int threads : {1, 4}) {
+          actcomp::core::set_num_threads(threads);
+          EXPECT_EQ(wire_indices(c.encode(x)), want)
+              << "n=" << n << " k=" << c.k_for(n) << " ties=" << ties
+              << " t=" << threads;
+        }
+      }
+    }
+  }
+  actcomp::core::set_num_threads(saved);
+}
+
+TEST(TopK, NanMagnitudesRankAboveInfinity) {
+  // Keys are |x|'s bit pattern, so both NaNs outrank both infinities; equal
+  // keys (the NaN pair, the ±Inf pair) keep the lower index first.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const ts::Tensor x(ts::Shape{8}, {1.0f, nan, -inf, 3.0f, inf, -nan, 2.0f, 0.0f});
+  const std::vector<std::vector<int32_t>> want = {
+      {1}, {1, 5}, {1, 2, 5}, {1, 2, 4, 5}, {1, 2, 3, 4, 5}};
+  for (size_t k = 1; k <= want.size(); ++k) {
+    cp::TopKCompressor c(static_cast<double>(k) / 8.0);
+    const cp::CompressedMessage m = c.encode(x);
+    EXPECT_EQ(wire_indices(m), want[k - 1]) << "k=" << k;
+    const ts::Tensor y = c.decode(m);
+    EXPECT_TRUE(std::isnan(y.data()[1])) << "k=" << k;
+  }
 }
 
 // ---------- random-k ----------

@@ -4,12 +4,14 @@
 // simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "compress/error_feedback.h"
@@ -405,6 +407,20 @@ std::vector<std::byte> lossless_payload(int family, uint64_t seed) {
       for (size_t i = 0; i < out.size(); i += 129) out[i] = std::byte{0x99};
       return out;
     }
+    case 8: {  // Fibonacci-weighted: symbol s occurs F(s + 1) times, in
+               // shuffled order, each occurrence as 4 equal bytes so every
+               // byte plane keeps the weights. Huffman codes then run to 21
+               // bits, far past the decoder's 11-bit lookup table.
+      std::vector<std::byte> symbols;
+      int64_t f0 = 1, f1 = 1;
+      for (int sym = 0; sym < 22; ++sym) {
+        symbols.insert(symbols.end(), static_cast<size_t>(f0), static_cast<std::byte>(sym));
+        f0 = std::exchange(f1, f0 + f1);
+      }
+      std::shuffle(symbols.begin(), symbols.end(), gen.engine());
+      for (const std::byte b : symbols) out.insert(out.end(), 4, b);
+      return out;
+    }
     default:
       ADD_FAILURE() << "unknown payload family " << family;
       return out;
@@ -458,7 +474,7 @@ TEST_P(LosslessRoundTrip, TruncatedOrPaddedContainerThrows) {
 INSTANTIATE_TEST_SUITE_P(
     CodecsXPayloads, LosslessRoundTrip,
     ::testing::Combine(::testing::Values(0, 1, 2, 3),
-                       ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7),
+                       ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8),
                        ::testing::Values(int64_t{0}, int64_t{1000})));
 
 TEST(LosslessCodecProps, ChunkTableMatchesNumChunks) {
@@ -480,6 +496,61 @@ TEST(LosslessCodecProps, EncodeIsDeterministic) {
   const std::vector<std::byte> data = lossless_payload(3, 5);
   for (const cp::LosslessCodec& codec : cp::standard_lossless_codecs()) {
     EXPECT_EQ(codec.encode(data), codec.encode(data)) << codec.name();
+  }
+}
+
+namespace {
+
+/// A one-chunk, unsplit container (WIRE_FORMATS.md §4.1, §4.3) whose one
+/// plane is the Huffman stream (§4.5) `lens ++ bits` for `raw` symbols.
+std::vector<std::byte> huffman_container(const std::vector<uint8_t>& lens,
+                                         const std::vector<uint8_t>& bits,
+                                         uint64_t raw) {
+  std::vector<std::byte> plane(256, std::byte{0});
+  for (size_t s = 0; s < lens.size(); ++s) plane[s] = static_cast<std::byte>(lens[s]);
+  for (const uint8_t b : bits) plane.push_back(static_cast<std::byte>(b));
+  std::vector<std::byte> out;
+  cp::wire::append_pod<uint8_t>(out, 0xAC);  // magic
+  cp::wire::append_pod<uint8_t>(out, 1);     // version
+  cp::wire::append_pod<uint8_t>(out, static_cast<uint8_t>(cp::LosslessAlgo::kHuffman));
+  cp::wire::append_pod<uint8_t>(out, static_cast<uint8_t>(cp::PlaneSplit::kNone));
+  cp::wire::append_pod<uint64_t>(out, raw);
+  cp::wire::append_pod<uint32_t>(out, 1);
+  cp::wire::append_pod<uint64_t>(out, raw);
+  cp::wire::append_pod<uint64_t>(out, 9 + plane.size());
+  cp::wire::append_pod<uint8_t>(out, static_cast<uint8_t>(cp::LosslessAlgo::kHuffman));
+  cp::wire::append_pod<uint64_t>(out, plane.size());
+  out.insert(out.end(), plane.begin(), plane.end());
+  return out;
+}
+
+}  // namespace
+
+TEST(LosslessCodecProps, HostileHuffmanPlanesThrow) {
+  const cp::LosslessCodec codec;
+  // Symbols 0 and 1 with 1-bit codes 0 and 1: 16 symbols in 2 bytes.
+  const std::vector<uint8_t> two{1, 1};
+  ASSERT_EQ(codec.decode(huffman_container(two, {0x5A, 0xC3}, 16)).size(), 16u);
+  EXPECT_THROW(codec.decode(huffman_container(two, {0x5A}, 16)), std::invalid_argument)
+      << "one byte short";
+  EXPECT_THROW(codec.decode(huffman_container(two, {0x5A, 0xC3, 0x00}, 16)),
+               std::invalid_argument)
+      << "one trailing byte";
+  EXPECT_THROW(codec.decode(huffman_container({33}, {0x00}, 1)), std::invalid_argument)
+      << "code length 33";
+  EXPECT_THROW(codec.decode(huffman_container({1, 1, 1}, {0x00}, 8)),
+               std::invalid_argument)
+      << "over-full length table";
+  // Incomplete table: symbol 0 = "0", symbol 1 = "10"; "11..." is unassigned.
+  // Zero bytes decode as symbol 0, one per bit; the 0xFF bytes then start the
+  // unassigned pattern, either with >= 8 bytes left (the table's region) or
+  // within the last 8.
+  for (const size_t zeros : {4u, 36u}) {
+    std::vector<uint8_t> bits(zeros, 0x00);
+    bits.resize(40, 0xFF);
+    EXPECT_THROW(codec.decode(huffman_container({1, 2}, bits, 400)),
+                 std::invalid_argument)
+        << "unassigned pattern after " << zeros << " bytes";
   }
 }
 

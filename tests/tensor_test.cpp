@@ -8,6 +8,7 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 #include "core/threadpool.h"
 #include "tensor/check.h"
@@ -515,6 +516,35 @@ TEST(Random, SampleRoughlyUniform) {
   }
   // Each index expected 4000 * 3/10 = 1200.
   for (int c : counts) EXPECT_NEAR(c, 1200, 150);
+}
+
+TEST(Random, SampleWithoutReplacementMatchesMapReference) {
+  // The partial Fisher–Yates loop over std::unordered_map that the flat
+  // table replaced: the same draws must give the same sequence.
+  const auto reference = [](ts::Generator& gen, int64_t n, int64_t k) {
+    std::unordered_map<int64_t, int64_t> displaced;
+    std::vector<int64_t> out;
+    for (int64_t i = 0; i < k; ++i) {
+      const int64_t j = gen.randint(i, n - 1);
+      const auto it_j = displaced.find(j);
+      const int64_t vj = it_j == displaced.end() ? j : it_j->second;
+      const auto it_i = displaced.find(i);
+      const int64_t vi = it_i == displaced.end() ? i : it_i->second;
+      out.push_back(vj);
+      displaced[j] = vi;
+    }
+    return out;
+  };
+  const std::pair<int64_t, int64_t> cases[] = {
+      {1, 1}, {10, 0}, {10, 10}, {524288, 8533}, {524288, 51200},
+      {int64_t{1} << 33, 4096}};
+  for (const uint64_t seed : {1u, 7u, 901u}) {
+    for (const auto& [n, k] : cases) {
+      ts::Generator a(seed), b(seed);
+      EXPECT_EQ(a.sample_without_replacement(n, k), reference(b, n, k))
+          << "seed=" << seed << " n=" << n << " k=" << k;
+    }
+  }
 }
 
 TEST(Random, SampleBadArgsThrow) {
