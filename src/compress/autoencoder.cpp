@@ -54,7 +54,12 @@ CompressedMessage AutoencoderCompressor::do_encode(const tensor::Tensor& x) {
 
 tensor::Tensor AutoencoderCompressor::do_decode(const CompressedMessage& msg) const {
   tensor::Shape shape{msg.shape_dims};
+  ACTCOMP_CHECK(shape.rank() >= 1 && shape.dim(-1) == hidden_,
+                "autoencoder wire message has shape " << shape.str()
+                                                      << ", want last dim " << hidden_);
   const int64_t rows = shape.numel() / hidden_;
+  wire::check_fp16_body(msg.body, 0, static_cast<uint64_t>(rows),
+                        static_cast<uint64_t>(code_), "autoencoder");
   size_t off = 0;
   std::vector<float> vals = wire::read_fp16(msg.body, off, rows * code_);
   const tensor::Tensor compressed(tensor::Shape{rows, code_}, std::move(vals));

@@ -15,6 +15,7 @@ CompressedMessage IdentityCompressor::do_encode(const tensor::Tensor& x) {
 
 tensor::Tensor IdentityCompressor::do_decode(const CompressedMessage& msg) const {
   tensor::Shape shape{msg.shape_dims};
+  wire::check_fp16_body(msg.body, 0, static_cast<uint64_t>(shape.numel()), 1, "w/o");
   size_t off = 0;
   std::vector<float> vals = wire::read_fp16(msg.body, off, shape.numel());
   return tensor::Tensor(shape, std::move(vals));

@@ -110,11 +110,16 @@ CompressedMessage LowRankCompressor::do_encode(const ts::Tensor& x) {
 
 ts::Tensor LowRankCompressor::do_decode(const CompressedMessage& msg) const {
   ts::Shape shape{msg.shape_dims};
+  ACTCOMP_CHECK(shape.rank() >= 1 && shape.dim(-1) >= 1,
+                "low-rank wire message has shape " << shape.str());
   const int64_t cols = shape.dim(-1);
   const int64_t rows = shape.numel() / cols;
   size_t off = 0;
   const int64_t r = wire::read_pod<int32_t>(msg.body, off);
   ACTCOMP_CHECK(r >= 1 && r <= std::min(rows, cols), "bad rank on wire");
+  wire::check_fp16_body(msg.body, 4,
+                        static_cast<uint64_t>(rows) + static_cast<uint64_t>(cols),
+                        static_cast<uint64_t>(r), "low-rank");
   ts::Tensor p(ts::Shape{rows, r}, wire::read_fp16(msg.body, off, rows * r));
   ts::Tensor q(ts::Shape{cols, r}, wire::read_fp16(msg.body, off, cols * r));
   return ts::matmul2d(p, ts::transpose_last2(q)).reshape(shape);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <tuple>
@@ -15,6 +16,7 @@
 #include "compress/error_feedback.h"
 #include "compress/identity.h"
 #include "compress/lossless.h"
+#include "compress/lowrank.h"
 #include "compress/quantize.h"
 #include "compress/randomk.h"
 #include "compress/settings.h"
@@ -431,6 +433,62 @@ TEST(Wire, QuantizeDecodeChecksLengthBeforeAllocating) {
     forged.body.resize(8);
     EXPECT_THROW(c.decode(forged), std::invalid_argument) << log2_dim;
   }
+}
+
+namespace {
+
+/// The three codecs whose bodies are fp16 streams (WIRE_FORMATS.md §3.1,
+/// §3.2, and low-rank's r ++ P ++ Q), for activations whose last dim is 64.
+std::vector<std::pair<std::string, cp::CompressorPtr>> fp16_stream_codecs() {
+  ts::Generator gen(21);
+  std::vector<std::pair<std::string, cp::CompressorPtr>> out;
+  out.emplace_back("w/o", std::make_unique<cp::IdentityCompressor>());
+  out.emplace_back("autoencoder", std::make_unique<cp::AutoencoderCompressor>(64, 8, gen));
+  out.emplace_back("low-rank", std::make_unique<cp::LowRankCompressor>(2, 22));
+  return out;
+}
+
+}  // namespace
+
+TEST(Wire, Fp16StreamDecodersRejectTrailingBytes) {
+  const ts::Tensor x = random_activation(23, ts::Shape{16, 64});
+  for (const auto& [label, c] : fp16_stream_codecs()) {
+    const cp::CompressedMessage good = c->encode(x);
+    EXPECT_NO_THROW(c->decode(good)) << label;
+    for (const size_t extra : {1u, 2u}) {  // a stray byte; a whole fp16 value
+      cp::CompressedMessage m = good;
+      m.body.resize(m.body.size() + extra);
+      EXPECT_THROW(c->decode(m), std::invalid_argument) << label << " +" << extra;
+    }
+    cp::CompressedMessage cut = good;
+    cut.body.pop_back();
+    EXPECT_THROW(c->decode(cut), std::invalid_argument) << label;
+  }
+}
+
+TEST(Wire, Fp16StreamDecodersCheckLengthBeforeAllocating) {
+  // 2^40 elements with a few body bytes: each decoder must reject the shape
+  // as bad input before it sizes anything from it (no std::bad_alloc).
+  for (const auto& [label, c] : fp16_stream_codecs()) {
+    for (const std::vector<int64_t>& dims :
+         {std::vector<int64_t>{int64_t{1} << 34, 64},
+          std::vector<int64_t>{int64_t{1} << 20, int64_t{1} << 20}}) {
+      cp::CompressedMessage forged;
+      forged.shape_dims = dims;
+      forged.body.resize(4);
+      const int32_t rank = 1;  // low-rank's header
+      std::memcpy(forged.body.data(), &rank, 4);
+      forged.body.resize(12);
+      EXPECT_THROW(c->decode(forged), std::invalid_argument)
+          << label << " " << dims[0] << "x" << dims[1];
+    }
+  }
+  // A1/A2 also require the last dim to be the hidden size they were built for.
+  ts::Generator gen(24);
+  cp::AutoencoderCompressor ae(64, 8, gen);
+  cp::CompressedMessage wrong_dim = ae.encode(random_activation(25, ts::Shape{16, 64}));
+  wrong_dim.shape_dims = {32, 32};
+  EXPECT_THROW(ae.decode(wrong_dim), std::invalid_argument);
 }
 
 // ---------- pinned wire bytes ----------
