@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstring>
-#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -60,63 +59,76 @@ std::vector<int64_t> TopKCompressor::select(const tensor::Tensor& x) const {
   const int64_t k = k_for(n);
   if (k == 0) return {};
   const float* d = x.data().data();
+  const auto nchunks = static_cast<size_t>((n + kSelectGrain - 1) / kSelectGrain);
+  const auto chunk_of = [](int64_t lo) { return static_cast<size_t>(lo / kSelectGrain); };
 
-  // Radix select of the k-th largest 31-bit key T, one digit per pass (11,
-  // 11, then 9 bits, top digit first). Each pass histograms only the keys
-  // whose higher digits equal T's digits found so far; `need` counts the
-  // keys still to take from that prefix, so it ends as the number of keys
-  // equal to T the selection keeps.
-  uint32_t prefix = 0;
+  // Radix select of the k-th largest 31-bit key T. Pass 1 histograms the
+  // top 11 key bits per chunk: T lies in bucket `top`, and `need` counts
+  // the keys of that bucket the selection keeps.
+  std::vector<std::array<uint32_t, 2048>> hist(nchunks);
+  core::parallel_for(0, n, kSelectGrain, [&](int64_t lo, int64_t hi) {
+    std::array<uint32_t, 2048>& h = hist[chunk_of(lo)];
+    for (int64_t i = lo; i < hi; ++i) ++h[magnitude_key(d[i]) >> 20];
+  });
+  uint32_t top = 2047;
   int64_t need = k;
-  for (const auto& [shift, width] :
-       {std::pair{20, 11}, std::pair{9, 11}, std::pair{0, 9}}) {
-    const uint32_t mask = (1u << width) - 1;
-    const int prefix_shift = shift + width;
-    std::array<int64_t, 2048> hist{};
-    std::mutex mu;
-    core::parallel_for(0, n, kSelectGrain, [&](int64_t lo, int64_t hi) {
-      std::array<uint32_t, 2048> local{};
-      for (int64_t i = lo; i < hi; ++i) {
-        const uint32_t key = magnitude_key(d[i]);
-        if ((key >> prefix_shift) == prefix) ++local[(key >> shift) & mask];
-      }
-      const std::lock_guard<std::mutex> lock(mu);
-      for (uint32_t v = 0; v <= mask; ++v) hist[v] += local[v];
-    });
-    uint32_t digit = mask;
-    while (hist[digit] < need) need -= hist[digit--];
-    prefix = prefix << width | digit;
+  for (;; --top) {
+    int64_t count = 0;
+    for (const auto& h : hist) count += h[top];
+    if (count >= need) break;
+    need -= count;
   }
-  const uint32_t threshold = prefix;
+
+  // Pass 2 gathers the bucket's members, chunk by chunk in index order; the
+  // low 20 bits of T (11, then 9) come from histograms over them alone.
+  std::vector<int64_t> member_end(nchunks);
+  for (size_t c = 0; c < nchunks; ++c) {
+    member_end[c] = (c == 0 ? 0 : member_end[c - 1]) + hist[c][top];
+  }
+  std::vector<int64_t> members(static_cast<size_t>(member_end.back()));
+  core::parallel_for(0, n, kSelectGrain, [&](int64_t lo, int64_t hi) {
+    const size_t c = chunk_of(lo);
+    int64_t* out = members.data() + member_end[c] - hist[c][top];
+    for (int64_t i = lo; i < hi; ++i) {
+      if (magnitude_key(d[i]) >> 20 == top) *out++ = i;
+    }
+  });
+  uint32_t threshold = top;
+  for (const auto& [shift, width] : {std::pair{9, 11}, std::pair{0, 9}}) {
+    const uint32_t mask = (1u << width) - 1;
+    std::array<int64_t, 2048> h{};
+    for (const int64_t i : members) {
+      const uint32_t key = magnitude_key(d[i]);
+      if (key >> (shift + width) == threshold) ++h[(key >> shift) & mask];
+    }
+    uint32_t digit = mask;
+    while (h[digit] < need) need -= h[digit--];
+    threshold = threshold << width | digit;
+  }
 
   // Keep every key above T and the `need` lowest-index keys equal to T:
-  // the top k under (|x| descending, index ascending). Per-chunk counts
-  // give each chunk its share of the ties and its output offset, so one
-  // ascending pass writes the indices straight into wire order.
-  const int64_t nchunks = (n + kSelectGrain - 1) / kSelectGrain;
-  std::vector<int64_t> above(static_cast<size_t>(nchunks));
-  std::vector<int64_t> ties(static_cast<size_t>(nchunks));
-  core::parallel_for(0, n, kSelectGrain, [&](int64_t lo, int64_t hi) {
-    int64_t gt = 0, eq = 0;
-    for (int64_t i = lo; i < hi; ++i) {
-      const uint32_t key = magnitude_key(d[i]);
-      gt += key > threshold;
+  // the top k under (|x| descending, index ascending). Each chunk's count
+  // above T (its buckets above `top`, plus its members above T) and its
+  // share of the ties fix its output offset, so one ascending pass writes
+  // the indices straight into wire order.
+  std::vector<int64_t> offset(nchunks), ties(nchunks);
+  int64_t pos = 0;
+  for (size_t c = 0; c < nchunks; ++c) {
+    int64_t above = 0, eq = 0;
+    for (uint32_t v = top + 1; v < 2048; ++v) above += hist[c][v];
+    for (int64_t m = member_end[c] - hist[c][top]; m < member_end[c]; ++m) {
+      const uint32_t key = magnitude_key(d[members[static_cast<size_t>(m)]]);
+      above += key > threshold;
       eq += key == threshold;
     }
-    above[static_cast<size_t>(lo / kSelectGrain)] = gt;
-    ties[static_cast<size_t>(lo / kSelectGrain)] = eq;
-  });
-  std::vector<int64_t> offset(static_cast<size_t>(nchunks));
-  int64_t pos = 0;
-  for (size_t c = 0; c < offset.size(); ++c) {
-    ties[c] = std::min(ties[c], need);
+    ties[c] = std::min(eq, need);
     need -= ties[c];
     offset[c] = pos;
-    pos += above[c] + ties[c];
+    pos += above + ties[c];
   }
   std::vector<int64_t> kept(static_cast<size_t>(k));
   core::parallel_for(0, n, kSelectGrain, [&](int64_t lo, int64_t hi) {
-    const size_t c = static_cast<size_t>(lo / kSelectGrain);
+    const size_t c = chunk_of(lo);
     int64_t* out = kept.data() + offset[c];
     int64_t tie_quota = ties[c];
     for (int64_t i = lo; i < hi; ++i) {
