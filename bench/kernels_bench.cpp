@@ -28,6 +28,7 @@
 #include "autograd/functions.h"
 #include "compress/lossless.h"
 #include "compress/quantize.h"
+#include "compress/randomk.h"
 #include "compress/topk.h"
 #include "compress/wire.h"
 #include "core/simd.h"
@@ -439,6 +440,8 @@ int main(int argc, char** argv) {
     const ts::Tensor xq = gen.normal(ts::Shape{64, 16384});
     cp::TopKCompressor topk(0.1);
     bench_compressor("topk(0.1)", topk, xq);
+    cp::RandomKCompressor randk(0.1, 11);
+    bench_compressor("randk(0.1)", randk, xq);
     cp::QuantizeCompressor quant(4);
     bench_compressor("quant(4b)", quant, xq);
     std::printf("\n");

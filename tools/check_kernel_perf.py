@@ -15,10 +15,11 @@ speed drifts with the box. Baseline-only keys (the full sweep emits more
 shapes than --quick) are reported as skipped, never failed; at least one
 shared record is required.
 
-The current run must also carry at least one `lossless(...)` codec record
-(the per-tier encode/decode GB/s of standard_lossless_codecs(), see
+The current run must also carry the codec records of the serialize path:
+`topk(...)` and `randk(...)` encode/decode, and at least one `lossless(...)`
+record (the per-tier encode/decode GB/s of standard_lossless_codecs(), see
 WIRE_FORMATS.md §6) — their silent disappearance from kernels_bench would
-otherwise leave the lossless wire stage ungated.
+otherwise leave those codecs ungated.
 
 Usage: check_kernel_perf.py BASELINE.json CURRENT.json [threshold_pct]
 """
@@ -26,6 +27,9 @@ Usage: check_kernel_perf.py BASELINE.json CURRENT.json [threshold_pct]
 import json
 import os
 import sys
+
+# Codec families the current run must measure (op-name prefixes).
+REQUIRED_CODECS = ("topk(", "randk(", "lossless(")
 
 
 def kernel_records(path):
@@ -83,9 +87,10 @@ def main(argv):
               f"not measured by --quick)")
     if compared == 0:
         raise SystemExit("no records shared between baseline and current run")
-    if not any(op.startswith("lossless(") for op, _, _ in cur):
-        raise SystemExit("current run has no lossless(...) codec records — "
-                         "kernels_bench stopped measuring the lossless tiers")
+    for prefix in REQUIRED_CODECS:
+        if not any(op.startswith(prefix) for op, _, _ in cur):
+            raise SystemExit(f"current run has no {prefix}...) codec records — "
+                             f"kernels_bench stopped measuring them")
     if failed:
         print(f"{failed} kernel record(s) regressed more than "
               f"{threshold_pct}% vs committed baseline", file=sys.stderr)
