@@ -262,7 +262,9 @@ std::optional<std::vector<std::byte>> huffman_encode(const std::byte* p,
     total_bits += static_cast<uint64_t>(counts[s]) * lens[s];
   }
   std::vector<std::byte> out(static_cast<size_t>(256 + (total_bits + 7) / 8));
-  for (int s = 0; s < 256; ++s) out[static_cast<size_t>(s)] = static_cast<std::byte>(lens[s]);
+  for (int s = 0; s < 256; ++s) {
+    out[static_cast<size_t>(s)] = static_cast<std::byte>(lens[s]);
+  }
   // A 64-bit accumulator flushed a little-endian 32-bit word at a time: it
   // holds < 32 bits before each code and codes are <= 32 bits, so it never
   // overflows, and each stored word is four whole stream bytes.

@@ -443,7 +443,8 @@ std::vector<std::pair<std::string, cp::CompressorPtr>> fp16_stream_codecs() {
   ts::Generator gen(21);
   std::vector<std::pair<std::string, cp::CompressorPtr>> out;
   out.emplace_back("w/o", std::make_unique<cp::IdentityCompressor>());
-  out.emplace_back("autoencoder", std::make_unique<cp::AutoencoderCompressor>(64, 8, gen));
+  out.emplace_back("autoencoder",
+                   std::make_unique<cp::AutoencoderCompressor>(64, 8, gen));
   out.emplace_back("low-rank", std::make_unique<cp::LowRankCompressor>(2, 22));
   return out;
 }

@@ -414,7 +414,8 @@ std::vector<std::byte> lossless_payload(int family, uint64_t seed) {
       std::vector<std::byte> symbols;
       int64_t f0 = 1, f1 = 1;
       for (int sym = 0; sym < 22; ++sym) {
-        symbols.insert(symbols.end(), static_cast<size_t>(f0), static_cast<std::byte>(sym));
+        symbols.insert(symbols.end(), static_cast<size_t>(f0),
+                       static_cast<std::byte>(sym));
         f0 = std::exchange(f1, f0 + f1);
       }
       std::shuffle(symbols.begin(), symbols.end(), gen.engine());
