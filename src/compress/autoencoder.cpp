@@ -58,8 +58,15 @@ tensor::Tensor AutoencoderCompressor::do_decode(const CompressedMessage& msg) co
                 "autoencoder wire message has shape " << shape.str()
                                                       << ", want last dim " << hidden_);
   const int64_t rows = shape.numel() / hidden_;
-  wire::check_fp16_body(msg.body, 0, static_cast<uint64_t>(rows),
-                        static_cast<uint64_t>(code_), "autoencoder");
+  // Exactly 2·rows·code bytes, compared by division so a forged shape cannot
+  // overflow the product, before anything is allocated.
+  const size_t values = msg.body.size() / 2;
+  const auto code = static_cast<size_t>(code_);
+  ACTCOMP_CHECK(msg.body.size() % 2 == 0 && values % code == 0 &&
+                    values / code == static_cast<size_t>(rows),
+                "autoencoder wire message has " << msg.body.size()
+                                                << " body bytes, want 2 x " << rows
+                                                << " x " << code_);
   size_t off = 0;
   std::vector<float> vals = wire::read_fp16(msg.body, off, rows * code_);
   const tensor::Tensor compressed(tensor::Shape{rows, code_}, std::move(vals));

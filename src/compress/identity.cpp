@@ -1,6 +1,7 @@
 #include "compress/identity.h"
 
 #include "compress/wire.h"
+#include "tensor/check.h"
 #include "tensor/fp16.h"
 
 namespace actcomp::compress {
@@ -15,7 +16,12 @@ CompressedMessage IdentityCompressor::do_encode(const tensor::Tensor& x) {
 
 tensor::Tensor IdentityCompressor::do_decode(const CompressedMessage& msg) const {
   tensor::Shape shape{msg.shape_dims};
-  wire::check_fp16_body(msg.body, 0, static_cast<uint64_t>(shape.numel()), 1, "w/o");
+  // Exactly 2·numel bytes, compared by division so a forged shape cannot
+  // overflow the product, before anything is allocated.
+  ACTCOMP_CHECK(msg.body.size() % 2 == 0 &&
+                    msg.body.size() / 2 == static_cast<size_t>(shape.numel()),
+                "w/o wire message has " << msg.body.size()
+                                        << " body bytes, want 2 x " << shape.numel());
   size_t off = 0;
   std::vector<float> vals = wire::read_fp16(msg.body, off, shape.numel());
   return tensor::Tensor(shape, std::move(vals));

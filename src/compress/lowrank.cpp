@@ -117,9 +117,15 @@ ts::Tensor LowRankCompressor::do_decode(const CompressedMessage& msg) const {
   size_t off = 0;
   const int64_t r = wire::read_pod<int32_t>(msg.body, off);
   ACTCOMP_CHECK(r >= 1 && r <= std::min(rows, cols), "bad rank on wire");
-  wire::check_fp16_body(msg.body, 4,
-                        static_cast<uint64_t>(rows) + static_cast<uint64_t>(cols),
-                        static_cast<uint64_t>(r), "low-rank");
+  // Exactly 4 + 2·(rows + cols)·r bytes, compared by division so a forged
+  // shape cannot overflow the product, before anything is allocated.
+  const size_t values = (msg.body.size() - 4) / 2;
+  const auto rank = static_cast<size_t>(r);
+  ACTCOMP_CHECK(msg.body.size() % 2 == 0 && values % rank == 0 &&
+                    values / rank == static_cast<size_t>(rows) + static_cast<size_t>(cols),
+                "low-rank wire message has " << msg.body.size()
+                                             << " body bytes, want 4 + 2 x (" << rows
+                                             << " + " << cols << ") x " << r);
   ts::Tensor p(ts::Shape{rows, r}, wire::read_fp16(msg.body, off, rows * r));
   ts::Tensor q(ts::Shape{cols, r}, wire::read_fp16(msg.body, off, cols * r));
   return ts::matmul2d(p, ts::transpose_last2(q)).reshape(shape);

@@ -42,17 +42,6 @@ std::vector<float> read_fp16(const std::vector<std::byte>& buf, size_t& off,
   return out;
 }
 
-void check_fp16_body(const std::vector<std::byte>& body, size_t header,
-                     uint64_t a, uint64_t b, const char* codec) {
-  const size_t size = body.size();
-  const uint64_t values = size >= header ? (size - header) / 2 : 0;
-  const bool exact = size >= header && (size - header) % 2 == 0 &&
-                     (a == 0 || b == 0 ? values == 0
-                                       : values % a == 0 && values / a == b);
-  ACTCOMP_CHECK(exact, codec << " wire message has " << size << " body bytes, want "
-                             << header << " + 2 x " << a << " x " << b);
-}
-
 tensor::Tensor decode_sparse(const std::vector<std::byte>& body,
                              const tensor::Shape& shape, int64_t k,
                              const char* codec) {

@@ -36,13 +36,6 @@ void append_fp16(std::vector<std::byte>& buf, const tensor::Tensor& t);
 std::vector<float> read_fp16(const std::vector<std::byte>& buf, size_t& off,
                              int64_t n);
 
-/// Throws std::invalid_argument, with `codec` in the message, unless `body`
-/// is exactly `header` bytes followed by a·b fp16 values. Compared by
-/// division, so a forged shape cannot overflow the product; decoders call it
-/// before allocating anything sized from the shape.
-void check_fp16_body(const std::vector<std::byte>& body, size_t header,
-                     uint64_t a, uint64_t b, const char* codec);
-
 /// Decode a sparse index+value body (WIRE_FORMATS.md §3.3, Top-K and
 /// Random-K) into a dense tensor of `shape`. The body must be exactly 6·k
 /// bytes and its indices strictly ascending in [0, numel); both are checked
