@@ -19,7 +19,7 @@ void append_fp16(std::vector<std::byte>& buf, const tensor::Tensor& t) {
   std::byte* dst = buf.data() + base;
   const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
   core::parallel_for(0, n, kEwGrain, [&](int64_t b, int64_t e) {
-    uint16_t half[kEwGrain];
+    uint16_t half[kEwGrain] = {};
     kt.fp16_encode(src + b, half, e - b);
     std::memcpy(dst + b * 2, half, static_cast<size_t>(e - b) * 2);
   });
@@ -34,7 +34,7 @@ std::vector<float> read_fp16(const std::vector<std::byte>& buf, size_t& off,
   const std::byte* src = buf.data() + off;
   const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
   core::parallel_for(0, n, kEwGrain, [&](int64_t b, int64_t e) {
-    uint16_t half[kEwGrain];
+    uint16_t half[kEwGrain] = {};
     std::memcpy(half, src + b * 2, static_cast<size_t>(e - b) * 2);
     kt.fp16_decode(half, out.data() + b, e - b);
   });

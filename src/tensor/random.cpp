@@ -55,7 +55,7 @@ std::vector<int64_t> Generator::sample_without_replacement(int64_t n, int64_t k)
     int64_t value = 0;
   };
   int log2_slots = 1;
-  while ((int64_t{1} << log2_slots) < 2 * k) ++log2_slots;
+  while ((uint64_t{1} << log2_slots) < 2 * static_cast<uint64_t>(k)) ++log2_slots;
   const uint64_t slot_mask = (uint64_t{1} << log2_slots) - 1;
   std::vector<Slot> slots(static_cast<size_t>(slot_mask + 1));
   const auto slot_of = [&](int64_t pos) -> Slot& {
