@@ -476,10 +476,9 @@ TEST(Wire, Fp16StreamDecodersCheckLengthBeforeAllocating) {
           std::vector<int64_t>{int64_t{1} << 20, int64_t{1} << 20}}) {
       cp::CompressedMessage forged;
       forged.shape_dims = dims;
-      forged.body.resize(4);
+      forged.body.resize(12);
       const int32_t rank = 1;  // low-rank's header
       std::memcpy(forged.body.data(), &rank, 4);
-      forged.body.resize(12);
       EXPECT_THROW(c->decode(forged), std::invalid_argument)
           << label << " " << dims[0] << "x" << dims[1];
     }
