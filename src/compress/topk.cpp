@@ -59,8 +59,11 @@ std::vector<int64_t> TopKCompressor::select(const tensor::Tensor& x) const {
   const int64_t k = k_for(n);
   if (k == 0) return {};
   const float* d = x.data().data();
-  const auto nchunks = static_cast<size_t>((n + kSelectGrain - 1) / kSelectGrain);
-  const auto chunk_of = [](int64_t lo) { return static_cast<size_t>(lo / kSelectGrain); };
+  const auto nchunks =
+      static_cast<size_t>((n + kSelectGrain - 1) / kSelectGrain);
+  const auto chunk_of = [](int64_t lo) {
+    return static_cast<size_t>(lo / kSelectGrain);
+  };
 
   // Radix select of the k-th largest 31-bit key T. Pass 1 histograms the
   // top 11 key bits per chunk: T lies in bucket `top`, and `need` counts
