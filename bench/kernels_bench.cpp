@@ -36,6 +36,7 @@
 #include "nn/bert.h"
 #include "obs/profiler.h"
 #include "obs/report.h"
+#include "tensor/kernels/kernel_table.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 #include "train/optimizer.h"
@@ -196,6 +197,71 @@ void bench_gelu_tiers() {
   }
   core::set_simd_isa(restore);
   core::set_num_threads(1);
+}
+
+// Kernel-table entries per SIMD tier, called directly on preallocated
+// buffers so the loop itself is timed, not the op's allocation or
+// parallel_for: ew_add same-shape and with a [128] bias broadcast at
+// decode's [4·128] and pretrain's [512·128] activations, the layernorm pair
+// at [512, 128], the fp16 round trip over a [512·1024] wire tensor
+// (memory-bound), and fp16 encode and decode over one 8192-element chunk,
+// the unit the wire path's fp16 streams convert in (cache-resident). Each
+// rep runs the entry over ~4M elements; a tier whose loop stops vectorizing
+// drops several-fold. GB/s counts every operand read and output write once.
+void bench_table_tiers() {
+  namespace kn = ts::kernels;
+  ts::Generator gen(19);
+  const ts::Tensor x = gen.normal(ts::Shape{512 * 1024});
+  const ts::Tensor bias = gen.normal(ts::Shape{128});
+  const float* a = x.data().data();
+  const float* b = a + 512 * 128;  // a second [512·128] operand
+  std::vector<float> out(static_cast<size_t>(x.numel()));
+  std::vector<float> mean(512), rstd(512);
+  std::vector<uint16_t> half(8192);
+  const auto time_entry = [](int64_t n, auto&& fn) {
+    const int64_t iters = std::max<int64_t>(1, (int64_t{1} << 22) / n);
+    return best_of(5, [&] {
+             for (int64_t i = 0; i < iters; ++i) fn();
+           }) / static_cast<double>(iters);
+  };
+  for (int t = 0; t <= static_cast<int>(core::detected_simd_isa()); ++t) {
+    const kn::KernelTable& k = kn::kernels_for_tier(t);
+    const auto record = [&](const char* entry, const char* shape, double bytes,
+                            double tsec) {
+      const std::string op = std::string(entry) + "_" + k.name;
+      emit(op, shape, 1, tsec * 1e9, bytes / tsec / 1e9);
+      std::printf("%-22s %-9s t=1  %10.3f us  %6.2f GB/s\n", op.c_str(), shape,
+                  tsec * 1e6, bytes / tsec / 1e9);
+    };
+    for (const auto& [rows, shape] : {std::pair{int64_t{4}, "4x128"},
+                                      std::pair{int64_t{512}, "512x128"}}) {
+      const int64_t n = rows * 128;
+      record("ew_add", shape, 12.0 * static_cast<double>(n),
+             time_entry(n, [&] { k.ew_add(a, b, out.data(), 0, n, n); }));
+      record("ew_add_bias", shape, 4.0 * static_cast<double>(2 * n + 128),
+             time_entry(n, [&] {
+               k.ew_add(a, bias.data().data(), out.data(), 0, n, 128);
+             }));
+    }
+    const int64_t n = 512 * 128;
+    record("rows_moments", "512x128", 4.0 * static_cast<double>(n + 2 * 512),
+           time_entry(n, [&] {
+             k.rows_moments(a, 0, 512, 128, 1e-5f, mean.data(), rstd.data());
+           }));
+    record("ln_xhat", "512x128", 4.0 * static_cast<double>(2 * n + 2 * 512),
+           time_entry(n, [&] {
+             k.ln_xhat(a, mean.data(), rstd.data(), out.data(), 0, 512, 128);
+           }));
+    record("fp16_round_trip", "512x1024", 8.0 * static_cast<double>(x.numel()),
+           time_entry(x.numel(), [&] {
+             k.fp16_round_trip(a, out.data(), x.numel());
+           }));
+    constexpr int64_t kChunk = 8192;
+    record("fp16_encode", "8192", 6.0 * kChunk,
+           time_entry(kChunk, [&] { k.fp16_encode(a, half.data(), kChunk); }));
+    record("fp16_decode", "8192", 6.0 * kChunk,
+           time_entry(kChunk, [&] { k.fp16_decode(half.data(), out.data(), kChunk); }));
+  }
 }
 
 // tensor::permute at the attention head split (its inner axis stays
@@ -430,6 +496,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n");
   bench_gelu_tiers();
+  bench_table_tiers();
   bench_permute();
 
   std::printf("\n");

@@ -1,6 +1,7 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -47,9 +48,15 @@ void append_double(std::string& out, double v) {
   out += buf;
 }
 
+// Arrays and objects recurse through parse_value once per level; past
+// this depth parse() fails instead of overflowing the stack on hostile
+// input. What the repo writes nests fewer than ten levels.
+constexpr int kMaxDepth = 256;
+
 struct Parser {
   std::string_view text;
   size_t pos = 0;
+  int depth = 0;
   std::string error;
 
   bool fail(const std::string& msg) {
@@ -102,9 +109,13 @@ struct Parser {
           case 'f': out += '\f'; break;
           case 'u': {
             if (pos + 4 > text.size()) return fail("truncated \\u escape");
-            const std::string hex(text.substr(pos, 4));
+            // Exactly four hex digits: from_chars takes no sign, space or
+            // 0x prefix into an unsigned value.
+            const char* hex = text.data() + pos;
+            unsigned cp = 0;
+            const auto [end, ec] = std::from_chars(hex, hex + 4, cp, 16);
+            if (ec != std::errc() || end != hex + 4) return fail("bad \\u escape");
             pos += 4;
-            const long cp = std::strtol(hex.c_str(), nullptr, 16);
             if (cp > 0x7f) return fail("non-ASCII \\u escape unsupported");
             out += static_cast<char>(cp);
             break;
@@ -120,6 +131,16 @@ struct Parser {
   }
 
   bool parse_value(Value& out) {
+    if (depth == kMaxDepth) {
+      return fail("nesting deeper than " + std::to_string(kMaxDepth));
+    }
+    ++depth;
+    const bool ok = parse_any(out);
+    --depth;
+    return ok;
+  }
+
+  bool parse_any(Value& out) {
     skip_ws();
     if (pos >= text.size()) return fail("unexpected end of input");
     const char c = text[pos];

@@ -2,7 +2,8 @@
 // core/simd.cpp. Tiers the build could not compile (non-x86 target, old
 // compiler) alias the widest available narrower tier, so indexing by
 // core::simd_isa() is always valid — and core/simd.cpp already clamps the
-// selected tier to what the host supports.
+// selected tier to what the host supports. kernels_for_tier clamps an
+// explicit tier to the host's detected tier the same way.
 #include "tensor/kernels/kernel_table.h"
 
 #include <algorithm>
@@ -32,12 +33,12 @@ const TierTables& tier_tables() {
 }  // namespace
 
 const KernelTable& kernels_for_tier(int tier) {
-  const int i = std::clamp(tier, 0, 2);
+  const int i = std::clamp(tier, 0, static_cast<int>(core::detected_simd_isa()));
   return *tier_tables().tables[i];
 }
 
 const KernelTable& active_kernels() {
-  return kernels_for_tier(static_cast<int>(core::simd_isa()));
+  return *tier_tables().tables[static_cast<int>(core::simd_isa())];
 }
 
 }  // namespace actcomp::tensor::kernels

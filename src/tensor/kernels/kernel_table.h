@@ -7,17 +7,24 @@
 // flags (never -march=native), so one binary carries every tier and picks
 // at runtime — release builds no longer depend on the build host's ISA.
 //
-// Identity contract: for finite inputs, every entry produces bytes
-// identical to the scalar tier. The mechanics:
-//   * No FMA anywhere (all kernel TUs are -ffp-contract=off, and the SIMD
-//     kernels spell mul-then-add explicitly), so per-element rounding
-//     matches the documented scalar order.
+// Every tier's table starts as `generic::table()` (kernels_generic.h): the
+// portable loops, compiled in that tier's TU under its own -m flags, so the
+// compiler vectorizes them at the tier's width. The scalar tier is exactly
+// that table. A SIMD tier then assigns only the entries it hand-writes with
+// intrinsics: its GEMM micro-tile, `row_max`/`row_minmax`, the F16C fp16
+// trio, the quantizer pair, and on AVX-512 the lane-per-row `rows_moments`.
+//
+// Identity contract: every entry produces bytes identical to the scalar
+// tier. The mechanics:
+//   * No FMA anywhere (all kernel TUs are -ffp-contract=off, and the
+//     intrinsic kernels spell mul-then-add explicitly), so per-element
+//     rounding matches the documented scalar order.
 //   * Accumulations keep the scalar order (GEMM walks k ascending per C
 //     element; moments accumulate columns ascending with one row per SIMD
 //     lane), which is lane-count independent.
 //   * Where an ISA genuinely cannot match scalar semantics bit-for-bit —
 //     F16C on NaN payloads, min/max ties against ±0 — the SIMD kernel
-//     detects the case and falls back to the scalar path for that block.
+//     detects the case and falls back to the generic loop for that block.
 // Kernels that take a [lo, hi) range operate on the caller's parallel_for
 // chunk, so chunk boundaries (and thus 1-vs-N-thread identity) are owned
 // by the caller exactly as before.
@@ -58,7 +65,6 @@ struct KernelTable {
                         int64_t hi);
   void (*ew_neg)(const float* a, float* out, int64_t lo, int64_t hi);
   void (*ew_abs)(const float* a, float* out, int64_t lo, int64_t hi);
-  void (*ew_sqrt)(const float* a, float* out, int64_t lo, int64_t hi);
   void (*ew_relu)(const float* a, float* out, int64_t lo, int64_t hi);
   void (*ew_scale)(float* x, float s, int64_t lo, int64_t hi);  // x[i] *= s
   // Fused bias + ReLU epilogue: pre[i] = x[i] + b[i % nb]; out[i] =

@@ -11,38 +11,21 @@
 namespace actcomp::tensor::kernels {
 
 const KernelTable* avx2_kernels() {
-  static const KernelTable table = {
-      "avx2",
-      avx2i::gemm_into,
-      gemm_simple_impl,
-      avx2i::ew_add,
-      avx2i::ew_sub,
-      avx2i::ew_mul,
-      avx2i::ew_div,
-      avx2i::ew_add_scalar,
-      avx2i::ew_mul_scalar,
-      avx2i::ew_sub_scalar,
-      avx2i::ew_neg,
-      avx2i::ew_abs,
-      avx2i::ew_sqrt,
-      avx2i::ew_relu,
-      avx2i::ew_scale,
-      avx2i::ew_bias_relu,
-      generic::ew_gelu,
-      generic::ew_gelu_grad,
-      avx2i::row_max,
-      avx2i::row_minmax,
-      // Double-precision two-pass statistics: 256-bit lanes buy nothing
-      // over the compiler's autovectorized scalar loop; the AVX-512 tier
-      // has the lane-per-row variant.
-      generic::rows_moments,
-      avx2i::ln_xhat,
-      avx2i::fp16_encode,
-      avx2i::fp16_decode,
-      avx2i::fp16_round_trip,
-      avx2i::quant_quantize_row,
-      avx2i::quant_dequantize_row,
-  };
+  // The elementwise family and ln_xhat stay generic: this TU's copies
+  // vectorize at 256 bits with the same bytes. rows_moments stays generic
+  // too (its in-order double sums do not vectorize); the AVX-512 tier has
+  // the lane-per-row variant.
+  static const KernelTable table = [] {
+    KernelTable t = generic::table("avx2", avx2i::gemm_into);
+    t.row_max = avx2i::row_max;
+    t.row_minmax = avx2i::row_minmax;
+    t.fp16_encode = avx2i::fp16_encode;
+    t.fp16_decode = avx2i::fp16_decode;
+    t.fp16_round_trip = avx2i::fp16_round_trip;
+    t.quant_quantize_row = avx2i::quant_quantize_row;
+    t.quant_dequantize_row = avx2i::quant_dequantize_row;
+    return t;
+  }();
   return &table;
 }
 

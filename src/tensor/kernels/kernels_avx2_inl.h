@@ -1,6 +1,10 @@
-// 256-bit AVX2 + F16C kernel implementations, shared by the avx2 and avx512
-// translation units (the AVX-512 tier reuses these where 512-bit lanes buy
-// nothing, e.g. the byte-packing quantizer).
+// 256-bit AVX2 + F16C kernels: the entries the avx2 tier hand-writes on top
+// of generic::table() — the GEMM micro-tile, the row_max/row_minmax scans,
+// the fp16 trio and the quantizer pair. The avx512 TU includes this header
+// too and keeps the scans, the quantizer pair, the fp16 round trip and the
+// fp16 remainders at 256 bits. The elementwise family and ln_xhat have no
+// intrinsic version: the generic loops vectorize under each tier's -m flags
+// with the same bytes.
 //
 // Only include from a TU compiled with -mavx2 -mf16c (or wider). Everything
 // here is `static` (or a static function template, or a type in an anonymous
@@ -10,11 +14,10 @@
 //
 // Identity rules applied throughout (see kernel_table.h):
 //   * mul-then-add spelled explicitly, no FMA intrinsics;
-//   * remainders use the exact scalar expression (IEEE add/sub/mul/div/sqrt
-//     are per-element, so lane width never changes bytes);
+//   * remainders run the generic loop (or its exact expression);
 //   * semantic gaps (NaN payloads through F16C, ±0 ties through
 //     min/max_ps, non-finite quantizer inputs) are detected per block and
-//     routed to the generic scalar code.
+//     routed to the generic code.
 #pragma once
 
 #include <immintrin.h>
@@ -29,23 +32,6 @@
 namespace actcomp::tensor::kernels::avx2i {
 
 namespace {  // internal types: keep template instantiations TU-local
-
-struct AddOp {
-  static __m256 v(__m256 x, __m256 y) { return _mm256_add_ps(x, y); }
-  static float s(float x, float y) { return x + y; }
-};
-struct SubOp {
-  static __m256 v(__m256 x, __m256 y) { return _mm256_sub_ps(x, y); }
-  static float s(float x, float y) { return x - y; }
-};
-struct MulOp {
-  static __m256 v(__m256 x, __m256 y) { return _mm256_mul_ps(x, y); }
-  static float s(float x, float y) { return x * y; }
-};
-struct DivOp {
-  static __m256 v(__m256 x, __m256 y) { return _mm256_div_ps(x, y); }
-  static float s(float x, float y) { return x / y; }
-};
 
 // 5x16 micro-tile on ymm registers: 10 accumulators + 2 B columns + 1
 // broadcast stay inside the 16-register file. Same tile shape and k order
@@ -84,150 +70,6 @@ struct Avx2GemmPolicy {
 };
 
 }  // namespace
-
-// ---- elementwise ----
-
-template <class Op>
-static inline void ew_binary_v(const float* a, const float* b, float* out,
-                               int64_t lo, int64_t hi, int64_t nb) {
-  if (hi <= nb) {  // same-shape fast path: i % nb == i on this chunk
-    int64_t i = lo;
-    for (; i + 8 <= hi; i += 8) {
-      _mm256_storeu_ps(
-          out + i, Op::v(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-    }
-    for (; i < hi; ++i) out[i] = Op::s(a[i], b[i]);
-    return;
-  }
-  // Broadcast: split [lo, hi) at multiples of nb; within a segment the b
-  // index boff + (j - i) is contiguous, so plain vector loads apply.
-  int64_t i = lo;
-  while (i < hi) {
-    const int64_t boff = i % nb;
-    const int64_t seg = std::min(hi, i + (nb - boff));
-    int64_t j = i;
-    for (; j + 8 <= seg; j += 8) {
-      _mm256_storeu_ps(out + j, Op::v(_mm256_loadu_ps(a + j),
-                                      _mm256_loadu_ps(b + boff + (j - i))));
-    }
-    for (; j < seg; ++j) out[j] = Op::s(a[j], b[boff + (j - i)]);
-    i = seg;
-  }
-}
-
-static inline void ew_add(const float* a, const float* b, float* out,
-                          int64_t lo, int64_t hi, int64_t nb) {
-  ew_binary_v<AddOp>(a, b, out, lo, hi, nb);
-}
-static inline void ew_sub(const float* a, const float* b, float* out,
-                          int64_t lo, int64_t hi, int64_t nb) {
-  ew_binary_v<SubOp>(a, b, out, lo, hi, nb);
-}
-static inline void ew_mul(const float* a, const float* b, float* out,
-                          int64_t lo, int64_t hi, int64_t nb) {
-  ew_binary_v<MulOp>(a, b, out, lo, hi, nb);
-}
-static inline void ew_div(const float* a, const float* b, float* out,
-                          int64_t lo, int64_t hi, int64_t nb) {
-  ew_binary_v<DivOp>(a, b, out, lo, hi, nb);
-}
-
-template <class Op>
-static inline void ew_scalar_v(const float* a, float s, float* out, int64_t lo,
-                               int64_t hi) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    _mm256_storeu_ps(out + i, Op::v(_mm256_loadu_ps(a + i), vs));
-  }
-  for (; i < hi; ++i) out[i] = Op::s(a[i], s);
-}
-
-static inline void ew_add_scalar(const float* a, float s, float* out,
-                                 int64_t lo, int64_t hi) {
-  ew_scalar_v<AddOp>(a, s, out, lo, hi);
-}
-static inline void ew_mul_scalar(const float* a, float s, float* out,
-                                 int64_t lo, int64_t hi) {
-  ew_scalar_v<MulOp>(a, s, out, lo, hi);
-}
-static inline void ew_sub_scalar(const float* a, float s, float* out,
-                                 int64_t lo, int64_t hi) {
-  ew_scalar_v<SubOp>(a, s, out, lo, hi);
-}
-
-static inline void ew_neg(const float* a, float* out, int64_t lo, int64_t hi) {
-  // -x flips the sign bit for every input (NaN included); xor matches.
-  const __m256 sign = _mm256_set1_ps(-0.0f);
-  int64_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_xor_ps(_mm256_loadu_ps(a + i), sign));
-  }
-  for (; i < hi; ++i) out[i] = -a[i];
-}
-
-static inline void ew_abs(const float* a, float* out, int64_t lo, int64_t hi) {
-  // fabs clears the sign bit for every input (NaN included); andnot matches.
-  const __m256 sign = _mm256_set1_ps(-0.0f);
-  int64_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_andnot_ps(sign, _mm256_loadu_ps(a + i)));
-  }
-  for (; i < hi; ++i) out[i] = std::fabs(a[i]);
-}
-
-static inline void ew_sqrt(const float* a, float* out, int64_t lo, int64_t hi) {
-  // sqrtps is IEEE correctly rounded, same as sqrtss behind std::sqrt.
-  int64_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_sqrt_ps(_mm256_loadu_ps(a + i)));
-  }
-  for (; i < hi; ++i) out[i] = std::sqrt(a[i]);
-}
-
-static inline void ew_relu(const float* a, float* out, int64_t lo, int64_t hi) {
-  // max_ps(x, +0) returns the second operand on ties and NaN, which is
-  // exactly `x > 0 ? x : 0` for ±0 and NaN alike — no fallback needed.
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_max_ps(_mm256_loadu_ps(a + i), zero));
-  }
-  for (; i < hi; ++i) out[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-
-static inline void ew_scale(float* x, float s, int64_t lo, int64_t hi) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), vs));
-  }
-  for (; i < hi; ++i) x[i] *= s;
-}
-
-static inline void ew_bias_relu(const float* x, const float* b, float* pre,
-                                float* out, int64_t lo, int64_t hi,
-                                int64_t nb) {
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = lo;
-  while (i < hi) {
-    const int64_t boff = i % nb;
-    const int64_t seg = std::min(hi, i + (nb - boff));
-    int64_t j = i;
-    for (; j + 8 <= seg; j += 8) {
-      const __m256 p = _mm256_add_ps(_mm256_loadu_ps(x + j),
-                                     _mm256_loadu_ps(b + boff + (j - i)));
-      _mm256_storeu_ps(pre + j, p);
-      _mm256_storeu_ps(out + j, _mm256_max_ps(p, zero));
-    }
-    for (; j < seg; ++j) {
-      const float p = x[j] + b[boff + (j - i)];
-      pre[j] = p;
-      out[j] = p > 0.0f ? p : 0.0f;
-    }
-    i = seg;
-  }
-}
 
 // ---- row reductions ----
 //
@@ -296,26 +138,6 @@ static inline void row_minmax(const float* x, int64_t n, float* lo_out,
   }
   *lo_out = lo;
   *hi_out = hi;
-}
-
-static inline void ln_xhat(const float* x, const float* mean,
-                           const float* rstd, float* out, int64_t r0,
-                           int64_t r1, int64_t cols) {
-  for (int64_t r = r0; r < r1; ++r) {
-    const __m256 vm = _mm256_set1_ps(mean[r]);
-    const __m256 vrs = _mm256_set1_ps(rstd[r]);
-    const float* row = x + r * cols;
-    float* orow = out + r * cols;
-    int64_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      _mm256_storeu_ps(
-          orow + c,
-          _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(row + c), vm), vrs));
-    }
-    const float m = mean[r];
-    const float rs = rstd[r];
-    for (; c < cols; ++c) orow[c] = (row[c] - m) * rs;
-  }
 }
 
 // ---- fp16 via F16C ----

@@ -1,13 +1,10 @@
-// Scalar reference implementations for every KernelTable entry.
-//
-// These are the loops the repo ran before the SIMD overhaul, verbatim —
-// they define the bytes every wider tier must reproduce. (GELU is the
-// exception: its polynomial is newer, and every tier's table points at
-// this one loop.) They are inline
-// so each per-ISA TU can also use them for remainders and semantic
-// fallbacks (NaN lanes, ±0 ties) without cross-TU calls; all kernel TUs
-// compile with -ffp-contract=off, so the math is flag-identical wherever
-// it is instantiated.
+// The portable kernel loops, and the table every tier starts from
+// (DESIGN.md §15). Each loop is one IEEE operation (or one fixed sequence)
+// per element in source order and every kernel TU is -ffp-contract=off, so
+// a tier's TU that compiles them under its own -m flags vectorizes them at
+// its width with the scalar tier's bytes. Everything here is `static
+// inline`, so each per-ISA TU keeps its own copy; the hand-written kernels
+// use the same loops for remainders and fallbacks (NaN lanes, ±0 ties).
 #pragma once
 
 #include <algorithm>
@@ -17,19 +14,39 @@
 #include <limits>
 
 #include "tensor/fp16.h"
+#include "tensor/kernels/gemm_common.h"
+#include "tensor/kernels/kernel_table.h"
 
 namespace actcomp::tensor::kernels::generic {
 
 // ---- elementwise ----
 
+// Calls body(i0, i1, boff) on the pieces of [lo, hi) split at multiples of
+// nb, where b's index wraps to 0; inside a piece it runs contiguously from
+// boff, so the body is a plain loop. hi <= nb (same-shape operands) is one
+// piece. Only the first piece starts inside b, so one division serves the
+// range (one per piece stalled each piece's alias check on the divide).
+template <typename Body>
+static inline void broadcast_pieces(int64_t lo, int64_t hi, int64_t nb,
+                                    Body body) {
+  if (hi <= nb) {  // same-shape fast path: i % nb == i on this chunk
+    body(lo, hi, lo);
+    return;
+  }
+  int64_t boff = lo % nb;
+  for (int64_t i = lo; i < hi; boff = 0) {
+    const int64_t end = std::min(hi, i + (nb - boff));
+    body(i, end, boff);
+    i = end;
+  }
+}
+
 template <typename F>
 static inline void ew_binary(const float* a, const float* b, float* out, int64_t lo,
-                      int64_t hi, int64_t nb, F f) {
-  if (hi <= nb) {  // same-shape fast path: i % nb == i on this chunk
-    for (int64_t i = lo; i < hi; ++i) out[i] = f(a[i], b[i]);
-  } else {
-    for (int64_t i = lo; i < hi; ++i) out[i] = f(a[i], b[i % nb]);
-  }
+                             int64_t hi, int64_t nb, F f) {
+  broadcast_pieces(lo, hi, nb, [&](int64_t i0, int64_t i1, int64_t boff) {
+    for (int64_t i = i0; i < i1; ++i) out[i] = f(a[i], b[boff + (i - i0)]);
+  });
 }
 
 static inline void ew_add(const float* a, const float* b, float* out, int64_t lo,
@@ -67,9 +84,6 @@ static inline void ew_neg(const float* a, float* out, int64_t lo, int64_t hi) {
 static inline void ew_abs(const float* a, float* out, int64_t lo, int64_t hi) {
   for (int64_t i = lo; i < hi; ++i) out[i] = std::fabs(a[i]);
 }
-static inline void ew_sqrt(const float* a, float* out, int64_t lo, int64_t hi) {
-  for (int64_t i = lo; i < hi; ++i) out[i] = std::sqrt(a[i]);
-}
 static inline void ew_relu(const float* a, float* out, int64_t lo, int64_t hi) {
   for (int64_t i = lo; i < hi; ++i) out[i] = a[i] > 0.0f ? a[i] : 0.0f;
 }
@@ -77,12 +91,14 @@ static inline void ew_scale(float* x, float s, int64_t lo, int64_t hi) {
   for (int64_t i = lo; i < hi; ++i) x[i] *= s;
 }
 static inline void ew_bias_relu(const float* x, const float* b, float* pre,
-                         float* out, int64_t lo, int64_t hi, int64_t nb) {
-  for (int64_t i = lo; i < hi; ++i) {
-    const float p = x[i] + b[i % nb];
-    pre[i] = p;
-    out[i] = p > 0.0f ? p : 0.0f;
-  }
+                                float* out, int64_t lo, int64_t hi, int64_t nb) {
+  broadcast_pieces(lo, hi, nb, [&](int64_t i0, int64_t i1, int64_t boff) {
+    for (int64_t i = i0; i < i1; ++i) {
+      const float p = x[i] + b[boff + (i - i0)];
+      pre[i] = p;
+      out[i] = p > 0.0f ? p : 0.0f;
+    }
+  });
 }
 
 // ---- GELU (tanh form) ----
@@ -218,6 +234,42 @@ static inline void quant_dequantize_row(const uint8_t* q, int64_t cols, float lo
   for (int64_t c = 0; c < cols; ++c) {
     out[c] = lo + static_cast<float>(q[c]) * scale;
   }
+}
+
+// ---- the table ----
+
+// Every entry points at this TU's copy of the loops above; a SIMD tier
+// starts from this table and assigns only its hand-written entries.
+static inline KernelTable table(const char* name,
+                                decltype(KernelTable::gemm_into) gemm_into) {
+  return KernelTable{
+      .name = name,
+      .gemm_into = gemm_into,
+      .gemm_simple = gemm_simple_impl,
+      .ew_add = ew_add,
+      .ew_sub = ew_sub,
+      .ew_mul = ew_mul,
+      .ew_div = ew_div,
+      .ew_add_scalar = ew_add_scalar,
+      .ew_mul_scalar = ew_mul_scalar,
+      .ew_sub_scalar = ew_sub_scalar,
+      .ew_neg = ew_neg,
+      .ew_abs = ew_abs,
+      .ew_relu = ew_relu,
+      .ew_scale = ew_scale,
+      .ew_bias_relu = ew_bias_relu,
+      .ew_gelu = ew_gelu,
+      .ew_gelu_grad = ew_gelu_grad,
+      .row_max = row_max,
+      .row_minmax = row_minmax,
+      .rows_moments = rows_moments,
+      .ln_xhat = ln_xhat,
+      .fp16_encode = fp16_encode,
+      .fp16_decode = fp16_decode,
+      .fp16_round_trip = fp16_round_trip,
+      .quant_quantize_row = quant_quantize_row,
+      .quant_dequantize_row = quant_dequantize_row,
+  };
 }
 
 }  // namespace actcomp::tensor::kernels::generic

@@ -1,6 +1,7 @@
 // Scalar kernel tier: the portable baseline every wider tier must match
 // byte for byte. Compiled with -O3 -ffp-contract=off and NO architecture
-// flags, so the binary runs on any x86-64 (or non-x86) host.
+// flags, so the binary runs on any x86-64 (or non-x86) host. Its table is
+// generic::table() with this TU's GEMM.
 //
 // The GEMM micro-kernel keeps the GNU vector extension tile from the
 // pre-dispatch ops.cpp: without an explicit vector type GCC's SLP
@@ -91,35 +92,7 @@ void gemm_into(const float* a, const float* b, float* c, int64_t m, int64_t k,
 }  // namespace
 
 const KernelTable& scalar_kernels() {
-  static const KernelTable table = {
-      "scalar",
-      gemm_into,
-      gemm_simple_impl,
-      generic::ew_add,
-      generic::ew_sub,
-      generic::ew_mul,
-      generic::ew_div,
-      generic::ew_add_scalar,
-      generic::ew_mul_scalar,
-      generic::ew_sub_scalar,
-      generic::ew_neg,
-      generic::ew_abs,
-      generic::ew_sqrt,
-      generic::ew_relu,
-      generic::ew_scale,
-      generic::ew_bias_relu,
-      generic::ew_gelu,
-      generic::ew_gelu_grad,
-      generic::row_max,
-      generic::row_minmax,
-      generic::rows_moments,
-      generic::ln_xhat,
-      generic::fp16_encode,
-      generic::fp16_decode,
-      generic::fp16_round_trip,
-      generic::quant_quantize_row,
-      generic::quant_dequantize_row,
-  };
+  static const KernelTable table = generic::table("scalar", gemm_into);
   return table;
 }
 

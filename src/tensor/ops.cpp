@@ -128,9 +128,6 @@ Tensor neg(const Tensor& a) {
 }
 Tensor exp(const Tensor& a) { return unary(a, [](float x) { return std::exp(x); }); }
 Tensor log(const Tensor& a) { return unary(a, [](float x) { return std::log(x); }); }
-Tensor sqrt(const Tensor& a) {
-  return unary_kernel(a, kernels::active_kernels().ew_sqrt);
-}
 Tensor abs(const Tensor& a) {
   return unary_kernel(a, kernels::active_kernels().ew_abs);
 }
@@ -147,16 +144,6 @@ Tensor gelu(const Tensor& a) {
 }
 Tensor gelu_grad(const Tensor& a) {
   return unary_kernel(a, kernels::active_kernels().ew_gelu_grad);
-}
-
-Tensor map(const Tensor& a, const std::function<float(float)>& f) {
-  // Deliberately serial: `f` is caller-supplied (tests/helpers) and may not
-  // be safe to invoke from several threads at once.
-  Tensor out(a.shape());
-  const auto da = a.data();
-  auto dout = out.data();
-  for (size_t i = 0; i < da.size(); ++i) dout[i] = f(da[i]);
-  return out;
 }
 
 // ---------------------------------------------------------------------------

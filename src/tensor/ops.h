@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -30,7 +29,6 @@ Tensor mul_scalar(const Tensor& a, float s);
 Tensor neg(const Tensor& a);
 Tensor exp(const Tensor& a);
 Tensor log(const Tensor& a);
-Tensor sqrt(const Tensor& a);
 Tensor abs(const Tensor& a);
 Tensor tanh(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
@@ -39,8 +37,6 @@ Tensor relu(const Tensor& a);
 Tensor gelu(const Tensor& a);
 /// d gelu(x) / dx, elementwise.
 Tensor gelu_grad(const Tensor& a);
-/// Apply an arbitrary float->float function elementwise (test/helper use).
-Tensor map(const Tensor& a, const std::function<float(float)>& f);
 
 // ---- matmul ----
 /// (m,k) x (k,n) -> (m,n).

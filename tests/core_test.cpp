@@ -18,6 +18,7 @@
 #include "core/simd.h"
 #include "core/threadpool.h"
 #include "tensor/fp16.h"
+#include "tensor/kernels/kernel_table.h"
 #include "tensor/ops.h"
 #include "tensor/random.h"
 
@@ -178,7 +179,8 @@ TEST(Determinism, RowMomentsBitIdenticalAcrossThreadCounts) {
 TEST(Determinism, TopKEncodeByteIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
   ts::Generator gen(3);
-  // Big enough to take the chunked-candidate path (> 2 * 65536 elements).
+  // 196,608 elements: six of the radix select's 32Ki-element chunks, so the
+  // per-chunk histograms and the threshold gather cross chunk boundaries.
   const ts::Tensor x = gen.normal(ts::Shape{3, 65536});
   cp::TopKCompressor c(0.1);
   core::set_num_threads(1);
@@ -481,6 +483,156 @@ TEST(SimdIdentity, GeluBiasActBytesMatchScalarAcrossTiers) {
       for (size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i], ref[i])
             << "output " << i << " " << core::simd_isa_name(isa) << " t=" << threads;
+      }
+    }
+  });
+}
+
+namespace {
+
+// Seeded normals with ±0, ±Inf and subnormals (plus a NaN of each sign when
+// `with_nan`) written every `stride` elements, so the special values land in
+// every tier's vector bodies and scalar remainders.
+std::vector<float> ew_operand(int64_t n, uint64_t seed, int64_t stride,
+                              bool with_nan) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> specials = {0.0f, -0.0f, inf, -inf,
+                                 std::numeric_limits<float>::denorm_min(),
+                                 -1e-40f, 1e-39f};
+  if (with_nan) {
+    specials.push_back(nan);
+    specials.push_back(-nan);
+  }
+  ts::Generator gen(seed);
+  const ts::Tensor t = gen.normal(ts::Shape{n}, 0.0f, 2.0f);
+  std::vector<float> v(t.data().begin(), t.data().end());
+  for (int64_t i = 0; i < n; i += stride) {
+    v[static_cast<size_t>(i)] = specials[static_cast<size_t>(i / stride) % specials.size()];
+  }
+  return v;
+}
+
+// Index of the first element whose bytes differ, or -1.
+int64_t first_byte_mismatch(const std::vector<float>& got,
+                            const std::vector<float>& want) {
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+      return static_cast<int64_t>(i);
+    }
+  }
+  return -1;
+}
+
+}  // namespace
+
+// The elementwise entries and ln_xhat called directly through each tier's
+// table: same-shape and broadcast ranges (nb in {1, 37, 128}) whose lo is
+// off a multiple of nb, ragged lengths, and ±0/±Inf/subnormal operands with
+// NaN in one operand. Every output buffer starts as a sentinel and is
+// compared whole, so a write outside [lo, hi) fails too. The broadcast
+// entries are also checked against their definition out[i] = a[i] op
+// b[i % nb]: every tier shares the loop that splits a range at multiples of
+// nb, so comparing tiers alone would not catch a piece that starts at the
+// wrong offset in b.
+TEST(SimdIdentity, ElementwiseBytesMatchScalarAcrossTiers) {
+  namespace kn = ts::kernels;
+  using Binary = decltype(kn::KernelTable::ew_add);
+  using WithScalar = decltype(kn::KernelTable::ew_add_scalar);
+  using Unary = decltype(kn::KernelTable::ew_neg);
+  constexpr int64_t n = 1031;  // not a multiple of any vector width
+  const std::vector<float> a = ew_operand(n, 50, 7, /*with_nan=*/true);
+  const std::vector<float> b = ew_operand(n, 51, 5, /*with_nan=*/false);
+  const kn::KernelTable& ref = kn::kernels_for_tier(0);
+
+  struct BinaryEntry {
+    const char* name;
+    Binary kn::KernelTable::*fn;
+    float (*def)(float, float);
+  };
+  const BinaryEntry binaries[] = {
+      {"add", &kn::KernelTable::ew_add, [](float x, float y) { return x + y; }},
+      {"sub", &kn::KernelTable::ew_sub, [](float x, float y) { return x - y; }},
+      {"mul", &kn::KernelTable::ew_mul, [](float x, float y) { return x * y; }},
+      {"div", &kn::KernelTable::ew_div, [](float x, float y) { return x / y; }}};
+  const std::pair<const char*, WithScalar kn::KernelTable::*> with_scalars[] = {
+      {"add_scalar", &kn::KernelTable::ew_add_scalar},
+      {"mul_scalar", &kn::KernelTable::ew_mul_scalar},
+      {"sub_scalar", &kn::KernelTable::ew_sub_scalar}};
+  const std::pair<const char*, Unary kn::KernelTable::*> unaries[] = {
+      {"neg", &kn::KernelTable::ew_neg},
+      {"abs", &kn::KernelTable::ew_abs},
+      {"relu", &kn::KernelTable::ew_relu}};
+  const std::pair<int64_t, int64_t> ranges[] = {
+      {0, n}, {5, n - 3}, {5, 100}, {77, 300}, {261, n}, {n - 1, n}};
+
+  for_each_supported_isa([&](core::SimdIsa isa) {
+    const kn::KernelTable& t = kn::kernels_for_tier(static_cast<int>(isa));
+    // Runs want_fn(buf) and fn(t, buf) on buffers of 2n sentinels and
+    // compares them whole; check() takes want from the scalar table.
+    const auto compare = [&](const std::string& what, auto&& want_fn, auto&& fn) {
+      std::vector<float> want(2 * n, 12345.0f), got(2 * n, 12345.0f);
+      want_fn(want);
+      fn(t, got);
+      EXPECT_EQ(first_byte_mismatch(got, want), -1) << t.name << " " << what;
+    };
+    const auto check = [&](const std::string& what, auto&& fn) {
+      compare(what, [&](std::vector<float>& out) { fn(ref, out); }, fn);
+    };
+    for (const auto& [lo, hi] : ranges) {
+      const std::string span = " [" + std::to_string(lo) + ", " + std::to_string(hi) + ")";
+      for (const int64_t nb : {n, int64_t{1}, int64_t{37}, int64_t{128}}) {
+        const std::string where = span + " nb=" + std::to_string(nb);
+        for (const BinaryEntry& e : binaries) {
+          const auto run = [&](const kn::KernelTable& k, std::vector<float>& out) {
+            (k.*e.fn)(a.data(), b.data(), out.data(), lo, hi, nb);
+          };
+          check(e.name + where, run);
+          compare(e.name + where + " vs definition", [&](std::vector<float>& out) {
+            for (int64_t i = lo; i < hi; ++i) out[i] = e.def(a[i], b[i % nb]);
+          }, run);
+        }
+        const auto bias_relu = [&](const kn::KernelTable& k, std::vector<float>& out) {
+          k.ew_bias_relu(a.data(), b.data(), out.data(), out.data() + n, lo, hi, nb);
+        };
+        check("bias_relu" + where, bias_relu);
+        compare("bias_relu" + where + " vs definition", [&](std::vector<float>& out) {
+          for (int64_t i = lo; i < hi; ++i) {
+            out[i] = a[i] + b[i % nb];
+            out[n + i] = out[i] > 0.0f ? out[i] : 0.0f;
+          }
+        }, bias_relu);
+      }
+      for (const float s : {0.75f, -0.0f, -std::numeric_limits<float>::infinity()}) {
+        const std::string where = span + " s=" + std::to_string(s);
+        for (const auto& [name, fn] : with_scalars) {
+          check(name + where, [&, fn = fn](const kn::KernelTable& k, std::vector<float>& out) {
+            (k.*fn)(a.data(), s, out.data(), lo, hi);
+          });
+        }
+        check("scale" + where, [&](const kn::KernelTable& k, std::vector<float>& out) {
+          std::copy(a.begin(), a.end(), out.begin());
+          k.ew_scale(out.data(), s, lo, hi);
+        });
+      }
+      for (const auto& [name, fn] : unaries) {
+        check(name + span, [&, fn = fn](const kn::KernelTable& k, std::vector<float>& out) {
+          (k.*fn)(a.data(), out.data(), lo, hi);
+        });
+      }
+    }
+    // ln_xhat on rows of a; row ranges that skip the first and last rows.
+    for (const int64_t cols : {int64_t{1}, int64_t{37}, int64_t{128}, int64_t{131}}) {
+      const int64_t rows = n / cols;
+      const std::vector<float> mean = ew_operand(rows, 52, rows, /*with_nan=*/false);
+      std::vector<float> rstd = ew_operand(rows, 53, rows, /*with_nan=*/false);
+      for (float& r : rstd) r = std::fabs(r) + 0.25f;
+      for (const auto& [r0, r1] : {std::pair{int64_t{0}, rows}, std::pair{int64_t{1}, rows - 1}}) {
+        check("ln_xhat cols=" + std::to_string(cols) + " rows [" + std::to_string(r0) + ", " +
+                  std::to_string(r1) + ")",
+              [&](const kn::KernelTable& k, std::vector<float>& out) {
+                k.ln_xhat(a.data(), mean.data(), rstd.data(), out.data(), r0, r1, cols);
+              });
       }
     }
   });

@@ -57,9 +57,24 @@ TEST(Json, DoublesUseShortestRoundTrippingForm) {
 }
 
 TEST(Json, ParseReportsErrors) {
+  // Truncated input; a nesting run that would overflow the stack if the
+  // parser recursed without bound; u-escapes that are not four hex digits
+  // (strtol read "-001" as -1, "00zz" as 0 and " 07f" as 0x7f).
+  for (const std::string& text :
+       {std::string("{\"a\": "), std::string(1000000, '['),
+        std::string("\"\\u-001\""), std::string("\"\\u00zz\""),
+        std::string("\"\\u 07f\"")}) {
+    std::string err;
+    EXPECT_TRUE(json::Value::parse(text, &err).is_null()) << text.substr(0, 16);
+    EXPECT_FALSE(err.empty()) << text.substr(0, 16);
+  }
+  // Well inside the nesting bound, and a valid escape, still parse.
   std::string err;
-  EXPECT_TRUE(json::Value::parse("{\"a\": ", &err).is_null());
-  EXPECT_FALSE(err.empty());
+  const std::string nested = std::string(64, '[') + std::string(64, ']');
+  EXPECT_EQ(json::Value::parse(nested, &err).dump(), nested);
+  EXPECT_TRUE(err.empty()) << err;
+  EXPECT_EQ(json::Value::parse("\"\\u001F\"", &err).as_string(), "\x1f");
+  EXPECT_TRUE(err.empty()) << err;
 }
 
 TEST(Registry, CounterGaugeHistogramBasics) {
