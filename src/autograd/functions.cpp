@@ -273,66 +273,18 @@ Variable sigmoid(const Variable& a) {
 
 Variable bias_act(const Variable& x, const Variable& b, Act act) {
   if (act == Act::kNone) return add(x, b);
-  const ts::Tensor& xv = x.value();
-  const ts::Tensor& bv = b.value();
-  {
-    // Same right-aligned broadcast contract as add().
-    const int off = xv.rank() - bv.rank();
-    bool aligned = off >= 0;
-    for (int i = 0; aligned && i < bv.rank(); ++i) {
-      aligned = bv.dim(i) == xv.dim(i + off);
-    }
-    ACTCOMP_CHECK(aligned, "bias_act: shape " << bv.shape().str()
-                               << " does not right-align with "
-                               << xv.shape().str());
-  }
-
-  ts::Tensor pre;
-  ts::Tensor out;
-  if (act == Act::kGelu) {
-    // Tape-level fusion: the exact ts::add and ts::gelu kernels run, under
-    // one node, so the bytes match the composition's.
-    pre = ts::add(xv, bv);
-    out = ts::gelu(pre);
-  } else {  // Act::kRelu — one pass writes pre (kept for backward) and out.
-    pre = ts::Tensor{xv.shape()};
-    out = ts::Tensor{xv.shape()};
-    const auto dx = xv.data();
-    const auto db = bv.data();
-    auto dp = pre.data();
-    auto dout = out.data();
-    const int64_t nb = bv.numel();
-    const int64_t n = static_cast<int64_t>(dx.size());
-    ACTCOMP_CHECK(nb > 0 || n == 0, "bias_act: empty broadcast operand");
-    const auto& kt = ts::kernels::active_kernels();
-    core::parallel_for(0, n, kEwGrain, [&](int64_t lo, int64_t hi) {
-      kt.ew_bias_relu(dx.data(), db.data(), dp.data(), dout.data(), lo, hi, nb);
-    });
-  }
-
-  const bool is_relu = act == Act::kRelu;
+  // Tape-level fusion: the exact ts::add (which checks the broadcast) and
+  // ts::gelu kernels run, under one node, so the bytes match the
+  // composition's.
+  ts::Tensor pre = ts::add(x.value(), b.value());
+  ts::Tensor out = ts::gelu(pre);
   return Variable::make(
       std::move(out), {x, b},
-      [xn = x.node(), bn = b.node(), pre, is_relu](Node& n) {
+      [xn = x.node(), bn = b.node(), pre](Node& n) {
         // Replicates the composition's backward byte for byte: the
         // activation's vjp lands on the pre-activation, then the bias takes
         // the broadcast-reduced copy.
-        ts::Tensor gy;
-        if (is_relu) {
-          gy = n.grad.clone();
-          auto dg = gy.data();
-          const auto dp = pre.data();
-          core::parallel_for(0, static_cast<int64_t>(dg.size()), kEwGrain,
-                             [&](int64_t b0, int64_t e0) {
-                               for (int64_t i = b0; i < e0; ++i) {
-                                 if (dp[static_cast<size_t>(i)] <= 0.0f) {
-                                   dg[static_cast<size_t>(i)] = 0.0f;
-                                 }
-                               }
-                             });
-        } else {
-          gy = ts::mul(n.grad, ts::gelu_grad(pre));
-        }
+        const ts::Tensor gy = ts::mul(n.grad, ts::gelu_grad(pre));
         if (xn->requires_grad) xn->accumulate(gy);
         if (bn->requires_grad) {
           bn->accumulate(reduce_to_shape(gy, bn->value.shape()));

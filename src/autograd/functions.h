@@ -36,13 +36,12 @@ Variable tanh(const Variable& a);
 Variable sigmoid(const Variable& a);
 
 /// Activation applied by the fused bias epilogue.
-enum class Act { kNone, kRelu, kGelu };
+enum class Act { kNone, kGelu };
 
 /// Fused y = act(x + bias), with bias broadcast right-aligned like add().
 /// Byte-identical to add(x, bias) followed by the activation — the same
 /// kernel expressions run and the backward accumulates the same terms —
-/// but the tape carries one node, and the ReLU path computes bias + clamp
-/// in a single fused pass (KernelTable::ew_bias_relu).
+/// but the tape carries one node.
 Variable bias_act(const Variable& x, const Variable& bias, Act act);
 
 // ---- normalization / softmax ----

@@ -15,11 +15,6 @@ std::string ErrorFeedbackCompressor::name() const {
   return "ef(" + inner_->name() + ")";
 }
 
-void ErrorFeedbackCompressor::reset_residual() {
-  residual_ = tensor::Tensor();
-  has_residual_ = false;
-}
-
 tensor::Tensor ErrorFeedbackCompressor::shifted(const tensor::Tensor& x) {
   if (!has_residual_ || residual_.shape() != x.shape()) return x.clone();
   return tensor::add(x, residual_);

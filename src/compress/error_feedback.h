@@ -30,7 +30,6 @@ class ErrorFeedbackCompressor final : public Compressor {
   std::vector<autograd::Variable> parameters() override;
 
   const tensor::Tensor& residual() const { return residual_; }
-  void reset_residual();
 
  private:
   /// x + residual (allocating the residual lazily / on shape change).

@@ -27,15 +27,7 @@ autograd::Variable Linear::forward(const autograd::Variable& x,
                                            << x.value().shape().str());
   autograd::Variable y = autograd::matmul(x, weight_);
   if (bias_.defined()) return autograd::bias_act(y, bias_, act);
-  switch (act) {
-    case autograd::Act::kRelu:
-      return autograd::relu(y);
-    case autograd::Act::kGelu:
-      return autograd::gelu(y);
-    case autograd::Act::kNone:
-      break;
-  }
-  return y;
+  return act == autograd::Act::kGelu ? autograd::gelu(y) : y;
 }
 
 std::vector<NamedParam> Linear::named_parameters() const {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <unordered_map>
 
 namespace actcomp::obs::json {
 
@@ -52,6 +53,8 @@ void append_double(std::string& out, double v) {
 // this depth parse() fails instead of overflowing the stack on hostile
 // input. What the repo writes nests fewer than ten levels.
 constexpr int kMaxDepth = 256;
+
+}  // namespace
 
 struct Parser {
   std::string_view text;
@@ -152,6 +155,9 @@ struct Parser {
         ++pos;
         return true;
       }
+      // Key -> member position: a repeated key overwrites in O(1), not by
+      // set()'s scan, so an object parses in time linear in its size.
+      std::unordered_map<std::string, size_t> index;
       for (;;) {
         std::string key;
         skip_ws();
@@ -159,7 +165,12 @@ struct Parser {
         if (!consume(':')) return false;
         Value v;
         if (!parse_value(v)) return false;
-        out.set(key, std::move(v));
+        const auto [it, fresh] = index.try_emplace(key, out.members_.size());
+        if (fresh) {
+          out.members_.emplace_back(std::move(key), std::move(v));
+        } else {
+          out.members_[it->second].second = std::move(v);
+        }
         skip_ws();
         if (pos < text.size() && text[pos] == ',') {
           ++pos;
@@ -236,8 +247,6 @@ struct Parser {
     return true;
   }
 };
-
-}  // namespace
 
 void Value::push_back(Value v) {
   kind_ = Kind::kArray;

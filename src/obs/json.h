@@ -22,8 +22,9 @@ namespace actcomp::obs::json {
 
 class Value;
 using Array = std::vector<Value>;
-/// Objects preserve insertion order (the schema reads top-down) and reject
-/// duplicate keys on set().
+/// Objects preserve insertion order (the schema reads top-down) and hold
+/// each key once: set() on an existing key, like a repeated key in parse(),
+/// overwrites the value in the first key's position.
 using Member = std::pair<std::string, Value>;
 
 enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
@@ -80,6 +81,8 @@ class Value {
   static Value parse(std::string_view text, std::string* err = nullptr);
 
  private:
+  friend struct Parser;  // builds objects member by member, in linear time
+
   void dump_to(std::string& out, int indent, int depth) const;
 
   Kind kind_ = Kind::kNull;

@@ -18,14 +18,10 @@
 // profiled under a 4-lane pool aggregates to the exact same tree (same
 // paths, same counts) as under 1 lane; only the timings differ.
 //
-// Cost contract: compiled out (cmake -DACTCOMP_PROFILE=0, which defines
-// ACTCOMP_PROFILE_ENABLED=0) the macro expands to nothing and the helpers
-// below are empty inlines — the binary is bit-identical in behaviour to an
-// uninstrumented build. Compiled in but runtime-disabled (the default), a
-// zone costs one relaxed atomic load. Enabled (ACTCOMP_PROF=1 or
-// set_profiler_enabled(true)), a zone costs two clock reads plus a
-// thread-local map hit — <2% on the end-to-end fine-tune step, enforced by
-// `./ci.sh bench`'s overhead gate.
+// Cost contract: runtime-disabled (the default), a zone costs one relaxed
+// atomic load. Enabled (ACTCOMP_PROF=1 or set_profiler_enabled(true)), a
+// zone costs two clock reads plus a thread-local map hit — <2% on the
+// end-to-end fine-tune step, enforced by `./ci.sh bench`'s overhead gate.
 #pragma once
 
 #include <atomic>
@@ -34,19 +30,12 @@
 #include <string>
 #include <vector>
 
-#ifndef ACTCOMP_PROFILE_ENABLED
-#define ACTCOMP_PROFILE_ENABLED 1
-#endif
-
 namespace actcomp::obs {
 
 /// Runtime switch. Initialized from the ACTCOMP_PROF env var (unset/0 =
 /// off); flipping it mid-run is allowed (zones straddling the flip record).
 bool profiler_enabled();
 void set_profiler_enabled(bool on);
-
-/// False when the build compiled zones out (ACTCOMP_PROFILE=0).
-constexpr bool profiler_compiled_in() { return ACTCOMP_PROFILE_ENABLED != 0; }
 
 /// One node of the aggregated zone tree, in deterministic order: depth-first
 /// from the root, siblings sorted by name.
@@ -89,8 +78,6 @@ void record_zone(uint32_t id, uint32_t parent, int64_t start_ns, int64_t end_ns)
 int64_t now_ns();
 
 }  // namespace detail
-
-#if ACTCOMP_PROFILE_ENABLED
 
 /// RAII zone. Prefer the ACTCOMP_PROFILE macro; `name` must outlive the
 /// profiler (string literals only).
@@ -140,21 +127,5 @@ inline uint32_t current_zone_id() { return detail::current_zone(); }
 #define ACTCOMP_PROF_CONCAT(a, b) ACTCOMP_PROF_CONCAT2(a, b)
 #define ACTCOMP_PROFILE(name) \
   ::actcomp::obs::ScopedZone ACTCOMP_PROF_CONCAT(actcomp_prof_zone_, __COUNTER__)(name)
-
-#else  // ACTCOMP_PROFILE_ENABLED == 0: every hook is a no-op.
-
-class ScopedZone {
- public:
-  explicit ScopedZone(const char*) {}
-};
-class ZoneContext {
- public:
-  explicit ZoneContext(uint32_t) {}
-};
-inline uint32_t current_zone_id() { return 0; }
-
-#define ACTCOMP_PROFILE(name) ((void)0)
-
-#endif  // ACTCOMP_PROFILE_ENABLED
 
 }  // namespace actcomp::obs

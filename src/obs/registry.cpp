@@ -135,18 +135,4 @@ json::Value Registry::snapshot() const {
   return out;
 }
 
-void Registry::reset() {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mu);
-  for (auto& [name, metric] : i.metrics) {
-    if (auto* c = std::get_if<std::unique_ptr<Counter>>(&metric)) {
-      (*c)->reset();
-    } else if (auto* g = std::get_if<std::unique_ptr<Gauge>>(&metric)) {
-      (*g)->reset();
-    } else if (auto* h = std::get_if<std::unique_ptr<Histogram>>(&metric)) {
-      (*h)->reset();
-    }
-  }
-}
-
 }  // namespace actcomp::obs

@@ -48,7 +48,6 @@ class Gauge {
   double value() const {
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
   }
-  void reset() { set(0.0); }
 
  private:
   std::atomic<int64_t> bits_{std::bit_cast<int64_t>(0.0)};
@@ -95,9 +94,6 @@ class Registry {
   /// JSON object, one member per metric, sorted by name. Counters serialize
   /// as integers, gauges as doubles, histograms as {count, sum, min, max}.
   json::Value snapshot() const;
-
-  /// Zero every registered metric (names stay registered).
-  void reset();
 
   /// Opaque storage; defined (and only reachable) in registry.cpp.
   struct Impl;

@@ -99,7 +99,7 @@ json::Value RunReport::to_json() const {
   if (tables_.size() > 0) root.set("tables", tables_);
   if (records_.size() > 0) root.set("records", records_);
   root.set("counters", Registry::instance().snapshot());
-  if (profiler_compiled_in() && profiler_enabled()) {
+  if (profiler_enabled()) {
     json::Value zones = json::Value::array();
     for (const ZoneStats& z : snapshot_zones()) {
       json::Value zv = json::Value::object();

@@ -2,27 +2,10 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
-#include <stdexcept>
-#include <string>
+
+#include "tensor/check.h"
 
 namespace actcomp::sim {
-
-namespace {
-
-[[noreturn]] void fail(const std::string& msg) {
-  throw std::invalid_argument("FaultProfile: " + msg);
-}
-
-void check_finite_nonneg(double v, const char* name) {
-  if (!std::isfinite(v) || v < 0.0) {
-    std::ostringstream os;
-    os << name << " = " << v << " — must be finite and non-negative";
-    fail(os.str());
-  }
-}
-
-}  // namespace
 
 bool FaultProfile::enabled() const {
   return compute_jitter > 0.0 ||
@@ -30,45 +13,38 @@ bool FaultProfile::enabled() const {
 }
 
 void FaultProfile::validate() const {
-  std::ostringstream os;
-  check_finite_nonneg(compute_jitter, "compute_jitter");
-  if (!std::isfinite(straggler_slowdown) || straggler_slowdown < 1.0) {
-    os << "straggler_slowdown = " << straggler_slowdown << " — must be >= 1";
-    fail(os.str());
-  }
-  if (straggler_stage < -1) {
-    os << "straggler_stage = " << straggler_stage << " — must be >= -1";
-    fail(os.str());
-  }
-  if (faulty_boundary < -1) {
-    os << "faulty_boundary = " << faulty_boundary << " — must be >= -1";
-    fail(os.str());
-  }
-  if (!std::isfinite(link.degrade_factor) || link.degrade_factor < 1.0) {
-    os << "link.degrade_factor = " << link.degrade_factor
-       << " — must be >= 1 (faults only lengthen transfers)";
-    fail(os.str());
-  }
-  if (!std::isfinite(link.outage_rate) || link.outage_rate < 0.0 ||
-      link.outage_rate >= 1.0) {
-    os << "link.outage_rate = " << link.outage_rate << " — must be in [0, 1)";
-    fail(os.str());
-  }
-  check_finite_nonneg(link.timeout_ms, "link.timeout_ms");
-  check_finite_nonneg(link.backoff_ms, "link.backoff_ms");
-  if (link.outage_rate > 0.0 &&
-      (link.max_retries < 1 || link.max_retries > 16)) {
-    os << "link.max_retries = " << link.max_retries
-       << " — must be in [1, 16] when outage_rate > 0";
-    fail(os.str());
-  }
-  check_finite_nonneg(crash.mtbf_ms, "crash.mtbf_ms");
-  check_finite_nonneg(crash.detect_ms, "crash.detect_ms");
-  check_finite_nonneg(crash.restart_ms, "crash.restart_ms");
-  if (crash.num_stages < 1) {
-    os << "crash.num_stages = " << crash.num_stages << " — must be >= 1";
-    fail(os.str());
-  }
+  auto nonneg = [](double v, const char* name) {
+    ACTCOMP_CHECK(std::isfinite(v) && v >= 0.0,
+                  "FaultProfile: " << name << " = " << v
+                                   << " — must be finite and non-negative");
+  };
+  nonneg(compute_jitter, "compute_jitter");
+  ACTCOMP_CHECK(std::isfinite(straggler_slowdown) && straggler_slowdown >= 1.0,
+                "FaultProfile: straggler_slowdown = " << straggler_slowdown
+                                                      << " — must be >= 1");
+  ACTCOMP_CHECK(straggler_stage >= -1, "FaultProfile: straggler_stage = "
+                                           << straggler_stage
+                                           << " — must be >= -1");
+  ACTCOMP_CHECK(faulty_boundary >= -1, "FaultProfile: faulty_boundary = "
+                                           << faulty_boundary
+                                           << " — must be >= -1");
+  ACTCOMP_CHECK(std::isfinite(link.degrade_factor) &&
+                    link.degrade_factor >= 1.0,
+                "FaultProfile: link.degrade_factor = "
+                    << link.degrade_factor
+                    << " — must be >= 1 (faults only lengthen transfers)");
+  ACTCOMP_CHECK(std::isfinite(link.outage_rate) && link.outage_rate >= 0.0 &&
+                    link.outage_rate < 1.0,
+                "FaultProfile: link.outage_rate = " << link.outage_rate
+                                                    << " — must be in [0, 1)");
+  nonneg(link.timeout_ms, "link.timeout_ms");
+  nonneg(link.backoff_ms, "link.backoff_ms");
+  ACTCOMP_CHECK(link.outage_rate <= 0.0 ||
+                    (link.max_retries >= 1 && link.max_retries <= 16),
+                "FaultProfile: link.max_retries = "
+                    << link.max_retries
+                    << " — must be in [1, 16] when outage_rate > 0");
+  crash.validate();
 }
 
 FaultProfile FaultProfile::none() { return {}; }
@@ -118,13 +94,11 @@ FaultInjector::FaultInjector(const FaultProfile& profile)
   enabled_ = profile_.enabled();
 }
 
-double FaultInjector::next_uniform() { return uniform_raw(rng_); }
-
 double FaultInjector::compute_multiplier(int stage) {
   if (!enabled_) return 1.0;
   double mul = 1.0;
   if (profile_.compute_jitter > 0.0) {
-    mul += profile_.compute_jitter * next_uniform();
+    mul += profile_.compute_jitter * uniform_raw(rng_);
   }
   if (stage == profile_.straggler_stage) mul *= profile_.straggler_slowdown;
   return mul;
@@ -145,7 +119,7 @@ int FaultInjector::draw_outages(int boundary) {
   }
   int fails = 0;
   while (fails < profile_.link.max_retries &&
-         next_uniform() < profile_.link.outage_rate) {
+         uniform_raw(rng_) < profile_.link.outage_rate) {
     ++fails;
   }
   return fails;
@@ -161,29 +135,24 @@ bool ReplicaFaultSpec::enabled() const {
 }
 
 void ReplicaFaultSpec::validate() const {
-  auto fail_spec = [](const std::string& msg) {
-    throw std::invalid_argument("ReplicaFaultSpec: " + msg);
+  auto nonneg = [](double v, const char* name) {
+    ACTCOMP_CHECK(std::isfinite(v) && v >= 0.0,
+                  "ReplicaFaultSpec: " << name << " = " << v
+                                       << " — must be finite and non-negative");
   };
-  auto check = [&](double v, const char* name) {
-    if (!std::isfinite(v) || v < 0.0) {
-      std::ostringstream os;
-      os << name << " = " << v << " — must be finite and non-negative";
-      fail_spec(os.str());
-    }
-  };
-  check(mtbf_ms, "mtbf_ms");
-  check(repair_ms, "repair_ms");
-  check(slow_mtbf_ms, "slow_mtbf_ms");
-  check(slow_duration_ms, "slow_duration_ms");
-  if (!std::isfinite(slow_factor) || slow_factor < 1.0) {
-    std::ostringstream os;
-    os << "slow_factor = " << slow_factor
-       << " — must be >= 1 (faults only lengthen steps)";
-    fail_spec(os.str());
-  }
-  if (slow_mtbf_ms > 0.0 && slow_factor > 1.0 && slow_duration_ms <= 0.0) {
-    fail_spec("slow_duration_ms must be > 0 when brown-outs are enabled");
-  }
+  nonneg(mtbf_ms, "mtbf_ms");
+  nonneg(repair_ms, "repair_ms");
+  nonneg(slow_mtbf_ms, "slow_mtbf_ms");
+  nonneg(slow_duration_ms, "slow_duration_ms");
+  ACTCOMP_CHECK(std::isfinite(slow_factor) && slow_factor >= 1.0,
+                "ReplicaFaultSpec: slow_factor = "
+                    << slow_factor
+                    << " — must be >= 1 (faults only lengthen steps)");
+  ACTCOMP_CHECK(slow_mtbf_ms <= 0.0 || slow_factor <= 1.0 ||
+                    slow_duration_ms > 0.0,
+                "ReplicaFaultSpec: slow_duration_ms = "
+                    << slow_duration_ms
+                    << " — must be > 0 when brown-outs are enabled");
 }
 
 ReplicaFaultProcess::ReplicaFaultProcess(const ReplicaFaultSpec& spec)
@@ -195,31 +164,26 @@ ReplicaFaultProcess::ReplicaFaultProcess(const ReplicaFaultSpec& spec)
   spec_.validate();
 }
 
-double ReplicaFaultProcess::next_exponential(std::mt19937_64& rng,
-                                             double mean_ms) {
-  // Inverse-CDF on the raw-draw uniform: portable seeded realization.
-  return -std::log(1.0 - uniform_raw(rng)) * mean_ms;
-}
-
 double ReplicaFaultProcess::draw_crash_after(double from_ms) {
   if (spec_.mtbf_ms <= 0.0) {
     return std::numeric_limits<double>::infinity();
   }
-  return from_ms + next_exponential(crash_rng_, spec_.mtbf_ms);
+  return from_ms + exponential_raw(crash_rng_, spec_.mtbf_ms);
 }
 
 double ReplicaFaultProcess::slow_multiplier_at(double start_ms) {
   if (spec_.slow_mtbf_ms <= 0.0 || spec_.slow_factor <= 1.0) return 1.0;
   if (!slow_seeded_) {
     slow_seeded_ = true;
-    slow_start_ms_ = next_exponential(slow_rng_, spec_.slow_mtbf_ms);
+    slow_start_ms_ = exponential_raw(slow_rng_, spec_.slow_mtbf_ms);
     slow_end_ms_ = slow_start_ms_ + spec_.slow_duration_ms;
   }
   // Advance past windows that ended before this step starts. Healthy gaps
   // are exponential, windows a fixed length, so the sequence is a renewal
   // process materialized lazily in step-start order.
   while (start_ms >= slow_end_ms_) {
-    slow_start_ms_ = slow_end_ms_ + next_exponential(slow_rng_, spec_.slow_mtbf_ms);
+    slow_start_ms_ =
+        slow_end_ms_ + exponential_raw(slow_rng_, spec_.slow_mtbf_ms);
     slow_end_ms_ = slow_start_ms_ + spec_.slow_duration_ms;
   }
   return start_ms >= slow_start_ms_ ? spec_.slow_factor : 1.0;

@@ -26,6 +26,7 @@
 // invariant (tests/engine_test.cpp sweeps it over seeds).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 
@@ -40,6 +41,13 @@ namespace actcomp::sim {
 /// seeded fault patterns a portable golden-test surface.
 inline double uniform_raw(std::mt19937_64& rng) {
   return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+}
+
+/// Exponential draw with mean `mean` by inverse CDF on uniform_raw (1 - u
+/// lies in (0, 1], so the log is finite): the crash arrivals of
+/// simulate_recovery and both renewal processes of ReplicaFaultProcess.
+inline double exponential_raw(std::mt19937_64& rng, double mean) {
+  return -std::log(1.0 - uniform_raw(rng)) * mean;
 }
 
 /// A complete fault scenario. Default-constructed = everything disabled; the
@@ -113,12 +121,10 @@ class FaultInjector {
 
  private:
   bool link_faulty(int boundary) const;
-  /// U[0, 1) from the profile's own engine (uniform_raw above).
-  double next_uniform();
 
   FaultProfile profile_;
   bool enabled_ = false;
-  std::mt19937_64 rng_;
+  std::mt19937_64 rng_;  ///< every draw goes through uniform_raw above
 };
 
 /// Fault scenario for ONE serving replica (sim/serving_resilience.h). Two
@@ -177,8 +183,6 @@ class ReplicaFaultProcess {
   double slow_multiplier_at(double start_ms);
 
  private:
-  double next_exponential(std::mt19937_64& rng, double mean_ms);
-
   ReplicaFaultSpec spec_;
   std::mt19937_64 crash_rng_;
   std::mt19937_64 slow_rng_;

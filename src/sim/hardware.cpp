@@ -21,6 +21,19 @@ int TopologySpec::tiers(int nodes) const {
   return t;
 }
 
+void CrashSpec::validate() const {
+  auto nonneg = [](double v, const char* name) {
+    ACTCOMP_CHECK(std::isfinite(v) && v >= 0.0,
+                  "CrashSpec: " << name << " = " << v
+                                << " — must be finite and non-negative");
+  };
+  nonneg(mtbf_ms, "mtbf_ms");
+  nonneg(detect_ms, "detect_ms");
+  nonneg(restart_ms, "restart_ms");
+  ACTCOMP_CHECK(num_stages >= 1, "CrashSpec: num_stages = "
+                                     << num_stages << " — must be >= 1");
+}
+
 LinkSpec TopologySpec::cross_node(const LinkSpec& inter, int nodes) const {
   if (spine == Spine::kFlat) return inter;
   LinkSpec l = inter;
@@ -31,13 +44,6 @@ LinkSpec TopologySpec::cross_node(const LinkSpec& inter, int nodes) const {
     l.bandwidth_gb_s = inter.bandwidth_gb_s / oversubscription;
   }
   return l;
-}
-
-LinkSpec ClusterSpec::link_between(int nodes_spanned) const {
-  ACTCOMP_CHECK(nodes_spanned >= 1,
-                "ClusterSpec: nodes_spanned must be >= 1, got " << nodes_spanned);
-  if (nodes_spanned == 1) return intra_node;
-  return topology.cross_node(inter_node, nodes_spanned);
 }
 
 void ClusterSpec::validate() const {

@@ -70,6 +70,10 @@ struct CrashSpec {
   double restart_ms = 0.0;
 
   bool enabled() const { return mtbf_ms > 0.0; }
+  /// Throws std::invalid_argument with a "CrashSpec: ..." message on
+  /// non-finite or negative times, or num_stages < 1. FaultProfile and
+  /// RecoveryConfig both validate their crash spec through it.
+  void validate() const;
   /// Job-level MTBF: mtbf_ms / num_stages.
   double effective_mtbf_ms() const {
     return mtbf_ms / static_cast<double>(num_stages);
@@ -126,10 +130,6 @@ struct ClusterSpec {
   GpuSpec gpu;
 
   int total_gpus() const { return num_nodes * gpus_per_node; }
-
-  /// The link seen by traffic between two GPUs `nodes_spanned` nodes apart:
-  /// intra_node within an island, otherwise the spine-adjusted inter link.
-  LinkSpec link_between(int nodes_spanned) const;
 
   /// Validates counts and link parameters; throws std::invalid_argument
   /// with a "ClusterSpec: ..." message naming the offending field. Factories

@@ -5,65 +5,27 @@
 #include <limits>
 #include <ostream>
 #include <random>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/registry.h"
+#include "sim/faults.h"
+#include "tensor/check.h"
 
 namespace actcomp::sim {
 
-namespace {
-
-[[noreturn]] void fail(const std::string& msg) {
-  throw std::invalid_argument("RecoveryConfig: " + msg);
-}
-
-void check_finite_nonneg(double v, const char* name) {
-  if (!std::isfinite(v) || v < 0.0) {
-    std::ostringstream os;
-    os << name << " = " << v << " — must be finite and non-negative";
-    fail(os.str());
-  }
-}
-
-/// Same 53-bit construction as FaultInjector::next_uniform — identical
-/// crash realizations across standard libraries.
-double next_uniform(std::mt19937_64& rng) {
-  return static_cast<double>(rng() >> 11) * 0x1.0p-53;
-}
-
-double draw_exponential(std::mt19937_64& rng, double mean) {
-  // Inverse CDF on (0, 1]; 1 - u avoids log(0).
-  return -mean * std::log(1.0 - next_uniform(rng));
-}
-
-}  // namespace
-
 void RecoveryConfig::validate() const {
-  if (!std::isfinite(step_ms) || step_ms <= 0.0) {
-    std::ostringstream os;
-    os << "step_ms = " << step_ms << " — must be finite and positive";
-    fail(os.str());
-  }
-  if (total_steps < 1) {
-    std::ostringstream os;
-    os << "total_steps = " << total_steps << " — must be >= 1";
-    fail(os.str());
-  }
-  if (ckpt_interval_steps < 0) {
-    std::ostringstream os;
-    os << "ckpt_interval_steps = " << ckpt_interval_steps << " — must be >= 0";
-    fail(os.str());
-  }
-  check_finite_nonneg(ckpt_cost_ms, "ckpt_cost_ms");
-  check_finite_nonneg(crash.mtbf_ms, "crash.mtbf_ms");
-  check_finite_nonneg(crash.detect_ms, "crash.detect_ms");
-  check_finite_nonneg(crash.restart_ms, "crash.restart_ms");
-  if (crash.num_stages < 1) {
-    std::ostringstream os;
-    os << "crash.num_stages = " << crash.num_stages << " — must be >= 1";
-    fail(os.str());
-  }
+  ACTCOMP_CHECK(std::isfinite(step_ms) && step_ms > 0.0,
+                "RecoveryConfig: step_ms = "
+                    << step_ms << " — must be finite and positive");
+  ACTCOMP_CHECK(total_steps >= 1, "RecoveryConfig: total_steps = "
+                                      << total_steps << " — must be >= 1");
+  ACTCOMP_CHECK(ckpt_interval_steps >= 0,
+                "RecoveryConfig: ckpt_interval_steps = " << ckpt_interval_steps
+                                                         << " — must be >= 0");
+  ACTCOMP_CHECK(std::isfinite(ckpt_cost_ms) && ckpt_cost_ms >= 0.0,
+                "RecoveryConfig: ckpt_cost_ms = "
+                    << ckpt_cost_ms << " — must be finite and non-negative");
+  crash.validate();
 }
 
 const char* recovery_segment_label(RecoverySegmentKind k) {
@@ -92,7 +54,7 @@ RecoveryResult simulate_recovery(const RecoveryConfig& cfg) {
   int64_t safe = 0;        // last checkpointed step
   int64_t high_water = 0;  // furthest step ever completed (replay boundary)
   double next_crash = crashes_on
-                          ? draw_exponential(rng, mtbf)
+                          ? exponential_raw(rng, mtbf)
                           : std::numeric_limits<double>::infinity();
 
   auto emit = [&](RecoverySegmentKind kind, double start, double end,
@@ -155,7 +117,7 @@ RecoveryResult simulate_recovery(const RecoveryConfig& cfg) {
       t += cfg.crash.restart_ms;
       r.downtime_ms += cfg.crash.detect_ms + cfg.crash.restart_ms;
       done = safe;  // rollback-and-replay from the last checkpoint
-      next_crash = t + draw_exponential(rng, mtbf);
+      next_crash = t + exponential_raw(rng, mtbf);
       continue;
     }
 
@@ -180,7 +142,7 @@ RecoveryResult simulate_recovery(const RecoveryConfig& cfg) {
       t += cfg.crash.restart_ms;
       r.downtime_ms += cfg.crash.detect_ms + cfg.crash.restart_ms;
       done = safe;
-      next_crash = t + draw_exponential(rng, mtbf);
+      next_crash = t + exponential_raw(rng, mtbf);
       continue;
     }
     emit(RecoverySegmentKind::kCheckpoint, t, t + cfg.ckpt_cost_ms, 0, 0);
@@ -198,22 +160,16 @@ RecoveryResult simulate_recovery(const RecoveryConfig& cfg) {
 }
 
 double young_daly_interval_ms(double ckpt_cost_ms, double effective_mtbf_ms) {
-  if (!(ckpt_cost_ms > 0.0) || !(effective_mtbf_ms > 0.0)) {
-    std::ostringstream os;
-    os << "young_daly_interval_ms needs positive checkpoint cost and MTBF, got "
-       << ckpt_cost_ms << " / " << effective_mtbf_ms;
-    throw std::invalid_argument(os.str());
-  }
+  ACTCOMP_CHECK(ckpt_cost_ms > 0.0 && effective_mtbf_ms > 0.0,
+                "young_daly_interval_ms needs positive checkpoint cost and "
+                "MTBF, got " << ckpt_cost_ms << " / " << effective_mtbf_ms);
   return std::sqrt(2.0 * ckpt_cost_ms * effective_mtbf_ms);
 }
 
 double analytic_wall_ms(const RecoveryConfig& cfg, double interval_ms) {
   cfg.validate();
-  if (!(interval_ms > 0.0)) {
-    std::ostringstream os;
-    os << "interval_ms = " << interval_ms << " — must be positive";
-    throw std::invalid_argument(os.str());
-  }
+  ACTCOMP_CHECK(interval_ms > 0.0,
+                "interval_ms = " << interval_ms << " — must be positive");
   const double work = static_cast<double>(cfg.total_steps) * cfg.step_ms;
   const double ckpt_overhead = cfg.ckpt_cost_ms / interval_ms;
   if (!cfg.crash.enabled()) {
@@ -229,20 +185,16 @@ double analytic_wall_ms(const RecoveryConfig& cfg, double interval_ms) {
   return work * (1.0 + ckpt_overhead) * (1.0 + rework / mtbf);
 }
 
-double analytic_goodput(const RecoveryConfig& cfg, double interval_ms) {
-  const double wall = analytic_wall_ms(cfg, interval_ms);
-  return wall > 0.0 ? static_cast<double>(cfg.total_steps) / wall * 1e3 : 0.0;
-}
-
 IntervalSweepResult sweep_checkpoint_interval(const RecoveryConfig& base,
                                               int trials, double span,
                                               int grid_points) {
   base.validate();
-  if (trials < 1) fail("sweep needs trials >= 1");
-  if (!(span > 1.0) || grid_points < 2) fail("sweep needs span > 1 and >= 2 grid points");
-  if (!base.crash.enabled() || base.ckpt_cost_ms <= 0.0) {
-    fail("sweep needs crashes enabled and a positive checkpoint cost");
-  }
+  ACTCOMP_CHECK(trials >= 1, "RecoveryConfig: sweep needs trials >= 1");
+  ACTCOMP_CHECK(span > 1.0 && grid_points >= 2,
+                "RecoveryConfig: sweep needs span > 1 and >= 2 grid points");
+  ACTCOMP_CHECK(base.crash.enabled() && base.ckpt_cost_ms > 0.0,
+                "RecoveryConfig: sweep needs crashes enabled and a positive "
+                "checkpoint cost");
 
   IntervalSweepResult out;
   out.young_daly_ms =

@@ -96,10 +96,9 @@ RecoveryResult simulate_recovery(const RecoveryConfig& cfg);
 /// between checkpoints. Requires C > 0 and M > 0.
 double young_daly_interval_ms(double ckpt_cost_ms, double effective_mtbf_ms);
 
-/// First-order expected wall clock / goodput at interval tau (formula
-/// above). With crashes disabled this is exact: T + C * floor((steps-1)/k).
+/// First-order expected wall clock at interval tau (formula above). With
+/// crashes disabled this is exact: T + C * floor((steps-1)/k).
 double analytic_wall_ms(const RecoveryConfig& cfg, double interval_ms);
-double analytic_goodput(const RecoveryConfig& cfg, double interval_ms);
 
 /// Monte-Carlo sweep of the checkpoint interval: geometric grid of
 /// `grid_points` intervals spanning [tau*/span, tau* x span] around the

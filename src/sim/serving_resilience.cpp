@@ -20,66 +20,34 @@ const char* route_policy_label(RoutePolicy p) {
   return "?";
 }
 
-const char* request_outcome_label(RequestOutcome o) {
-  switch (o) {
-    case RequestOutcome::kCompleted: return "completed";
-    case RequestOutcome::kShed: return "shed";
-    case RequestOutcome::kFailed: return "failed";
-  }
-  return "?";
-}
-
 SloDegradationController::SloDegradationController(
     const ServingDegradeSpec& spec, double slo_p99_ms, int num_levels)
-    : spec_(spec), slo_ms_(slo_p99_ms), num_levels_(num_levels) {
-  ACTCOMP_CHECK(spec.window >= 1, "SloDegradationController: window = "
+    : spec_(spec),
+      slo_ms_(slo_p99_ms),
+      ladder_(num_levels, spec.hold_windows) {
+  ACTCOMP_CHECK(spec.window >= 1, "ServingDegradeSpec.window = "
                                       << spec.window << ", must be >= 1");
-  ACTCOMP_CHECK(spec.hold_windows >= 1,
-                "SloDegradationController: hold_windows = "
-                    << spec.hold_windows << ", must be >= 1");
-  ACTCOMP_CHECK(
-      spec.recover_fraction > 0.0 && spec.recover_fraction < 1.0,
-      "SloDegradationController: recover_fraction = " << spec.recover_fraction
-                                                      << ", must be in (0, 1)");
+  ACTCOMP_CHECK(spec.recover_fraction > 0.0 && spec.recover_fraction < 1.0,
+                "ServingDegradeSpec.recover_fraction = "
+                    << spec.recover_fraction << ", must be in (0, 1)");
   ACTCOMP_CHECK(std::isfinite(slo_p99_ms) && slo_p99_ms > 0.0,
                 "SloDegradationController: slo_p99_ms = " << slo_p99_ms
                                                           << ", must be > 0");
-  ACTCOMP_CHECK(num_levels >= 1, "SloDegradationController: num_levels = "
-                                     << num_levels << ", must be >= 1");
-  buf_.reserve(static_cast<size_t>(spec.window));
 }
 
 int SloDegradationController::observe_e2e(double e2e_ms) {
   buf_.push_back(e2e_ms);
-  if (buf_.size() < static_cast<size_t>(spec_.window)) return level_;
+  if (buf_.size() < static_cast<size_t>(spec_.window)) return level();
   last_p99_ = latency_percentiles(buf_).p99_ms;
   buf_.clear();
   // Dead band between the escalate threshold (the SLO) and the recover
-  // threshold (recover_fraction x SLO): a p99 sitting between them resets
-  // both runs, so the controller cannot oscillate on a constant load.
-  if (last_p99_ > slo_ms_) {
-    ++over_run_;
-    under_run_ = 0;
-  } else if (last_p99_ < spec_.recover_fraction * slo_ms_) {
-    ++under_run_;
-    over_run_ = 0;
-  } else {
-    over_run_ = 0;
-    under_run_ = 0;
-  }
-  if (over_run_ >= spec_.hold_windows && level_ < num_levels_ - 1) {
-    ++level_;
-    ++escalations_;
-    max_seen_ = std::max(max_seen_, level_);
-    over_run_ = 0;
-    under_run_ = 0;
-  } else if (under_run_ >= spec_.hold_windows && level_ > 0) {
-    --level_;
-    ++deescalations_;
-    over_run_ = 0;
-    under_run_ = 0;
-  }
-  return level_;
+  // threshold (recover_fraction x SLO): a p99 sitting between them is a band
+  // reading, so the controller cannot oscillate on a constant load.
+  using Reading = HysteresisLadder::Reading;
+  return ladder_.observe(last_p99_ > slo_ms_ ? Reading::kBreach
+                         : last_p99_ < spec_.recover_fraction * slo_ms_
+                             ? Reading::kHealthy
+                             : Reading::kBand);
 }
 
 void validate_resilient_serving_inputs(
@@ -137,17 +105,10 @@ void validate_resilient_serving_inputs(
     ACTCOMP_CHECK(cfg.cost_ladder.size() >= 2,
                   "ServingDegradeSpec.enabled requires a cost_ladder with "
                   ">= 2 rungs — there is nothing to escalate to");
-    ACTCOMP_CHECK(cfg.degrade.window >= 1, "ServingDegradeSpec.window = "
-                                               << cfg.degrade.window
-                                               << ", must be >= 1");
-    ACTCOMP_CHECK(cfg.degrade.hold_windows >= 1,
-                  "ServingDegradeSpec.hold_windows = "
-                      << cfg.degrade.hold_windows << ", must be >= 1");
-    ACTCOMP_CHECK(cfg.degrade.recover_fraction > 0.0 &&
-                      cfg.degrade.recover_fraction < 1.0,
-                  "ServingDegradeSpec.recover_fraction = "
-                      << cfg.degrade.recover_fraction
-                      << ", must be in (0, 1)");
+    // The controller's constructor checks window, hold_windows and
+    // recover_fraction.
+    SloDegradationController(cfg.degrade, cfg.slo_e2e_p99_ms,
+                             static_cast<int>(cfg.cost_ladder.size()));
   }
 }
 

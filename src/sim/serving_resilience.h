@@ -22,10 +22,10 @@
 //     reserved + queued KV tokens would exceed max_queued_tokens) and
 //     predicted-wait shedding at the routed replica; shed requests are
 //     reported separately and never pollute the latency percentiles;
-//   * SLO-aware degradation — a serving-side generalization of
-//     train/resilience's hysteresis controller: measured e2e p99 over a
-//     sliding window breaching the SLO escalates the fleet one rung down the
-//     compression cost ladder (w/o -> Q8 -> Q2/T3, built by
+//   * SLO-aware degradation — the serving-side signal adapter over the
+//     sim::HysteresisLadder that train/resilience also drives: measured e2e
+//     p99 over a sliding window breaching the SLO escalates the fleet one
+//     rung down the compression cost ladder (w/o -> Q8 -> Q2/T3, built by
 //     parallel::make_serving_cost_ladder); sustained recovery de-escalates.
 //     This operationalizes the paper's thesis — compression buys little on a
 //     healthy fleet but recovers the SLO on a degraded one.
@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "sim/faults.h"
+#include "sim/hysteresis.h"
 #include "sim/serving.h"
 
 namespace actcomp::sim {
@@ -78,8 +79,8 @@ struct AdmissionPolicy {
 };
 
 /// Hysteresis spec for the SLO degradation controller (the serving twin of
-/// train::DegradeSpec): p99 over each `window` completions is compared to the
-/// SLO; `hold_windows` consecutive breaches escalate one ladder rung,
+/// train::ResilienceConfig): p99 over each `window` completions is compared
+/// to the SLO; `hold_windows` consecutive breaches escalate one ladder rung,
 /// `hold_windows` consecutive windows below recover_fraction x SLO
 /// de-escalate one. The dead band between the two thresholds is what makes
 /// oscillation on a constant load impossible.
@@ -90,32 +91,34 @@ struct ServingDegradeSpec {
   double recover_fraction = 0.7; ///< de-escalate below this fraction of SLO
 };
 
-/// Standalone, unit-testable controller. Feed it every completed request's
-/// e2e latency in completion order; read back the active ladder level.
+/// Windowed-p99 adapter over HysteresisLadder: each full window of e2e
+/// latencies is one reading. Standalone and unit-testable: feed it every
+/// completed request's e2e latency in completion order; read back the
+/// active ladder level.
 class SloDegradationController {
  public:
   /// Throws std::invalid_argument on window/hold_windows < 1,
   /// recover_fraction outside (0, 1), slo_p99_ms <= 0, or num_levels < 1.
+  /// validate_resilient_serving_inputs checks a fleet's spec through it.
   SloDegradationController(const ServingDegradeSpec& spec, double slo_p99_ms,
                            int num_levels);
 
   /// Records one completion; returns the (possibly changed) active level.
   int observe_e2e(double e2e_ms);
 
-  int level() const { return level_; }
-  int max_level_seen() const { return max_seen_; }
-  int escalations() const { return escalations_; }
-  int deescalations() const { return deescalations_; }
+  int level() const { return ladder_.level(); }
+  int max_level_seen() const { return ladder_.max_level_seen(); }
+  int escalations() const { return static_cast<int>(ladder_.escalations()); }
+  int deescalations() const {
+    return static_cast<int>(ladder_.deescalations());
+  }
   /// p99 of the most recently completed window (0 before the first window).
   double last_window_p99() const { return last_p99_; }
 
  private:
   ServingDegradeSpec spec_;
   double slo_ms_;
-  int num_levels_;
-  int level_ = 0, max_seen_ = 0;
-  int escalations_ = 0, deescalations_ = 0;
-  int over_run_ = 0, under_run_ = 0;
+  HysteresisLadder ladder_;
   double last_p99_ = 0.0;
   std::vector<double> buf_;
 };
@@ -153,7 +156,6 @@ enum class RequestOutcome {
   kShed,      ///< rejected at admission, never dispatched
   kFailed,    ///< every attempt died (crash/timeout), retries exhausted
 };
-const char* request_outcome_label(RequestOutcome o);
 
 struct ReplicaStats {
   int64_t completed = 0;  ///< requests whose winning copy ran here

@@ -1,7 +1,7 @@
 #include "tensor/io.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
@@ -41,12 +41,20 @@ Tensor read_tensor(std::istream& is) {
   ACTCOMP_CHECK(rank <= 8, "implausible tensor rank " << rank << " in stream");
   std::vector<int64_t> dims(rank);
   for (uint32_t i = 0; i < rank; ++i) dims[i] = read_pod<int64_t>(is);
-  Tensor t{Shape(dims)};
-  auto d = t.data();
-  is.read(reinterpret_cast<char*>(d.data()),
-          static_cast<std::streamsize>(d.size() * sizeof(float)));
-  ACTCOMP_CHECK(static_cast<bool>(is), "truncated tensor payload");
-  return t;
+  Shape shape(dims);
+  // Grow the values by at most 1 Mi floats per read, so their size tracks
+  // the bytes the stream holds, not what a forged shape claims.
+  const size_t numel = static_cast<size_t>(shape.numel());
+  std::vector<float> values;
+  while (values.size() < numel) {
+    const size_t have = values.size();
+    values.resize(have + std::min<size_t>(numel - have, size_t{1} << 20));
+    const size_t bytes = (values.size() - have) * sizeof(float);
+    is.read(reinterpret_cast<char*>(values.data() + have),
+            static_cast<std::streamsize>(bytes));
+    ACTCOMP_CHECK(static_cast<bool>(is), "truncated tensor payload");
+  }
+  return Tensor(std::move(shape), std::move(values));
 }
 
 void write_tensor_map(std::ostream& os, const TensorMap& m) {
@@ -72,19 +80,6 @@ TensorMap read_tensor_map(std::istream& is) {
     m.emplace(std::move(name), read_tensor(is));
   }
   return m;
-}
-
-void save_tensor_map(const std::string& path, const TensorMap& m) {
-  std::ofstream os(path, std::ios::binary);
-  ACTCOMP_CHECK(os.is_open(), "cannot open " << path << " for writing");
-  write_tensor_map(os, m);
-  ACTCOMP_CHECK(static_cast<bool>(os), "write failed for " << path);
-}
-
-TensorMap load_tensor_map(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  ACTCOMP_CHECK(is.is_open(), "cannot open " << path << " for reading");
-  return read_tensor_map(is);
 }
 
 }  // namespace actcomp::tensor

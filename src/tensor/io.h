@@ -3,7 +3,8 @@
 // A checkpoint is a named map of tensors in a simple tagged binary format.
 // Takeaway 5 in the paper relies on checkpoint surgery: pre-train with AE
 // codecs attached, then load only the BERT weights for fine-tuning (dropping
-// the AE parameters). save/load of partial name sets makes that a one-liner.
+// the AE parameters). Writing and reading partial name sets makes that a
+// one-liner.
 #pragma once
 
 #include <iosfwd>
@@ -21,8 +22,5 @@ Tensor read_tensor(std::istream& is);
 
 void write_tensor_map(std::ostream& os, const TensorMap& m);
 TensorMap read_tensor_map(std::istream& is);
-
-void save_tensor_map(const std::string& path, const TensorMap& m);
-TensorMap load_tensor_map(const std::string& path);
 
 }  // namespace actcomp::tensor

@@ -67,10 +67,6 @@ struct KernelTable {
   void (*ew_abs)(const float* a, float* out, int64_t lo, int64_t hi);
   void (*ew_relu)(const float* a, float* out, int64_t lo, int64_t hi);
   void (*ew_scale)(float* x, float s, int64_t lo, int64_t hi);  // x[i] *= s
-  // Fused bias + ReLU epilogue: pre[i] = x[i] + b[i % nb]; out[i] =
-  // max(pre[i], 0). pre is kept for the byte-exact backward.
-  void (*ew_bias_relu)(const float* x, const float* b, float* pre, float* out,
-                       int64_t lo, int64_t hi, int64_t nb);
   // GELU (tanh form) and its derivative. Every tier points at the one
   // polynomial in kernels_generic.h, compiled under its own -m flags.
   void (*ew_gelu)(const float* a, float* out, int64_t lo, int64_t hi);

@@ -90,16 +90,6 @@ static inline void ew_relu(const float* a, float* out, int64_t lo, int64_t hi) {
 static inline void ew_scale(float* x, float s, int64_t lo, int64_t hi) {
   for (int64_t i = lo; i < hi; ++i) x[i] *= s;
 }
-static inline void ew_bias_relu(const float* x, const float* b, float* pre,
-                                float* out, int64_t lo, int64_t hi, int64_t nb) {
-  broadcast_pieces(lo, hi, nb, [&](int64_t i0, int64_t i1, int64_t boff) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float p = x[i] + b[boff + (i - i0)];
-      pre[i] = p;
-      out[i] = p > 0.0f ? p : 0.0f;
-    }
-  });
-}
 
 // ---- GELU (tanh form) ----
 //
@@ -257,7 +247,6 @@ static inline KernelTable table(const char* name,
       .ew_abs = ew_abs,
       .ew_relu = ew_relu,
       .ew_scale = ew_scale,
-      .ew_bias_relu = ew_bias_relu,
       .ew_gelu = ew_gelu,
       .ew_gelu_grad = ew_gelu_grad,
       .row_max = row_max,

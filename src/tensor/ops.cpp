@@ -127,7 +127,6 @@ Tensor neg(const Tensor& a) {
   return unary_kernel(a, kernels::active_kernels().ew_neg);
 }
 Tensor exp(const Tensor& a) { return unary(a, [](float x) { return std::exp(x); }); }
-Tensor log(const Tensor& a) { return unary(a, [](float x) { return std::log(x); }); }
 Tensor abs(const Tensor& a) {
   return unary_kernel(a, kernels::active_kernels().ew_abs);
 }

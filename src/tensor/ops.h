@@ -28,7 +28,6 @@ Tensor mul_scalar(const Tensor& a, float s);
 // ---- elementwise unary ----
 Tensor neg(const Tensor& a);
 Tensor exp(const Tensor& a);
-Tensor log(const Tensor& a);
 Tensor abs(const Tensor& a);
 Tensor tanh(const Tensor& a);
 Tensor sigmoid(const Tensor& a);

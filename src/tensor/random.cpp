@@ -79,8 +79,6 @@ std::vector<int64_t> Generator::sample_without_replacement(int64_t n, int64_t k)
   return out;
 }
 
-Generator Generator::split() { return Generator(engine_()); }
-
 std::string Generator::state() const {
   std::ostringstream os;
   os << engine_;

@@ -30,9 +30,6 @@ class Generator {
   /// k distinct indices sampled uniformly from [0, n) (partial Fisher–Yates).
   std::vector<int64_t> sample_without_replacement(int64_t n, int64_t k);
 
-  /// A fresh generator seeded from this one (for spawning independent streams).
-  Generator split();
-
   /// Serialized engine state (the mt19937_64 textual form, which the
   /// standard specifies exactly), for checkpointing: restoring it resumes
   /// the stream at the same cursor, so save -> restore -> draw produces the

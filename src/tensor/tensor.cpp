@@ -1,7 +1,6 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "tensor/check.h"
 
@@ -83,20 +82,6 @@ Tensor Tensor::reshape(Shape new_shape) const {
 
 void Tensor::fill(float value) {
   std::fill(storage_->begin(), storage_->end(), value);
-}
-
-std::string Tensor::str() const {
-  std::ostringstream os;
-  os << "Tensor" << shape_.str() << " {";
-  const auto d = data();
-  const size_t shown = std::min<size_t>(d.size(), 16);
-  for (size_t i = 0; i < shown; ++i) {
-    if (i) os << ", ";
-    os << d[i];
-  }
-  if (d.size() > shown) os << ", …";
-  os << '}';
-  return os.str();
 }
 
 }  // namespace actcomp::tensor

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "tensor/shape.h"
@@ -67,9 +66,6 @@ class Tensor {
   }
 
   void fill(float value);
-
-  /// Human-readable summary, e.g. "Tensor[2, 3] {…}" (values elided past 16).
-  std::string str() const;
 
  private:
   Shape shape_;

@@ -1,5 +1,6 @@
 #include "train/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -42,16 +43,16 @@ uint64_t fnv1a(std::string_view bytes, uint64_t h = 0xcbf29ce484222325ull) {
 }
 
 std::string read_block(std::istream& is, uint64_t len, const char* what) {
-  // A length prefix beyond any plausible checkpoint means the stream is
-  // corrupt; bail before trying to allocate it.
-  if (len > (1ull << 40)) {
-    std::ostringstream os;
-    os << "implausible " << what << " length " << len << " — file corrupted";
-    fail(os.str());
+  // Grow the block by at most 1 MiB per read, so its size tracks the bytes
+  // the stream holds, not what a forged length prefix claims.
+  std::string block;
+  while (block.size() < len) {
+    const size_t have = block.size();
+    block.resize(have + std::min<uint64_t>(len - have, uint64_t{1} << 20));
+    is.read(block.data() + have,
+            static_cast<std::streamsize>(block.size() - have));
+    if (!is) fail(std::string("checkpoint truncated reading ") + what);
   }
-  std::string block(static_cast<size_t>(len), '\0');
-  is.read(block.data(), static_cast<std::streamsize>(len));
-  if (!is) fail(std::string("checkpoint truncated reading ") + what);
   return block;
 }
 

@@ -1,8 +1,7 @@
 #include "train/resilience.h"
 
+#include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 
 #include "obs/registry.h"
 #include "tensor/check.h"
@@ -28,28 +27,22 @@ compress::Setting degrade_setting(DegradeLevel level) {
 }
 
 void ResilienceConfig::validate() const {
-  std::ostringstream os;
-  if (!std::isfinite(escalate_below) || escalate_below <= 0.0 ||
-      escalate_below >= 1.0) {
-    os << "ResilienceConfig: escalate_below = " << escalate_below
-       << " — must be in (0, 1)";
-    throw std::invalid_argument(os.str());
-  }
-  if (!std::isfinite(recover_above) || recover_above <= escalate_below ||
-      recover_above > 1.0) {
-    os << "ResilienceConfig: recover_above = " << recover_above
-       << " — must be in (escalate_below, 1] to leave a hysteresis band";
-    throw std::invalid_argument(os.str());
-  }
-  if (hold_steps < 1) {
-    os << "ResilienceConfig: hold_steps = " << hold_steps << " — must be >= 1";
-    throw std::invalid_argument(os.str());
-  }
-  if (!std::isfinite(ewma_alpha) || ewma_alpha <= 0.0 || ewma_alpha > 1.0) {
-    os << "ResilienceConfig: ewma_alpha = " << ewma_alpha
-       << " — must be in (0, 1]";
-    throw std::invalid_argument(os.str());
-  }
+  ACTCOMP_CHECK(std::isfinite(escalate_below) && escalate_below > 0.0 &&
+                    escalate_below < 1.0,
+                "ResilienceConfig: escalate_below = "
+                    << escalate_below << " — must be in (0, 1)");
+  ACTCOMP_CHECK(std::isfinite(recover_above) &&
+                    recover_above > escalate_below && recover_above <= 1.0,
+                "ResilienceConfig: recover_above = "
+                    << recover_above
+                    << " — must be in (escalate_below, 1] to leave a "
+                       "hysteresis band");
+  ACTCOMP_CHECK(hold_steps >= 1, "ResilienceConfig: hold_steps = "
+                                     << hold_steps << " — must be >= 1");
+  ACTCOMP_CHECK(std::isfinite(ewma_alpha) && ewma_alpha > 0.0 &&
+                    ewma_alpha <= 1.0,
+                "ResilienceConfig: ewma_alpha = " << ewma_alpha
+                                                  << " — must be in (0, 1]");
 }
 
 DegradationController::DegradationController(const ResilienceConfig& cfg,
@@ -58,7 +51,9 @@ DegradationController::DegradationController(const ResilienceConfig& cfg,
   cfg_.validate();
   ACTCOMP_CHECK(num_boundaries >= 1,
                 "DegradationController: num_boundaries must be >= 1");
-  state_.resize(static_cast<size_t>(num_boundaries));
+  const int rungs = static_cast<int>(DegradeLevel::kTopK) + 1;
+  state_.assign(static_cast<size_t>(num_boundaries),
+                {sim::HysteresisLadder(rungs, cfg_.hold_steps)});
 }
 
 DegradeLevel DegradationController::observe(int boundary,
@@ -77,45 +72,35 @@ DegradeLevel DegradationController::observe(int boundary,
              (1.0 - cfg_.ewma_alpha) * s.ewma;
   }
 
-  // Runs reset whenever the smoothed signal re-enters the hysteresis band,
-  // so only a *sustained* excursion triggers a transition.
-  if (s.ewma < cfg_.escalate_below) {
-    ++s.below_run;
-    s.above_run = 0;
-  } else if (s.ewma > cfg_.recover_above) {
-    ++s.above_run;
-    s.below_run = 0;
-  } else {
-    s.below_run = 0;
-    s.above_run = 0;
-  }
-
-  if (s.below_run >= cfg_.hold_steps && s.level != DegradeLevel::kTopK) {
-    s.level = static_cast<DegradeLevel>(static_cast<int>(s.level) + 1);
-    s.below_run = 0;  // a further escalation needs a fresh sustained run
+  using Reading = sim::HysteresisLadder::Reading;
+  const Reading r = s.ewma < cfg_.escalate_below  ? Reading::kBreach
+                    : s.ewma > cfg_.recover_above ? Reading::kHealthy
+                                                  : Reading::kBand;
+  const int before = s.ladder.level();
+  const int after = s.ladder.observe(r);
+  if (after > before) {
     ++escalations_;
     obs::Registry::instance().counter("train.resilience.escalations").add();
-  } else if (s.above_run >= cfg_.hold_steps && s.level != DegradeLevel::kNone) {
-    s.level = static_cast<DegradeLevel>(static_cast<int>(s.level) - 1);
-    s.above_run = 0;
+  } else if (after < before) {
     ++deescalations_;
     obs::Registry::instance().counter("train.resilience.deescalations").add();
   }
-  return s.level;
+  return static_cast<DegradeLevel>(after);
 }
 
 DegradeLevel DegradationController::level(int boundary) const {
   ACTCOMP_CHECK(boundary >= 0 && boundary < num_boundaries(),
                 "DegradationController: boundary out of range");
-  return state_[static_cast<size_t>(boundary)].level;
+  return static_cast<DegradeLevel>(
+      state_[static_cast<size_t>(boundary)].ladder.level());
 }
 
 DegradeLevel DegradationController::max_level() const {
-  DegradeLevel worst = DegradeLevel::kNone;
+  int worst = 0;
   for (const BoundaryState& s : state_) {
-    if (static_cast<int>(s.level) > static_cast<int>(worst)) worst = s.level;
+    worst = std::max(worst, s.ladder.level());
   }
-  return worst;
+  return static_cast<DegradeLevel>(worst);
 }
 
 double DegradationController::smoothed(int boundary) const {

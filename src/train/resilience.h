@@ -9,16 +9,16 @@
 // It watches one signal per pipeline boundary: the effective-bandwidth
 // fraction (observed bandwidth / nominal bandwidth, in (0, 1]; the sim side
 // derives it from transfer times, a real deployment from NCCL timing). Each
-// observation updates an EWMA; the ladder
+// observation updates an EWMA, and each boundary's sim::HysteresisLadder
+// (sim/hysteresis.h) walks
 //
 //   kNone (baseline, fp16)  ->  kQuant8 (Q3, 8-bit)  ->  kTopK (T1, top-k)
 //
-// escalates one rung when the smoothed signal has sat below
-// `escalate_below` for `hold_steps` consecutive observations, and
-// de-escalates one rung after `hold_steps` consecutive observations above
-// `recover_above`. Two thresholds plus a hold window = hysteresis: a link
-// flapping around one threshold cannot make the controller flap with it
-// (tests/recovery_test.cpp pins this).
+// reading a breach when the smoothed signal is below `escalate_below`, and
+// healthy when it is above `recover_above`: `hold_steps` consecutive
+// breaches escalate one rung, `hold_steps` consecutive healthy readings
+// de-escalate one. A link flapping around one threshold cannot make the
+// controller flap with it (tests/recovery_test.cpp pins this).
 //
 // The controller is pure bookkeeping — deterministic in its observation
 // sequence, no RNG, no clock — so a simulated sweep and a replayed trace
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "compress/settings.h"
+#include "sim/hysteresis.h"
 
 namespace actcomp::train {
 
@@ -61,9 +62,10 @@ struct ResilienceConfig {
   void validate() const;
 };
 
-/// Per-boundary hysteresis state machine. Feed it one bandwidth-fraction
-/// sample per boundary per step via observe(); read the decision back with
-/// level() / setting(). Deterministic in the observation sequence.
+/// Per-boundary EWMA adapter over sim::HysteresisLadder. Feed it one
+/// bandwidth-fraction sample per boundary per step via observe(); read the
+/// decision back with level() / setting(). Deterministic in the observation
+/// sequence.
 class DegradationController {
  public:
   /// Validates `cfg`; `num_boundaries` >= 1.
@@ -93,11 +95,9 @@ class DegradationController {
 
  private:
   struct BoundaryState {
-    DegradeLevel level = DegradeLevel::kNone;
+    sim::HysteresisLadder ladder;
     double ewma = 0.0;
     bool seeded = false;
-    int below_run = 0;  ///< consecutive smoothed samples below escalate_below
-    int above_run = 0;  ///< consecutive smoothed samples above recover_above
   };
 
   ResilienceConfig cfg_;

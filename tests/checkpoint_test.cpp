@@ -78,6 +78,43 @@ std::string temp_path(const char* name) {
   return std::string(::testing::TempDir()) + name;
 }
 
+template <typename T>
+void append_pod(std::string& out, T v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+/// The container's checksum: FNV-1a 64 over meta, then payload.
+uint64_t fnv1a(const std::string& bytes, uint64_t h = 0xcbf29ce484222325ull) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// A checkpoint header with `meta` and a payload length prefix.
+std::string forged_header(const std::string& meta, uint64_t payload_len) {
+  std::string bytes;
+  append_pod<uint32_t>(bytes, tr::kCheckpointMagic);
+  append_pod<uint32_t>(bytes, tr::kCheckpointVersion);
+  append_pod<uint64_t>(bytes, meta.size());
+  bytes += meta;
+  append_pod<uint64_t>(bytes, payload_len);
+  return bytes;
+}
+
+/// Reads `bytes` as a checkpoint and returns the error message; "" when it
+/// loads.
+std::string load_error(const std::string& bytes) {
+  std::istringstream is(bytes, std::ios::binary);
+  try {
+    tr::read_checkpoint(is);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 }  // namespace
 
 TEST(GeneratorState, RoundTripResumesTheStream) {
@@ -150,6 +187,38 @@ TEST(CheckpointFormat, RejectsTruncation) {
     std::istringstream is(bytes.substr(0, len), std::ios::binary);
     EXPECT_THROW(tr::read_checkpoint(is), std::runtime_error) << len;
   }
+}
+
+// Forged length fields must fail on the bytes that are missing, without
+// first allocating what the file claims to hold.
+TEST(CheckpointFormat, ForgedPayloadLengthFailsAsTruncation) {
+  // 50 bytes that claim a 2^40 - 1 byte payload and carry 7 of them.
+  const std::string bytes =
+      forged_header(R"({"step":0,"rng":""})", (uint64_t{1} << 40) - 1) +
+      "payload";
+  EXPECT_NE(load_error(bytes).find("truncated reading tensor payload"),
+            std::string::npos)
+      << load_error(bytes);
+}
+
+TEST(CheckpointFormat, ForgedTensorShapeFailsAsTruncation) {
+  // A valid checksum over one tensor whose shape claims 2^20 x 2^20 floats
+  // (4 TiB) and whose payload holds four.
+  std::string payload;
+  append_pod<uint32_t>(payload, 0xAC7C0301);  // tensor-map magic
+  append_pod<uint64_t>(payload, 1);           // one tensor
+  append_pod<uint64_t>(payload, 1);           // name length
+  payload += "w";
+  append_pod<uint32_t>(payload, 2);  // rank
+  append_pod<int64_t>(payload, int64_t{1} << 20);
+  append_pod<int64_t>(payload, int64_t{1} << 20);
+  for (float f : {1.0f, 2.0f, 3.0f, 4.0f}) append_pod<float>(payload, f);
+  const std::string meta = R"({"step":0,"rng":""})";
+  std::string bytes = forged_header(meta, payload.size()) + payload;
+  append_pod<uint64_t>(bytes, fnv1a(payload, fnv1a(meta)));
+  EXPECT_NE(load_error(bytes).find("truncated tensor payload"),
+            std::string::npos)
+      << load_error(bytes);
 }
 
 TEST(CheckpointFormat, RejectsBitRot) {

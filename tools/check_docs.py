@@ -28,7 +28,7 @@ import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SKIP_DIRS = {".git", "build", "build-asan", "build-tsan", "build-prof0"}
+SKIP_DIRS = {".git", "build", "build-asan", "build-tsan"}
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_CODE_RE = re.compile(r"^#{1,6} .*`([A-Za-z0-9_]+)`", re.M)
