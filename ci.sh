@@ -50,11 +50,13 @@ sanitize() {
   # ends) and the GELU polynomial, whose float-to-int step UBSan's
   # float-cast-overflow check watches on NaN, ±Inf and huge inputs.
   # obs/Json joins because its parser reads checkpoint metadata and
-  # --trace-in serving traces: hostile bytes reach it.
+  # --trace-in serving traces: hostile bytes reach it. WireAgreement runs
+  # every real encoder against compress::wire_bytes, the bytes the
+  # simulator charges.
   ASAN_OPTIONS=detect_leaks=0:halt_on_error=1 \
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan \
-      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|tensor/|compress/|wire|Lossless|obs/Json' \
+      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|tensor/|compress/|wire|WireAgreement|Lossless|obs/Json' \
       --no-tests=error --output-on-failure -j "$jobs"
   # The same slice once more with the kernel dispatch pinned to the scalar
   # tier: the SIMD tiers must be a pure throughput change (DESIGN.md §15),
@@ -64,7 +66,7 @@ sanitize() {
   ASAN_OPTIONS=detect_leaks=0:halt_on_error=1 \
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan \
-      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|tensor/|compress/|wire|Lossless|obs/Json' \
+      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|tensor/|compress/|wire|WireAgreement|Lossless|obs/Json' \
       --no-tests=error --output-on-failure -j "$jobs"
 }
 

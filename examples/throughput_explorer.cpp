@@ -63,6 +63,7 @@
 // operator can see what their current interval is costing them.
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -78,7 +79,9 @@
 #include "sim/serving_resilience.h"
 #include "sim/serving_trace.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int explore(int argc, char** argv) {
   using namespace actcomp;
   obs::RunReport report("throughput_explorer");
   bool faults_mode = false;
@@ -482,4 +485,18 @@ int main(int argc, char** argv) {
     report.add_record(std::move(rec));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Bad input (a missing or malformed --trace-in file, a layout whose
+  // tp*pp*dp does not match the platform) throws from the loaders and the
+  // simulator; report it like a bad flag instead of aborting.
+  try {
+    return explore(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "throughput_explorer: %s\n", e.what());
+    return 2;
+  }
 }

@@ -6,9 +6,9 @@
 //     by unit tests and by anyone adopting the library for real transport;
 //   * apply()           — the differentiable lossy round-trip inserted into
 //     the training tape (accuracy experiments);
-//   * wire_size()       — closed-form message-size accounting consumed by the
-//     throughput simulator (src/sim), asserted in tests to equal the byte
-//     size encode() actually produces.
+//   * wire_size()       — closed-form message-size accounting, asserted in
+//     tests to equal the byte size encode() actually produces (and the
+//     compress::wire_bytes() count the throughput simulator charges).
 //
 // Elements on the wire are fp16 (the paper trains BERT-Large in fp16);
 // sparse indices are int32; quantized payloads are bit-packed.

@@ -1,12 +1,11 @@
 #include "compress/randomk.h"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <sstream>
 
 #include "autograd/functions.h"
+#include "compress/settings.h"
 #include "compress/wire.h"
 #include "core/threadpool.h"
 #include "tensor/check.h"
@@ -34,10 +33,7 @@ std::string RandomKCompressor::name() const {
 }
 
 int64_t RandomKCompressor::k_for(int64_t numel) const {
-  if (numel == 0) return 0;
-  const auto k = static_cast<int64_t>(
-      std::llround(fraction_ * static_cast<double>(numel)));
-  return std::clamp<int64_t>(k, 1, numel);
+  return kept_count(fraction_, numel);
 }
 
 CompressedMessage RandomKCompressor::do_encode(const tensor::Tensor& x) {

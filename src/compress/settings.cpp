@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "compress/autoencoder.h"
 #include "compress/identity.h"
@@ -12,25 +13,48 @@
 
 namespace actcomp::compress {
 
-std::string setting_label(Setting s) {
-  switch (s) {
-    case Setting::kBaseline: return "w/o";
-    case Setting::kA1: return "A1";
-    case Setting::kA2: return "A2";
-    case Setting::kT1: return "T1";
-    case Setting::kT2: return "T2";
-    case Setting::kT3: return "T3";
-    case Setting::kT4: return "T4";
-    case Setting::kR1: return "R1";
-    case Setting::kR2: return "R2";
-    case Setting::kR3: return "R3";
-    case Setting::kR4: return "R4";
-    case Setting::kQ1: return "Q1";
-    case Setting::kQ2: return "Q2";
-    case Setting::kQ3: return "Q3";
-  }
-  ACTCOMP_ASSERT(false, "unreachable setting enum");
+namespace {
+
+// The paper's Table 1, one row per Setting in enum order. `ref_code` is the
+// AE encoder dim at h = 1024 that a row calibrates against; `same_comm`
+// marks the sparse rows matched to the AE's communication cost rather than
+// its compression ratio.
+struct Row {
+  const char* label;
+  Family family;
+  int64_t ref_code;
+  bool same_comm;
+  int bits;
+};
+constexpr Row kTable1[] = {
+    {"w/o", Family::kNone, 0, false, 0},
+    {"A1", Family::kAutoencoder, kRefCodeA1, false, 0},
+    {"A2", Family::kAutoencoder, kRefCodeA2, false, 0},
+    {"T1", Family::kTopK, kRefCodeA1, true, 0},
+    {"T2", Family::kTopK, kRefCodeA2, true, 0},
+    {"T3", Family::kTopK, kRefCodeA1, false, 0},
+    {"T4", Family::kTopK, kRefCodeA2, false, 0},
+    {"R1", Family::kRandomK, kRefCodeA1, true, 0},
+    {"R2", Family::kRandomK, kRefCodeA2, true, 0},
+    {"R3", Family::kRandomK, kRefCodeA1, false, 0},
+    {"R4", Family::kRandomK, kRefCodeA2, false, 0},
+    {"Q1", Family::kQuantize, 0, false, 2},
+    {"Q2", Family::kQuantize, 0, false, 4},
+    {"Q3", Family::kQuantize, 0, false, 8},
+};
+static_assert(std::size(kTable1) == static_cast<size_t>(Setting::kQ3) + 1);
+
+const Row& row(Setting s) {
+  const auto i = static_cast<size_t>(s);
+  ACTCOMP_ASSERT(i < std::size(kTable1), "unreachable setting enum");
+  return kTable1[i];
 }
+
+}  // namespace
+
+std::string setting_label(Setting s) { return row(s).label; }
+
+Family family(Setting s) { return row(s).family; }
 
 std::optional<Setting> parse_setting(const std::string& label) {
   for (Setting s : all_settings()) {
@@ -57,60 +81,30 @@ const std::vector<Setting>& main_settings() {
   return kMain;
 }
 
-namespace {
-int64_t ref_code(Setting s) {
-  switch (s) {
-    case Setting::kA1:
-    case Setting::kT1:
-    case Setting::kT3:
-    case Setting::kR1:
-    case Setting::kR3:
-      return kRefCodeA1;
-    case Setting::kA2:
-    case Setting::kT2:
-    case Setting::kT4:
-    case Setting::kR2:
-    case Setting::kR4:
-      return kRefCodeA2;
-    default:
-      ACTCOMP_CHECK(false, "setting " << setting_label(s)
-                                      << " has no AE reference dim");
-  }
-}
-
-bool is_same_comm(Setting s) {
-  return s == Setting::kT1 || s == Setting::kT2 || s == Setting::kR1 ||
-         s == Setting::kR2;
-}
-}  // namespace
-
 double sparse_fraction(Setting s) {
-  switch (s) {
-    case Setting::kT1:
-    case Setting::kT2:
-    case Setting::kR1:
-    case Setting::kR2:
-    case Setting::kT3:
-    case Setting::kT4:
-    case Setting::kR3:
-    case Setting::kR4: {
-      const double ratio =
-          static_cast<double>(ref_code(s)) / static_cast<double>(kRefHidden);
-      return is_same_comm(s)
-                 ? ratio * 2.0 / static_cast<double>(kSparseBytesPerElement)
-                 : ratio;
-    }
-    default:
-      ACTCOMP_CHECK(false, "setting " << setting_label(s)
-                                      << " is not a sparsification setting");
-  }
+  const Row& r = row(s);
+  ACTCOMP_CHECK(r.family == Family::kTopK || r.family == Family::kRandomK,
+                "setting " << r.label << " is not a sparsification setting");
+  const double ratio =
+      static_cast<double>(r.ref_code) / static_cast<double>(kRefHidden);
+  return r.same_comm
+             ? ratio * 2.0 / static_cast<double>(kSparseBytesPerElement)
+             : ratio;
+}
+
+int64_t kept_count(double fraction, int64_t numel) {
+  if (numel == 0) return 0;
+  const auto k = static_cast<int64_t>(
+      std::llround(fraction * static_cast<double>(numel)));
+  return std::clamp<int64_t>(k, 1, numel);
 }
 
 int64_t ae_code_size(Setting s, int64_t hidden) {
-  ACTCOMP_CHECK(s == Setting::kA1 || s == Setting::kA2,
-                "setting " << setting_label(s) << " is not an AE setting");
+  const Row& r = row(s);
+  ACTCOMP_CHECK(r.family == Family::kAutoencoder,
+                "setting " << r.label << " is not an AE setting");
   ACTCOMP_CHECK(hidden >= 2, "hidden size too small for AE: " << hidden);
-  const double scaled = static_cast<double>(ref_code(s)) *
+  const double scaled = static_cast<double>(r.ref_code) *
                         static_cast<double>(hidden) /
                         static_cast<double>(kRefHidden);
   return std::clamp<int64_t>(static_cast<int64_t>(std::llround(scaled)), 1,
@@ -118,42 +112,48 @@ int64_t ae_code_size(Setting s, int64_t hidden) {
 }
 
 int quant_bits(Setting s) {
-  switch (s) {
-    case Setting::kQ1: return 2;
-    case Setting::kQ2: return 4;
-    case Setting::kQ3: return 8;
-    default:
-      ACTCOMP_CHECK(false, "setting " << setting_label(s)
-                                      << " is not a quantization setting");
+  const Row& r = row(s);
+  ACTCOMP_CHECK(r.family == Family::kQuantize,
+                "setting " << r.label << " is not a quantization setting");
+  return r.bits;
+}
+
+int64_t wire_bytes(Setting s, int64_t numel, int64_t hidden) {
+  ACTCOMP_CHECK(numel >= 0 && hidden > 0,
+                "bad wire_bytes shape: numel " << numel << ", hidden " << hidden);
+  const int64_t rows = numel / hidden;
+  switch (family(s)) {
+    case Family::kNone:
+      return numel * 2;  // fp16 values
+    case Family::kAutoencoder:
+      return rows * ae_code_size(s, hidden) * 2;  // fp16 codes
+    case Family::kTopK:
+    case Family::kRandomK:
+      return kept_count(sparse_fraction(s), numel) * kSparseBytesPerElement;
+    case Family::kQuantize:
+      // Packed codes, then an fp16 (lo, scale) pair per row.
+      return (numel * quant_bits(s) + 7) / 8 + rows * 4;
   }
+  ACTCOMP_ASSERT(false, "unreachable setting family");
 }
 
 CompressorPtr make_compressor(Setting setting, int64_t hidden,
                               tensor::Generator& gen) {
-  switch (setting) {
-    case Setting::kBaseline:
+  switch (family(setting)) {
+    case Family::kNone:
       return std::make_unique<IdentityCompressor>();
-    case Setting::kA1:
-    case Setting::kA2:
+    case Family::kAutoencoder:
       return std::make_unique<AutoencoderCompressor>(
           hidden, ae_code_size(setting, hidden), gen);
-    case Setting::kT1:
-    case Setting::kT2:
-    case Setting::kT3:
-    case Setting::kT4:
+    case Family::kTopK:
       return std::make_unique<TopKCompressor>(sparse_fraction(setting));
-    case Setting::kR1:
-    case Setting::kR2:
-    case Setting::kR3:
-    case Setting::kR4:
+    case Family::kRandomK:
       return std::make_unique<RandomKCompressor>(
           sparse_fraction(setting), static_cast<uint64_t>(gen.randint(1, 1u << 30)));
-    case Setting::kQ1:
-    case Setting::kQ2:
-    case Setting::kQ3:
+    case Family::kQuantize:
       return std::make_unique<QuantizeCompressor>(quant_bits(setting));
   }
-  ACTCOMP_ASSERT(false, "unreachable setting enum");
+  ACTCOMP_ASSERT(false, "unreachable setting family");
 }
 
 }  // namespace actcomp::compress

@@ -60,12 +60,25 @@ inline constexpr int64_t kRefCodeA2 = 100;
 /// Bytes per kept Top-K/Random-K element (fp16 value + int32 index).
 inline constexpr int64_t kSparseBytesPerElement = 6;
 
+/// The §3.1 algorithm class behind a setting.
+enum class Family { kNone, kAutoencoder, kTopK, kRandomK, kQuantize };
+Family family(Setting s);
+
 /// Kept-element fraction for sparsification settings; throws for others.
 double sparse_fraction(Setting s);
+/// Elements a sparsifier keeping `fraction` of a `numel`-element tensor
+/// sends: round(fraction · numel), clamped to [1, numel]; 0 when empty.
+int64_t kept_count(double fraction, int64_t numel);
 /// AE code size at the given hidden size; throws for non-AE settings.
 int64_t ae_code_size(Setting s, int64_t hidden);
 /// Quantization bit width; throws for non-quant settings.
 int quant_bits(Setting s);
+
+/// Body bytes of one `numel`-element activation with rows of `hidden`
+/// features on the wire under `s`: exactly encode(x).body_bytes() of
+/// make_compressor(s, hidden, ·) (WIRE_FORMATS.md). The simulator charges
+/// these bytes.
+int64_t wire_bytes(Setting s, int64_t numel, int64_t hidden);
 
 /// Instantiate the compressor for `setting` on activations of feature size
 /// `hidden`. `gen` seeds AE weights and Random-K sampling.

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
+#include "compress/settings.h"
 #include "compress/wire.h"
 #include "core/threadpool.h"
 #include "tensor/check.h"
@@ -48,10 +48,7 @@ std::string TopKCompressor::name() const {
 }
 
 int64_t TopKCompressor::k_for(int64_t numel) const {
-  if (numel == 0) return 0;
-  const auto k = static_cast<int64_t>(
-      std::llround(fraction_ * static_cast<double>(numel)));
-  return std::clamp<int64_t>(k, 1, numel);
+  return kept_count(fraction_, numel);
 }
 
 std::vector<int64_t> TopKCompressor::select(const tensor::Tensor& x) const {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <string>
 
-#include "compress/compressor.h"
+#include "compress/settings.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
 #include "sim/collectives.h"
@@ -16,52 +16,64 @@ namespace sm = actcomp::sim;
 
 namespace {
 
-bool is_quant(cp::Setting s) {
-  return s == cp::Setting::kQ1 || s == cp::Setting::kQ2 || s == cp::Setting::kQ3;
-}
-bool is_ae(cp::Setting s) {
-  return s == cp::Setting::kA1 || s == cp::Setting::kA2;
-}
-
-/// Wire bytes for one compressed activation message of `numel` elements.
-int64_t wire_bytes(cp::Setting s, int64_t numel, int64_t hidden) {
-  switch (s) {
-    case cp::Setting::kBaseline:
-      return numel * 2;
-    case cp::Setting::kA1:
-    case cp::Setting::kA2:
-      return numel / hidden * cp::ae_code_size(s, hidden) * 2;
-    case cp::Setting::kT1:
-    case cp::Setting::kT2:
-    case cp::Setting::kT3:
-    case cp::Setting::kT4:
-    case cp::Setting::kR1:
-    case cp::Setting::kR2:
-    case cp::Setting::kR3:
-    case cp::Setting::kR4:
-      return sm::OverheadModel::kept_elements(s, numel) *
-             cp::kSparseBytesPerElement;
-    case cp::Setting::kQ1:
-    case cp::Setting::kQ2:
-    case cp::Setting::kQ3: {
-      const int bits = cp::quant_bits(s);
-      const int64_t rows = numel / hidden;
-      return (numel * bits + 7) / 8 + rows * 4;
-    }
-  }
-  ACTCOMP_ASSERT(false, "unreachable setting");
-}
-
-/// Bytes of the backward (gradient) message crossing a compressed pipeline
-/// boundary. Sparse and AE gradients shrink with the forward message; the
-/// quantized path does NOT (paper §3.3: the backward engine only supports
-/// float gradients, so the gradient stays activation-sized).
-int64_t backward_wire_bytes(cp::Setting s, int64_t numel, int64_t hidden) {
-  if (s == cp::Setting::kBaseline || is_quant(s)) return numel * 2;
-  return wire_bytes(s, numel, hidden);
+/// A message of `raw` bytes through the lossless wire stage (DESIGN.md §16,
+/// ZipCCL-style link shim): the link carries the coded bytes, and each
+/// endpoint pays one encode and one decode at the measured GB/s,
+/// chunk-pipelined against the transfer. The codec time is INSIDE the
+/// returned span; `*enc`/`*dec` only report it. `transfer(bytes)` prices the
+/// link. A disabled stage passes the transfer through untouched, so the
+/// lossy-only cost model is reproduced bit for bit.
+template <class Transfer>
+double through_lossless(const sm::LosslessWireSpec& lw, int64_t raw,
+                        Transfer transfer, double* enc, double* dec) {
+  if (!lw.enabled) return transfer(raw);
+  const double e = sm::codec_ms(raw, lw.encode_gb_s);
+  const double d = sm::codec_ms(raw, lw.decode_gb_s);
+  *enc += e;
+  *dec += d;
+  return sm::chunk_pipelined_ms(e, transfer(sm::lossless_wire_bytes(raw, lw)),
+                                d, lw.chunks);
 }
 
 }  // namespace
+
+/// One compressible TP point: a forward collective of the layer's
+/// activation, sent uncompressed (kBaseline) or under the plan's setting.
+struct ModelParallelSimulator::TpPoint {
+  int64_t bytes = 0;         ///< one rank's message on the wire, pre-lossless
+  double dispatch_ms = 0.0;  ///< fixed launch cost, outside the enc/dec timers
+  double enc_ms = 0.0;
+  double comm_ms = 0.0;      ///< the collective, lossless codec included
+  double dec_ms = 0.0;
+  double ll_enc_ms = 0.0;    ///< lossless codec time inside comm_ms
+  double ll_dec_ms = 0.0;
+};
+
+ModelParallelSimulator::TpPoint ModelParallelSimulator::tp_point(
+    cp::Setting setting, int64_t numel, const sm::LosslessWireSpec& lw) const {
+  const int tp = parallel_.tp;
+  const int64_t h = model_.hidden;
+  const sim::LinkSpec& link = cluster_.tp_link(tp);
+  // Multi-tensor wire formats cannot ride all-reduce (§3.2): all-gather,
+  // then every rank decodes all tp messages.
+  const cp::Family f = cp::family(setting);
+  const bool gather = f != cp::Family::kNone && f != cp::Family::kAutoencoder;
+  TpPoint p;
+  p.bytes = cp::wire_bytes(setting, numel, h);
+  p.comm_ms = through_lossless(
+      lw, p.bytes,
+      [&](int64_t b) {
+        return gather ? sm::allgather_ms(b, tp, link)
+                      : sm::allreduce_ms(b, tp, link);
+      },
+      &p.ll_enc_ms, &p.ll_dec_ms);
+  if (setting != cp::Setting::kBaseline) {
+    p.dispatch_ms = overhead_.dispatch_ms;
+    p.enc_ms = overhead_.encode_ms(setting, numel, h);
+    p.dec_ms = overhead_.decode_ms(setting, numel, h, gather ? tp : 1);
+  }
+  return p;
+}
 
 obs::PhaseBreakdown IterationBreakdown::phase_breakdown(
     obs::Accounting accounting) const {
@@ -134,27 +146,22 @@ ModelParallelSimulator::ModelParallelSimulator(sim::ClusterSpec cluster,
   overhead_.gpu = cluster_.gpu;
 }
 
-const sim::LinkSpec& ModelParallelSimulator::tp_link() const {
-  // TP inside the node when it fits; otherwise it spills over the network.
-  return parallel_.tp <= cluster_.gpus_per_node ? cluster_.intra_node
-                                                : cluster_.inter_node;
-}
-
-const sim::LinkSpec& ModelParallelSimulator::boundary_link(int boundary) const {
-  // Stage s occupies global GPUs [s*tp, (s+1)*tp); the boundary crosses
-  // nodes iff the adjacent stages' lead GPUs live on different nodes.
-  return boundary_cross_node(boundary) ? cluster_.inter_node
+const sim::LinkSpec& ModelParallelSimulator::boundary_link(int from,
+                                                         int to) const {
+  return boundary_cross_node(from, to) ? cluster_.inter_node
                                        : cluster_.intra_node;
 }
 
-bool ModelParallelSimulator::boundary_cross_node(int boundary) const {
-  const int gpu_a = boundary * parallel_.tp;
-  const int gpu_b = (boundary + 1) * parallel_.tp;
+bool ModelParallelSimulator::boundary_cross_node(int from, int to) const {
+  // Stage s occupies global GPUs [s*tp, (s+1)*tp); the boundary crosses
+  // nodes iff the two stages' lead GPUs live on different nodes.
+  const int gpu_a = from * parallel_.tp;
+  const int gpu_b = to * parallel_.tp;
   return gpu_a / cluster_.gpus_per_node != gpu_b / cluster_.gpus_per_node;
 }
 
-double ModelParallelSimulator::boundary_parallelism(int boundary) const {
-  if (boundary_cross_node(boundary)) return 1.0;  // slices share one NIC
+double ModelParallelSimulator::boundary_parallelism(int from, int to) const {
+  if (boundary_cross_node(from, to)) return 1.0;  // slices share one NIC
   if (!cluster_.has_nvlink) return 1.0;  // slices share one PCIe bridge
   return static_cast<double>(parallel_.tp);  // parallel NVLink lanes
 }
@@ -180,19 +187,15 @@ IterationBreakdown ModelParallelSimulator::run(
   const int tp = parallel_.tp;
   const int pp = parallel_.pp;
   const int64_t h = model_.hidden;
-  const int64_t b = job_.micro_batch;
-  const int64_t s = job_.seq;
   const int64_t layers_per_stage = model_.num_layers / pp;
-  const int64_t msg_numel = b * s * h;  // one all-reduce / boundary tensor
+  const int64_t msg_numel = job_.micro_batch * job_.seq * h;  // one TP / boundary tensor
+  const cp::Setting setting = plan.setting;
 
   // Paper §4.7 / Narayanan et al.: FLOPs (fwd+bwd) per layer per micro-batch.
-  const double layer_total_flops =
-      96.0 * static_cast<double>(b) * static_cast<double>(s) *
-          static_cast<double>(h) * static_cast<double>(h) +
-      16.0 * static_cast<double>(b) * static_cast<double>(s) *
-          static_cast<double>(s) * static_cast<double>(h);
-  const double layer_fwd_flops = layer_total_flops / 3.0;
-  const double layer_bwd_flops = 2.0 * layer_total_flops / 3.0;
+  const double layer_total_flops = sm::layer_flops(job_.micro_batch, job_.seq, h);
+  const double layer_fwd_ms = cluster_.gpu.compute_ms(layer_total_flops / 3.0 / tp);
+  const double layer_bwd_ms =
+      cluster_.gpu.compute_ms(2.0 * layer_total_flops / 3.0 / tp);
 
   sm::PipelineCosts costs;
   costs.micro_batches = static_cast<int>(job_.num_micro);
@@ -204,93 +207,52 @@ IterationBreakdown ModelParallelSimulator::run(
   std::vector<double> stage_enc(static_cast<size_t>(pp), 0.0);
   std::vector<double> stage_dec(static_cast<size_t>(pp), 0.0);
   std::vector<double> stage_tp_comm(static_cast<size_t>(pp), 0.0);
-  // Per-micro-batch bytes crossing each pipeline boundary (summed over
-  // chunks under interleaving); flushed into per-link counters at the end.
-  std::vector<int64_t> link_fwd_bytes(static_cast<size_t>(pp > 0 ? pp - 1 : 0), 0);
-  std::vector<int64_t> link_bwd_bytes(link_fwd_bytes.size(), 0);
-
-  const sim::LinkSpec& tpl = tp_link();
-  const cp::Setting setting = plan.setting;
-
-  // Lossless wire stage (ZipCCL-style link shim, DESIGN.md §16): the
-  // collective keeps its algorithm, its payload shrinks by the measured
-  // ratio, and each endpoint pays one encode + one decode at the measured
-  // GB/s — chunk-pipelined against the transfer. The codec time is INSIDE
-  // the returned span (it serializes into comm / p2p durations); the
-  // stage_ll_* accumulators only report it. Disabled takes none of these
-  // branches, so the pre-existing arithmetic is reproduced bit for bit.
-  const sm::LosslessWireSpec& lw = options_.lossless_wire;
+  // Lossless codec time per stage (zero when the stage is disabled).
   std::vector<double> stage_ll_enc(static_cast<size_t>(pp), 0.0);
   std::vector<double> stage_ll_dec(static_cast<size_t>(pp), 0.0);
-  auto ll_bytes = [&](int64_t raw) { return sm::lossless_wire_bytes(raw, lw); };
-  auto ll_collective = [&](double coll_ms, int64_t raw_bytes, double* e_acc,
-                           double* d_acc) {
-    const double e = sm::codec_ms(raw_bytes, lw.encode_gb_s);
-    const double d = sm::codec_ms(raw_bytes, lw.decode_gb_s);
-    *e_acc += e;
-    *d_acc += d;
-    return sm::chunk_pipelined_ms(e, coll_ms, d, lw.chunks);
-  };
+  // Per-micro-batch bytes crossing each pipeline boundary (summed over
+  // chunks under interleaving); flushed into per-link counters at the end.
+  std::vector<int64_t> link_fwd_bytes(static_cast<size_t>(pp - 1), 0);
+  std::vector<int64_t> link_bwd_bytes(link_fwd_bytes.size(), 0);
+
+  // Every layer sends the same two messages, so each is priced once: the
+  // uncompressed one (also every backward all-reduce) and the plan's.
+  const sm::LosslessWireSpec& lw = options_.lossless_wire;
+  const TpPoint plain = tp_point(cp::Setting::kBaseline, msg_numel, lw);
+  const TpPoint comp = tp_point(setting, msg_numel, lw);
+  const double comp_bwd_extra_ms =
+      2.0 * overhead_.backward_extra_ms(setting, msg_numel, h);
 
   for (int stage = 0; stage < pp; ++stage) {
     double fwd = 0.0, bwd = 0.0, enc = 0.0, dec = 0.0, comm = 0.0;
     double ll_e = 0.0, ll_d = 0.0;
     for (int64_t l = stage * layers_per_stage; l < (stage + 1) * layers_per_stage;
          ++l) {
-      fwd += cluster_.gpu.compute_ms(layer_fwd_flops / tp);
-      bwd += cluster_.gpu.compute_ms(layer_bwd_flops / tp);
+      fwd += layer_fwd_ms;
+      bwd += layer_bwd_ms;
       if (tp > 1) {
-        // Two forward all-reduces (attention out, MLP out) — the compressible
-        // points — and two backward all-reduces (input grads), never
-        // compressed.
-        const bool comp = plan.compresses(l);
+        // Two forward collectives (attention out, MLP out) — the
+        // compressible points — and two backward all-reduces (input grads),
+        // never compressed.
+        const bool compressed = plan.compresses(l);
+        const TpPoint& p = compressed ? comp : plain;
         for (int point = 0; point < 2; ++point) {
-          if (!comp) {
-            if (!lw.enabled) {
-              comm += sm::allreduce_ms(msg_numel * 2, tp, tpl);
-            } else {
-              comm += ll_collective(
-                  sm::allreduce_ms(ll_bytes(msg_numel * 2), tp, tpl),
-                  msg_numel * 2, &ll_e, &ll_d);
-            }
-          } else if (is_ae(setting)) {
-            fwd += overhead_.dispatch_ms;  // outside the enc/dec timers
-            enc += overhead_.encode_ms(setting, msg_numel, h);
-            const int64_t w = wire_bytes(setting, msg_numel, h);
-            if (!lw.enabled) {
-              comm += sm::allreduce_ms(w, tp, tpl);
-            } else {
-              comm += ll_collective(sm::allreduce_ms(ll_bytes(w), tp, tpl), w,
-                                    &ll_e, &ll_d);
-            }
-            dec += overhead_.decode_ms(setting, msg_numel, h);
-          } else {
-            // Multi-tensor wire formats cannot ride all-reduce (§3.2):
-            // all-gather, then every rank decodes all tp messages.
-            fwd += overhead_.dispatch_ms;
-            enc += overhead_.encode_ms(setting, msg_numel, h);
-            const int64_t w = wire_bytes(setting, msg_numel, h);
-            if (!lw.enabled) {
-              comm += sm::allgather_ms(w, tp, tpl);
-            } else {
-              comm += ll_collective(sm::allgather_ms(ll_bytes(w), tp, tpl), w,
-                                    &ll_e, &ll_d);
-            }
-            dec += overhead_.decode_ms(setting, msg_numel, h, tp);
-          }
+          fwd += p.dispatch_ms;
+          enc += p.enc_ms;
+          comm += p.comm_ms;
+          dec += p.dec_ms;
+          ll_e += p.ll_enc_ms;
+          ll_d += p.ll_dec_ms;
         }
-        if (!lw.enabled) {
-          comm += 2.0 * sm::allreduce_ms(msg_numel * 2, tp, tpl);  // backward
-        } else {
-          // Two identical backward all-reduces. Summing the pair before the
-          // += keeps the neutral spec (ratio 1, free codecs, chunks 1)
-          // bit-identical to the `2.0 *` form above: a + a == 2.0 * a in
-          // IEEE, whereas (comm += a) twice rounds differently.
-          const double ar = sm::allreduce_ms(ll_bytes(msg_numel * 2), tp, tpl);
-          comm += ll_collective(ar, msg_numel * 2, &ll_e, &ll_d) +
-                  ll_collective(ar, msg_numel * 2, &ll_e, &ll_d);
+        // The backward pair is summed before the += (a + a == 2.0 * a in
+        // IEEE, whereas (comm += a) twice rounds differently); its codec
+        // times are reported one message at a time.
+        comm += plain.comm_ms + plain.comm_ms;
+        for (int point = 0; point < 2; ++point) {
+          ll_e += plain.ll_enc_ms;
+          ll_d += plain.ll_dec_ms;
         }
-        if (comp) bwd += 2.0 * overhead_.backward_extra_ms(setting, msg_numel, h);
+        if (compressed) bwd += comp_bwd_extra_ms;
       }
     }
     // TP comm and codec work happen inside the forward/backward steps.
@@ -300,16 +262,36 @@ IterationBreakdown ModelParallelSimulator::run(
     stage_enc[static_cast<size_t>(stage)] = enc;
     stage_dec[static_cast<size_t>(stage)] = dec;
     stage_tp_comm[static_cast<size_t>(stage)] = comm;
-    stage_ll_enc[static_cast<size_t>(stage)] += ll_e;
-    stage_ll_dec[static_cast<size_t>(stage)] += ll_d;
+    stage_ll_enc[static_cast<size_t>(stage)] = ll_e;
+    stage_ll_dec[static_cast<size_t>(stage)] = ll_d;
   }
 
   // Pipeline boundaries. The activation leaving stage `st` feeds the first
   // layer of stage st+1; it is compressed iff that consumer layer is in the
   // plan window (matches the paper's Table 9, where with the last 12 of 24
   // layers compressed and pp=4, boundaries 1<->2 and 2<->3 shrink but 0<->1
-  // does not).
-  const int v = options_.virtual_stages;
+  // does not). Sparse and AE gradients shrink with the forward message; the
+  // quantized one does NOT (paper §3.3: the backward engine only supports
+  // float gradients, so the gradient stays activation-sized).
+  const int64_t comp_bwd_bytes =
+      cp::family(setting) == cp::Family::kQuantize ? plain.bytes : comp.bytes;
+  // Sender encodes at the end of its forward; receiver decodes at the start
+  // of its forward.
+  const double bd_dec_ms = overhead_.decode_ms(setting, msg_numel, h);
+  // One crossing of the activation that feeds `consumer_layer`, sent from
+  // stage `src` to stage `dst`: adds its bytes to the sums and charges its
+  // codec.
+  auto cross = [&](int64_t consumer_layer, int src, int dst, double* fwd_sum,
+                   double* bwd_sum) {
+    const bool compressed = plan.compresses(consumer_layer);
+    *fwd_sum += static_cast<double>(compressed ? comp.bytes : plain.bytes);
+    *bwd_sum += static_cast<double>(compressed ? comp_bwd_bytes : plain.bytes);
+    if (!compressed) return;
+    costs.fwd_ms[static_cast<size_t>(src)] += comp.enc_ms + overhead_.dispatch_ms / 2;
+    costs.fwd_ms[static_cast<size_t>(dst)] += bd_dec_ms + overhead_.dispatch_ms / 2;
+    stage_enc[static_cast<size_t>(src)] += comp.enc_ms;
+    stage_dec[static_cast<size_t>(dst)] += bd_dec_ms;
+  };
   if (options_.link_contention) {
     // Engine-level contention: the boundary tensor moves as tp
     // scatter-gather slices over the link's lanes (tp parallel NVLink
@@ -319,129 +301,55 @@ IterationBreakdown ModelParallelSimulator::run(
     for (int bd = 0; bd + 1 < pp; ++bd) {
       auto& shape = costs.boundary_shape[static_cast<size_t>(bd)];
       shape.slices = tp;
-      shape.lanes =
-          (boundary_cross_node(bd) || !cluster_.has_nvlink) ? 1 : tp;
+      shape.lanes = static_cast<int>(boundary_parallelism(bd, bd + 1));
     }
   }
-  // p2p duration of one transfer (or one slice, under contention).
-  auto p2p_cost = [&](int64_t bytes, int bd) {
-    const sim::LinkSpec& link = boundary_link(bd);
-    if (options_.link_contention) return sm::p2p_ms(bytes / tp, link);
-    const double par = boundary_parallelism(bd);
-    return sm::p2p_ms(static_cast<int64_t>(static_cast<double>(bytes) / par),
-                      link);
-  };
-  if (v == 1) {
-    for (int bd = 0; bd + 1 < pp; ++bd) {
-      const int64_t consumer_layer =
-          static_cast<int64_t>(bd + 1) * layers_per_stage;
-      const bool comp = plan.compresses(consumer_layer);
-      const int64_t fwd_bytes =
-          comp ? wire_bytes(setting, msg_numel, h) : msg_numel * 2;
-      const int64_t bwd_bytes =
-          comp ? backward_wire_bytes(setting, msg_numel, h) : msg_numel * 2;
-      if (!lw.enabled) {
-        costs.p2p_fwd_ms[static_cast<size_t>(bd)] = p2p_cost(fwd_bytes, bd);
-        costs.p2p_bwd_ms[static_cast<size_t>(bd)] = p2p_cost(bwd_bytes, bd);
-      } else {
-        // Sender encodes, link carries the coded bytes, receiver decodes;
-        // chunks overlap the three. The whole span rides in the boundary's
-        // p2p duration (the engine's transfer op), like the lossy path's
-        // closed-form p2p cost.
-        const double fe = sm::codec_ms(fwd_bytes, lw.encode_gb_s);
-        const double fd = sm::codec_ms(fwd_bytes, lw.decode_gb_s);
-        const double be = sm::codec_ms(bwd_bytes, lw.encode_gb_s);
-        const double bdd = sm::codec_ms(bwd_bytes, lw.decode_gb_s);
-        costs.p2p_fwd_ms[static_cast<size_t>(bd)] = sm::chunk_pipelined_ms(
-            fe, p2p_cost(ll_bytes(fwd_bytes), bd), fd, lw.chunks);
-        costs.p2p_bwd_ms[static_cast<size_t>(bd)] = sm::chunk_pipelined_ms(
-            be, p2p_cost(ll_bytes(bwd_bytes), bd), bdd, lw.chunks);
-        stage_ll_enc[static_cast<size_t>(bd)] += fe;
-        stage_ll_dec[static_cast<size_t>(bd + 1)] += fd;
-        stage_ll_enc[static_cast<size_t>(bd + 1)] += be;
-        stage_ll_dec[static_cast<size_t>(bd)] += bdd;
-      }
-      link_fwd_bytes[static_cast<size_t>(bd)] = ll_bytes(fwd_bytes);
-      link_bwd_bytes[static_cast<size_t>(bd)] = ll_bytes(bwd_bytes);
-
-      if (comp) {
-        // Sender encodes at the end of its forward; receiver decodes at the
-        // start of its forward.
-        const double e = overhead_.encode_ms(setting, msg_numel, h);
-        const double d = overhead_.decode_ms(setting, msg_numel, h);
-        costs.fwd_ms[static_cast<size_t>(bd)] += e + overhead_.dispatch_ms / 2;
-        costs.fwd_ms[static_cast<size_t>(bd + 1)] += d + overhead_.dispatch_ms / 2;
-        stage_enc[static_cast<size_t>(bd)] += e;
-        stage_dec[static_cast<size_t>(bd + 1)] += d;
-      }
+  // Interleaving crosses each boundary once per model chunk (and the wrap
+  // link between consecutive chunks). The engine charges one p2p duration
+  // per boundary, so the per-chunk wire sizes are averaged — the total
+  // traffic is preserved exactly; per-crossing variation within one
+  // boundary is smoothed.
+  const int v = options_.virtual_stages;
+  const int64_t layers_per_chunk = model_.num_layers / (pp * v);
+  for (int bd = 0; bd + 1 < pp; ++bd) {
+    double fwd_sum = 0.0, bwd_sum = 0.0;
+    for (int c = 0; c < v; ++c) {
+      cross((static_cast<int64_t>(c) * pp + bd + 1) * layers_per_chunk, bd,
+            bd + 1, &fwd_sum, &bwd_sum);
     }
-  } else {
-    // Interleaved: each boundary is crossed once per model chunk (and the
-    // wrap link between consecutive chunks). The engine charges one p2p
-    // duration per boundary, so we average the per-chunk wire sizes — the
-    // total traffic is preserved exactly; per-crossing variation within one
-    // boundary is smoothed.
-    const int64_t layers_per_chunk = model_.num_layers / (pp * v);
-    auto transition_bytes = [&](int64_t consumer_layer, bool backward) {
-      const bool comp = plan.compresses(consumer_layer);
-      if (!comp) return msg_numel * 2;
-      return backward ? backward_wire_bytes(setting, msg_numel, h)
-                      : wire_bytes(setting, msg_numel, h);
+    // p2p duration of one transfer (or one slice, under contention).
+    const sim::LinkSpec& link = boundary_link(bd, bd + 1);
+    const double par = boundary_parallelism(bd, bd + 1);
+    auto p2p = [&](int64_t bytes) {
+      if (options_.link_contention) return sm::p2p_ms(bytes / tp, link);
+      return sm::p2p_ms(
+          static_cast<int64_t>(static_cast<double>(bytes) / par), link);
     };
-    for (int bd = 0; bd + 1 < pp; ++bd) {
-      double fwd_sum = 0.0, bwd_sum = 0.0;
-      for (int c = 0; c < v; ++c) {
-        const int64_t consumer_layer =
-            (static_cast<int64_t>(c) * pp + bd + 1) * layers_per_chunk;
-        fwd_sum += static_cast<double>(transition_bytes(consumer_layer, false));
-        bwd_sum += static_cast<double>(transition_bytes(consumer_layer, true));
-        if (plan.compresses(consumer_layer)) {
-          const double e = overhead_.encode_ms(setting, msg_numel, h);
-          const double d = overhead_.decode_ms(setting, msg_numel, h);
-          costs.fwd_ms[static_cast<size_t>(bd)] +=
-              e + overhead_.dispatch_ms / 2;
-          costs.fwd_ms[static_cast<size_t>(bd + 1)] +=
-              d + overhead_.dispatch_ms / 2;
-          stage_enc[static_cast<size_t>(bd)] += e;
-          stage_dec[static_cast<size_t>(bd + 1)] += d;
-        }
-      }
-      costs.p2p_fwd_ms[static_cast<size_t>(bd)] =
-          p2p_cost(static_cast<int64_t>(fwd_sum / v), bd);
-      costs.p2p_bwd_ms[static_cast<size_t>(bd)] =
-          p2p_cost(static_cast<int64_t>(bwd_sum / v), bd);
-      link_fwd_bytes[static_cast<size_t>(bd)] = static_cast<int64_t>(fwd_sum);
-      link_bwd_bytes[static_cast<size_t>(bd)] = static_cast<int64_t>(bwd_sum);
-    }
+    const auto b = static_cast<size_t>(bd);
+    costs.p2p_fwd_ms[b] =
+        through_lossless(lw, static_cast<int64_t>(fwd_sum / v), p2p,
+                         &stage_ll_enc[b], &stage_ll_dec[b + 1]);
+    costs.p2p_bwd_ms[b] =
+        through_lossless(lw, static_cast<int64_t>(bwd_sum / v), p2p,
+                         &stage_ll_enc[b + 1], &stage_ll_dec[b]);
+    link_fwd_bytes[b] =
+        sm::lossless_wire_bytes(static_cast<int64_t>(fwd_sum), lw);
+    link_bwd_bytes[b] =
+        sm::lossless_wire_bytes(static_cast<int64_t>(bwd_sum), lw);
+  }
+  if (v > 1 && pp > 1) {
     // Wrap link (stage pp-1 -> stage 0), crossed between chunks c and c+1.
-    const bool wrap_cross =
-        ((pp - 1) * tp) / cluster_.gpus_per_node != 0;
-    const sim::LinkSpec& wrap_link =
-        wrap_cross ? cluster_.inter_node : cluster_.intra_node;
-    const double wrap_par =
-        (wrap_cross || !cluster_.has_nvlink) ? 1.0 : static_cast<double>(tp);
-    if (v > 1 && pp > 1) {
-      double fwd_sum = 0.0, bwd_sum = 0.0;
-      for (int c = 0; c + 1 < v; ++c) {
-        const int64_t consumer_layer =
-            (static_cast<int64_t>(c) * pp + pp) * layers_per_chunk;
-        fwd_sum += static_cast<double>(transition_bytes(consumer_layer, false));
-        bwd_sum += static_cast<double>(transition_bytes(consumer_layer, true));
-        if (plan.compresses(consumer_layer)) {
-          const double e = overhead_.encode_ms(setting, msg_numel, h);
-          const double d = overhead_.decode_ms(setting, msg_numel, h);
-          costs.fwd_ms[static_cast<size_t>(pp - 1)] +=
-              e + overhead_.dispatch_ms / 2;
-          costs.fwd_ms[0] += d + overhead_.dispatch_ms / 2;
-          stage_enc[static_cast<size_t>(pp - 1)] += e;
-          stage_dec[0] += d;
-        }
-      }
-      costs.p2p_wrap_fwd_ms = sm::p2p_ms(
-          static_cast<int64_t>(fwd_sum / (v - 1) / wrap_par), wrap_link);
-      costs.p2p_wrap_bwd_ms = sm::p2p_ms(
-          static_cast<int64_t>(bwd_sum / (v - 1) / wrap_par), wrap_link);
+    double fwd_sum = 0.0, bwd_sum = 0.0;
+    for (int c = 0; c + 1 < v; ++c) {
+      cross((static_cast<int64_t>(c) * pp + pp) * layers_per_chunk, pp - 1, 0,
+            &fwd_sum, &bwd_sum);
     }
+    const sim::LinkSpec& wrap_link = boundary_link(pp - 1, 0);
+    const double wrap_par = boundary_parallelism(pp - 1, 0);
+    costs.p2p_wrap_fwd_ms = sm::p2p_ms(
+        static_cast<int64_t>(fwd_sum / (v - 1) / wrap_par), wrap_link);
+    costs.p2p_wrap_bwd_ms = sm::p2p_ms(
+        static_cast<int64_t>(bwd_sum / (v - 1) / wrap_par), wrap_link);
   }
 
   // Data-parallel axis: dp replicas of the tp*pp grid, coupled by a
@@ -457,13 +365,9 @@ IterationBreakdown ModelParallelSimulator::run(
     costs.dp.overlap_grads = options_.dp_overlap_grads;
     const cp::Setting gset = options_.dp_grad_setting;
     const int64_t grad_elems = parameter_count(model_) / (tp * pp);
-    int64_t grad_wire = grad_elems * 2;
-    double g_enc = 0.0, g_dec = 0.0;
-    if (gset != cp::Setting::kBaseline) {
-      grad_wire = wire_bytes(gset, grad_elems, h);
-      g_enc = overhead_.encode_ms(gset, grad_elems, h);
-      g_dec = overhead_.decode_ms(gset, grad_elems, h);
-    }
+    const int64_t grad_wire = cp::wire_bytes(gset, grad_elems, h);
+    const double g_enc = overhead_.encode_ms(gset, grad_elems, h);
+    const double g_dec = overhead_.decode_ms(gset, grad_elems, h);
     int dp_intra = 1, dp_inter = 1;
     dp_group_shape(&dp_intra, &dp_inter);
     const sim::LinkSpec cross =
@@ -549,49 +453,38 @@ InferenceStepCost ModelParallelSimulator::inference_step_cost(
   const double attn_flops =
       16.0 / 3.0 * static_cast<double>(batch.context_tokens) *
       static_cast<double>(h);
-  const sim::LinkSpec& tpl = tp_link();
-  const cp::Setting setting = plan.setting;
+  const double layer_ms = cluster_.gpu.compute_ms((gemm_flops + attn_flops) / tp);
+  // The same two compressible forward collectives per layer as training
+  // (attention out, MLP out), priced once each; no backward all-reduces
+  // exist here, and the lossless wire stage stays off.
+  const TpPoint plain = tp_point(cp::Setting::kBaseline, msg_numel, {});
+  const TpPoint comp = tp_point(plan.setting, msg_numel, {});
 
   InferenceStepCost out;
   for (int64_t l = 0; l < model_.num_layers; ++l) {
-    out.compute_ms += cluster_.gpu.compute_ms((gemm_flops + attn_flops) / tp);
+    out.compute_ms += layer_ms;
     if (tp > 1) {
-      // The same two compressible forward collectives per layer as training
-      // (attention out, MLP out); no backward all-reduces exist here.
-      const bool comp = plan.compresses(l);
+      const TpPoint& p = plan.compresses(l) ? comp : plain;
       for (int point = 0; point < 2; ++point) {
-        if (!comp) {
-          out.tp_comm_ms += sm::allreduce_ms(msg_numel * 2, tp, tpl);
-        } else if (is_ae(setting)) {
-          out.dispatch_ms += overhead_.dispatch_ms;
-          out.enc_ms += overhead_.encode_ms(setting, msg_numel, h);
-          out.tp_comm_ms +=
-              sm::allreduce_ms(wire_bytes(setting, msg_numel, h), tp, tpl);
-          out.dec_ms += overhead_.decode_ms(setting, msg_numel, h);
-        } else {
-          out.dispatch_ms += overhead_.dispatch_ms;
-          out.enc_ms += overhead_.encode_ms(setting, msg_numel, h);
-          out.tp_comm_ms +=
-              sm::allgather_ms(wire_bytes(setting, msg_numel, h), tp, tpl);
-          out.dec_ms += overhead_.decode_ms(setting, msg_numel, h, tp);
-        }
+        out.dispatch_ms += p.dispatch_ms;
+        out.enc_ms += p.enc_ms;
+        out.tp_comm_ms += p.comm_ms;
+        out.dec_ms += p.dec_ms;
       }
     }
   }
   for (int bd = 0; bd + 1 < pp; ++bd) {
-    const int64_t consumer_layer =
-        static_cast<int64_t>(bd + 1) * layers_per_stage;
-    const bool comp = plan.compresses(consumer_layer);
-    const int64_t bytes =
-        comp ? wire_bytes(setting, msg_numel, h) : msg_numel * 2;
-    const double par = boundary_parallelism(bd);
+    const bool compressed =
+        plan.compresses(static_cast<int64_t>(bd + 1) * layers_per_stage);
+    const int64_t bytes = compressed ? comp.bytes : plain.bytes;
+    const double par = boundary_parallelism(bd, bd + 1);
     out.p2p_ms +=
         sm::p2p_ms(static_cast<int64_t>(static_cast<double>(bytes) / par),
-                   boundary_link(bd));
-    if (comp) {
+                   boundary_link(bd, bd + 1));
+    if (compressed) {
       out.dispatch_ms += overhead_.dispatch_ms;
-      out.enc_ms += overhead_.encode_ms(setting, msg_numel, h);
-      out.dec_ms += overhead_.decode_ms(setting, msg_numel, h);
+      out.enc_ms += comp.enc_ms;
+      out.dec_ms += overhead_.decode_ms(plan.setting, msg_numel, h);
     }
   }
   return out;

@@ -223,19 +223,24 @@ class ModelParallelSimulator {
   static int64_t parameter_count(const nn::BertConfig& cfg);
 
  private:
-  /// Link used by a stage's TP group.
-  const sim::LinkSpec& tp_link() const;
-  /// Link crossing a given pipeline boundary.
-  const sim::LinkSpec& boundary_link(int boundary) const;
-  /// Whether a boundary's p2p traffic leaves the node.
-  bool boundary_cross_node(int boundary) const;
-  /// Scatter-gather parallelism factor on a boundary (paper's Megatron
+  struct TpPoint;
+  /// Prices one TP point: a forward collective of a `numel`-element
+  /// activation sent under `setting` (kBaseline: uncompressed), through the
+  /// lossless stage `lw`. The one pricing path of run() and
+  /// inference_step_cost().
+  TpPoint tp_point(compress::Setting setting, int64_t numel,
+                   const sim::LosslessWireSpec& lw) const;
+  /// Link crossing the pipeline boundary from stage `from` to stage `to`
+  /// (adjacent stages, or the interleaved wrap from pp-1 to 0).
+  const sim::LinkSpec& boundary_link(int from, int to) const;
+  /// Whether that boundary's p2p traffic leaves the node.
+  bool boundary_cross_node(int from, int to) const;
+  /// Scatter-gather parallelism factor on that boundary (paper's Megatron
   /// optimization splits the boundary tensor across TP ranks; the slices
   /// move in parallel over NVLink but share a single NIC or PCIe bridge).
-  /// Closed-form approximation, used only when options_.link_contention is
-  /// off; with contention on, the engine queues the slices on explicit lane
-  /// resources instead.
-  double boundary_parallelism(int boundary) const;
+  /// Also the lane count when options_.link_contention queues the slices on
+  /// explicit lane resources instead of dividing by it.
+  double boundary_parallelism(int from, int to) const;
   /// DP-group shape on the cluster: how many of the dp peers share a node
   /// (`intra`) and how many node islands the group spans (`inter`);
   /// intra * inter == dp. Replicas are tp*pp-GPU blocks laid out

@@ -4,16 +4,10 @@
 #include <cmath>
 
 #include "sim/collectives.h"
+#include "sim/overhead.h"
 #include "tensor/check.h"
 
 namespace actcomp::perf {
-
-double layer_flops(int64_t batch, int64_t seq, int64_t hidden) {
-  const double b = static_cast<double>(batch);
-  const double s = static_cast<double>(seq);
-  const double h = static_cast<double>(hidden);
-  return 96.0 * b * s * h * h + 16.0 * b * s * s * h;
-}
 
 double t_comp(const PerfModelParams& p, double flops) {
   return p.alpha_ms_per_flop * flops;
@@ -118,9 +112,7 @@ LayerMeasurement measure_layer(const sim::ClusterSpec& cluster, int tp,
   m.comp_ms = gpu.compute_ms(flops_per_rank);
 
   const int64_t act_bytes = batch * seq * hidden * 2;
-  const sim::LinkSpec& link = tp <= cluster.gpus_per_node ? cluster.intra_node
-                                                          : cluster.inter_node;
-  m.comm_ms = sim::allreduce_ms(act_bytes, tp, link);
+  m.comm_ms = sim::allreduce_ms(act_bytes, tp, cluster.tp_link(tp));
 
   // AE overhead: encoder + decoder GEMMs of 2·B·s·h·e FLOPs each, at the
   // codec MFUs calibrated in sim/overhead.h.
@@ -128,9 +120,9 @@ LayerMeasurement measure_layer(const sim::ClusterSpec& cluster, int tp,
                              static_cast<double>(seq) *
                              static_cast<double>(hidden) * static_cast<double>(e);
   sim::GpuSpec enc_gpu = cluster.gpu;
-  enc_gpu.mfu = 0.20 * util;
+  enc_gpu.mfu = sim::kAeEncMfu * util;
   sim::GpuSpec dec_gpu = cluster.gpu;
-  dec_gpu.mfu = 0.15 * util;
+  dec_gpu.mfu = sim::kAeDecMfu * util;
   m.ae_overhead_ms = enc_gpu.compute_ms(codec_flops) + dec_gpu.compute_ms(codec_flops);
   return m;
 }

@@ -34,8 +34,8 @@ struct PerfModelParams {
   double gamma_ms_per_elem = 0.0;  ///< AE encode+decode per input element
 };
 
-/// FLOPs (fwd+bwd) of one Transformer layer (paper's count).
-double layer_flops(int64_t batch, int64_t seq, int64_t hidden);
+/// Eq. 1's FLOPs of one Transformer layer, the simulator's own count.
+using sim::layer_flops;
 
 double t_comp(const PerfModelParams& p, double flops);
 double t_comm(const PerfModelParams& p, double elements);

@@ -7,6 +7,13 @@
 
 namespace actcomp::sim {
 
+double layer_flops(int64_t batch, int64_t seq, int64_t hidden) {
+  const double b = static_cast<double>(batch);
+  const double s = static_cast<double>(seq);
+  const double h = static_cast<double>(hidden);
+  return 96.0 * b * s * h * h + 16.0 * b * s * s * h;
+}
+
 int TopologySpec::tiers(int nodes) const {
   ACTCOMP_CHECK(nodes >= 1, "TopologySpec: nodes must be >= 1, got " << nodes);
   if (spine == Spine::kFlat || nodes <= 1) return 1;

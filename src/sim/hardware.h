@@ -80,6 +80,11 @@ struct CrashSpec {
   }
 };
 
+/// FLOPs (fwd+bwd) of one Transformer layer over a batch x seq x hidden
+/// activation: 96·B·s·h² + 16·B·s²·h (the paper's Eq. 1, after Narayanan
+/// et al.). The forward pass is a third of it.
+double layer_flops(int64_t batch, int64_t seq, int64_t hidden);
+
 struct GpuSpec {
   double peak_fp16_tflops = 112.0;  ///< V100 tensor-core peak
   /// Achieved fraction of peak for transformer-layer GEMMs. The paper's
@@ -130,6 +135,11 @@ struct ClusterSpec {
   GpuSpec gpu;
 
   int total_gpus() const { return num_nodes * gpus_per_node; }
+  /// Link a TP group of `tp` ranks communicates over: NVLink/PCIe inside
+  /// the node when the group fits in one, else the inter-node network.
+  const LinkSpec& tp_link(int tp) const {
+    return tp <= gpus_per_node ? intra_node : inter_node;
+  }
 
   /// Validates counts and link parameters; throws std::invalid_argument
   /// with a "ClusterSpec: ..." message naming the offending field. Factories

@@ -10,22 +10,6 @@ namespace {
 
 namespace cp = actcomp::compress;
 
-bool is_topk(cp::Setting s) {
-  return s == cp::Setting::kT1 || s == cp::Setting::kT2 ||
-         s == cp::Setting::kT3 || s == cp::Setting::kT4;
-}
-bool is_randk(cp::Setting s) {
-  return s == cp::Setting::kR1 || s == cp::Setting::kR2 ||
-         s == cp::Setting::kR3 || s == cp::Setting::kR4;
-}
-bool is_ae(cp::Setting s) {
-  return s == cp::Setting::kA1 || s == cp::Setting::kA2;
-}
-bool is_quant(cp::Setting s) {
-  return s == cp::Setting::kQ1 || s == cp::Setting::kQ2 ||
-         s == cp::Setting::kQ3;
-}
-
 // Calibration constants — see the header table for the Table 4 anchors.
 constexpr double kTopkScanNsPerElem = 0.17;
 constexpr double kTopkSelectNsPerKept = 0.15;
@@ -37,8 +21,6 @@ constexpr double kRandkDeviceNsPerElem = 0.02;  // RNG mask generation
 constexpr double kRandkDeviceNsPerKept = 0.3;   // compaction
 constexpr double kQuantEncNsPerElem = 0.05;
 constexpr double kQuantDecNsPerElem = 0.08;
-constexpr double kAeEncMfu = 0.20;
-constexpr double kAeDecMfu = 0.15;
 // Fixed dispatch cost per encode/decode invocation (kernel launches plus
 // framework-level bookkeeping). This floor is why no compressor pays off at
 // tiny batch/sequence sizes (Takeaway 8 / Tables 12 & 14).
@@ -46,43 +28,48 @@ constexpr double kLaunchMs = 0.03;
 
 double ns_to_ms(double ns) { return ns * 1e-6; }
 
-}  // namespace
-
-int64_t OverheadModel::kept_elements(cp::Setting setting, int64_t numel) {
-  const double f = cp::sparse_fraction(setting);
-  const auto k = static_cast<int64_t>(std::llround(f * static_cast<double>(numel)));
-  return std::max<int64_t>(1, k);
+int64_t kept(cp::Setting setting, int64_t numel) {
+  return cp::kept_count(cp::sparse_fraction(setting), numel);
 }
+
+/// AE codec GEMMs of `scale`·numel·c FLOPs in total (c = the code size),
+/// run at utilization `mfu`.
+double ae_gemm_ms(GpuSpec g, double mfu, double scale, cp::Setting setting,
+                  int64_t numel, int64_t hidden) {
+  const int64_t c = cp::ae_code_size(setting, hidden);
+  g.mfu = mfu;
+  return g.compute_ms(scale * static_cast<double>(numel) *
+                      static_cast<double>(c));
+}
+
+}  // namespace
 
 double OverheadModel::encode_ms(cp::Setting setting, int64_t numel,
                                 int64_t hidden) const {
   ACTCOMP_CHECK(numel >= 0 && hidden > 0, "bad overhead query");
-  if (setting == cp::Setting::kBaseline || numel == 0) return 0.0;
-  if (is_ae(setting)) {
-    const int64_t c = cp::ae_code_size(setting, hidden);
-    const double flops = 2.0 * static_cast<double>(numel) * static_cast<double>(c);
-    GpuSpec g = gpu;
-    g.mfu = kAeEncMfu;
-    return kLaunchMs + g.compute_ms(flops);
-  }
-  if (is_topk(setting)) {
-    const int64_t k = kept_elements(setting, numel);
-    return kLaunchMs + ns_to_ms(kTopkScanNsPerElem * static_cast<double>(numel) +
-                                kTopkSelectNsPerKept * static_cast<double>(k));
-  }
-  if (is_randk(setting)) {
-    const int64_t k = kept_elements(setting, numel);
-    if (device_side_randomk) {
+  if (numel == 0) return 0.0;
+  switch (cp::family(setting)) {
+    case cp::Family::kNone:
+      return 0.0;
+    case cp::Family::kAutoencoder:
+      return kLaunchMs + ae_gemm_ms(gpu, kAeEncMfu, 2.0, setting, numel, hidden);
+    case cp::Family::kTopK:
       return kLaunchMs +
-             ns_to_ms(kRandkDeviceNsPerElem * static_cast<double>(numel) +
-                      kRandkDeviceNsPerKept * static_cast<double>(k));
+             ns_to_ms(kTopkScanNsPerElem * static_cast<double>(numel) +
+                      kTopkSelectNsPerKept *
+                          static_cast<double>(kept(setting, numel)));
+    case cp::Family::kRandomK: {
+      const auto k = static_cast<double>(kept(setting, numel));
+      if (device_side_randomk) {
+        return kLaunchMs +
+               ns_to_ms(kRandkDeviceNsPerElem * static_cast<double>(numel) +
+                        kRandkDeviceNsPerKept * k);
+      }
+      return kLaunchMs +
+             ns_to_ms(kRandkHostCoeff * std::pow(k, kRandkHostExponent));
     }
-    return kLaunchMs + ns_to_ms(kRandkHostCoeff *
-                                std::pow(static_cast<double>(k),
-                                         kRandkHostExponent));
-  }
-  if (is_quant(setting)) {
-    return kLaunchMs + ns_to_ms(kQuantEncNsPerElem * static_cast<double>(numel));
+    case cp::Family::kQuantize:
+      return kLaunchMs + ns_to_ms(kQuantEncNsPerElem * static_cast<double>(numel));
   }
   ACTCOMP_ASSERT(false, "unhandled setting in encode_ms");
 }
@@ -90,24 +77,22 @@ double OverheadModel::encode_ms(cp::Setting setting, int64_t numel,
 double OverheadModel::decode_ms(cp::Setting setting, int64_t numel,
                                 int64_t hidden, int copies) const {
   ACTCOMP_CHECK(copies >= 1, "decode copies must be >= 1");
-  if (setting == cp::Setting::kBaseline || numel == 0) return 0.0;
-  if (is_ae(setting)) {
-    // AE rides all-reduce: exactly one decode GEMM regardless of TP degree.
-    const int64_t c = cp::ae_code_size(setting, hidden);
-    const double flops = 2.0 * static_cast<double>(numel) * static_cast<double>(c);
-    GpuSpec g = gpu;
-    g.mfu = kAeDecMfu;
-    return kLaunchMs + g.compute_ms(flops);
-  }
-  if (is_topk(setting) || is_randk(setting)) {
-    const int64_t k = kept_elements(setting, numel) * copies;
-    return kLaunchMs +
-           ns_to_ms(kSparseFillNsPerElem * static_cast<double>(numel) +
-                    kSparseScatterNsPerKept * static_cast<double>(k));
-  }
-  if (is_quant(setting)) {
-    return kLaunchMs + ns_to_ms(kQuantDecNsPerElem * static_cast<double>(numel) *
-                                static_cast<double>(copies));
+  if (numel == 0) return 0.0;
+  switch (cp::family(setting)) {
+    case cp::Family::kNone:
+      return 0.0;
+    case cp::Family::kAutoencoder:
+      // AE rides all-reduce: exactly one decode GEMM regardless of TP degree.
+      return kLaunchMs + ae_gemm_ms(gpu, kAeDecMfu, 2.0, setting, numel, hidden);
+    case cp::Family::kTopK:
+    case cp::Family::kRandomK:
+      return kLaunchMs +
+             ns_to_ms(kSparseFillNsPerElem * static_cast<double>(numel) +
+                      kSparseScatterNsPerKept *
+                          static_cast<double>(kept(setting, numel) * copies));
+    case cp::Family::kQuantize:
+      return kLaunchMs + ns_to_ms(kQuantDecNsPerElem * static_cast<double>(numel) *
+                                  static_cast<double>(copies));
   }
   ACTCOMP_ASSERT(false, "unhandled setting in decode_ms");
 }
@@ -115,15 +100,11 @@ double OverheadModel::decode_ms(cp::Setting setting, int64_t numel,
 double OverheadModel::backward_extra_ms(cp::Setting setting, int64_t numel,
                                         int64_t hidden) const {
   if (setting == cp::Setting::kBaseline || numel == 0) return 0.0;
-  if (is_ae(setting)) {
+  if (cp::family(setting) == cp::Family::kAutoencoder) {
     // Four gradient GEMMs (dX and dW for encoder and decoder), each the size
     // of the forward codec GEMM. Anchor: A1 adds ≈ 8.5 ms of backward time
     // in Table 4.
-    const int64_t c = cp::ae_code_size(setting, hidden);
-    const double flops = 8.0 * static_cast<double>(numel) * static_cast<double>(c);
-    GpuSpec g = gpu;
-    g.mfu = kAeDecMfu;
-    return g.compute_ms(flops);
+    return ae_gemm_ms(gpu, kAeDecMfu, 8.0, setting, numel, hidden);
   }
   // Straight-through / masked backward: one elementwise pass.
   return ns_to_ms(0.01 * static_cast<double>(numel));

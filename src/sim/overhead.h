@@ -33,6 +33,12 @@
 
 namespace actcomp::sim {
 
+/// Achieved fraction of peak for the AE codec GEMMs (encoder, decoder):
+/// their code dimension is far too small to fill the tensor cores. The
+/// decoder's figure also prices the codec's backward GEMMs.
+inline constexpr double kAeEncMfu = 0.20;
+inline constexpr double kAeDecMfu = 0.15;
+
 struct OverheadModel {
   GpuSpec gpu;
   bool device_side_randomk = false;
@@ -57,9 +63,6 @@ struct OverheadModel {
   /// gradients; ~0 for straight-through algorithms).
   double backward_extra_ms(compress::Setting setting, int64_t numel,
                            int64_t hidden) const;
-
-  /// Kept elements for sparsification settings at this tensor size.
-  static int64_t kept_elements(compress::Setting setting, int64_t numel);
 };
 
 }  // namespace actcomp::sim

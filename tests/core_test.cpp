@@ -191,6 +191,34 @@ TEST(Determinism, TopKEncodeByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(m1.shape_dims, m4.shape_dims);
 }
 
+TEST(Determinism, Fp16RoundBitIdenticalAcrossThreadCounts) {
+  ThreadGuard guard;
+  // 45,000 elements: five full 8Ki-element chunks and a ragged sixth. The
+  // specials sit in different chunks, one on a chunk's first element.
+  ts::Generator gen(17);
+  ts::Tensor x = gen.normal(ts::Shape{45000}, 0.0f, 1000.0f);
+  auto d = x.data();
+  d[3] = std::numeric_limits<float>::infinity();
+  d[8192] = -std::numeric_limits<float>::infinity();
+  d[20000] = std::numeric_limits<float>::quiet_NaN();
+  d[30001] = 1.0e-6f;     // fp16 subnormal
+  d[44999] = -3.0e-8f;    // just over 2^-25: rounds to -2^-24
+  d[12345] = 70000.0f;    // overflows to +Inf
+  core::set_num_threads(1);
+  const auto ref = tensor_bytes(ts::fp16_round(x));
+  core::set_num_threads(4);
+  EXPECT_EQ(tensor_bytes(ts::fp16_round(x)), ref);
+  // And every element is the scalar converter's answer.
+  const ts::Tensor rt = ts::fp16_round(x);
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    const float want = ts::fp16_bits_to_fp32(ts::fp32_to_fp16_bits(d[i]));
+    uint32_t got_bits = 0, want_bits = 0;
+    std::memcpy(&got_bits, &rt.data()[static_cast<size_t>(i)], 4);
+    std::memcpy(&want_bits, &want, 4);
+    ASSERT_EQ(got_bits, want_bits) << "element " << i;
+  }
+}
+
 TEST(Determinism, NumThreadsReflectsResize) {
   ThreadGuard guard;
   core::set_num_threads(3);

@@ -153,7 +153,9 @@ TEST(Tasks, QqpParaphraseSharesTopic) {
     ASSERT_FALSE(topics.empty());
     const int64_t topic = topics.front();
     for (int64_t t : e.tokens_b) {
-      if (dt::Vocab::is_topic_word(t)) EXPECT_EQ(dt::Vocab::topic_of(t), topic);
+      if (dt::Vocab::is_topic_word(t)) {
+        EXPECT_EQ(dt::Vocab::topic_of(t), topic);
+      }
     }
   }
 }

@@ -4,10 +4,14 @@
 // contract of the fault-injection layer: with faults disabled (the default),
 // nothing in the pipeline anywhere may shift a single digit.
 //
+// The same runner checks one CLI contract: throughput_explorer's exit status
+// and message on bad input.
+//
 // Regenerating after an intentional simulator change:
 //   ./build/bench/<name> > tests/golden/<name>.txt
 // and justify the diff in the PR.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <fstream>
@@ -76,5 +80,25 @@ INSTANTIATE_TEST_SUITE_P(Tables, Golden,
                                            "ablation_serving",
                                            "ablation_serving_faults",
                                            "ablation_wire_formats"));
+
+// The explorer's answer to bad input is a message and exit status 2, as for
+// a bad flag: a malformed --trace-in file must not abort it.
+TEST(Cli, ThroughputExplorerRejectsMalformedTrace) {
+  const std::string trace =
+      ::testing::TempDir() + "throughput_explorer_malformed_trace.json";
+  std::ofstream(trace) << "{}";
+  int status = -1;
+  const std::string out =
+      run_binary("ACTCOMP_REPORT=0 " + std::string(ACTCOMP_EXAMPLE_DIR) +
+                     "/throughput_explorer --serve --trace-in " + trace,
+                 &status);
+  std::remove(trace.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << out;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << out;
+  EXPECT_NE(out.find("throughput_explorer: serving_trace: missing string "
+                     "field 'schema'"),
+            std::string::npos)
+      << out;
+}
 
 }  // namespace

@@ -123,7 +123,9 @@ TEST(Recovery, TimelineIsContiguousAndAccountsForTheWall) {
   for (size_t i = 0; i < r.segments.size(); ++i) {
     const auto& s = r.segments[i];
     EXPECT_LE(s.start_ms, s.end_ms);
-    if (i > 0) EXPECT_DOUBLE_EQ(s.start_ms, r.segments[i - 1].end_ms);
+    if (i > 0) {
+      EXPECT_DOUBLE_EQ(s.start_ms, r.segments[i - 1].end_ms);
+    }
     covered += s.end_ms - s.start_ms;
   }
   EXPECT_NEAR(covered, r.wall_ms, 1e-6 * r.wall_ms);

@@ -138,9 +138,13 @@ TEST(Binder, CreatesPerLayerCompressors) {
   nn::BertModel model(micro_config(), gen);
   const auto plan = core::CompressionPlan::last_n(cp::Setting::kA1, 2, 1);
   core::CompressionBinder binder(model, plan, /*pp=*/2, gen);
-  // Layer 1 compressed: 2 TP points; no boundary (boundary after layer 0 is
-  // the input to layer 1 -> compressed! boundaries(2,2) = {0}, plan
-  // compresses layer 1 but the boundary index stored is the producing layer 0).
+  // Layer 1 is compressed, so its two TP points get codecs. The one pipeline
+  // boundary at pp = 2 is keyed by its producer, layer 0
+  // (pipeline_boundaries(2, 2) == {0}), and the binder compresses a boundary
+  // only when that producer is in the plan. So this boundary stays
+  // uncompressed although it feeds the compressed layer 1. The simulator and
+  // the paper's Table 9 compress the boundary that feeds the first
+  // compressed layer instead (see ROADMAP).
   EXPECT_EQ(binder.num_compression_points(), 2);
   EXPECT_EQ(binder.codec_parameters().size(), 4u);  // 2 AEs x (enc, dec)
 }

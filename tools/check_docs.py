@@ -13,10 +13,10 @@ Two guarantees:
    that actually builds. A bench added without documentation — or
    documentation for a bench that was deleted — fails CI.
 
-3. WIRE_FORMATS.md's registry tables agree with the code's label switches,
-   in both directions: the settings table against setting_label() in
-   src/compress/settings.cpp, and the lossless algo / plane split tables
-   against lossless_algo_label() / plane_split_label() in
+3. WIRE_FORMATS.md's registry tables agree with the code's label sources,
+   in both directions: the settings table against the Table 1 rows
+   (kTable1) in src/compress/settings.cpp, and the lossless algo / plane
+   split tables against lossless_algo_label() / plane_split_label() in
    src/compress/lossless.cpp. A wire format added to the code without a
    spec row — or a spec row for a format the code no longer has — fails CI.
 
@@ -91,7 +91,7 @@ def check_bench_coverage(errors):
 REGISTRY_MARKER_RE = re.compile(r"<!--\s*registry:([a-z-]+)\s*-->")
 TABLE_LABEL_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 CASE_LABEL_RE = {
-    "settings": re.compile(r'case Setting::k\w+:\s*return "([^"]+)";'),
+    "settings": re.compile(r'^\s*\{"([^"]+)", Family::k\w+,', re.M),
     "lossless-algo": re.compile(r'case LosslessAlgo::k\w+:\s*return "([^"]+)";'),
     "plane-split": re.compile(r'case PlaneSplit::k\w+:\s*return "([^"]+)";'),
 }
