@@ -1,12 +1,12 @@
 // Machine-readable kernel benchmark: times the parallel compute core
-// (blocked GEMM, GELU, permute, compressor encode/decode, one end-to-end
-// fine-tune step) across thread counts, and the profiler's overhead on that
-// step. Output is a canonical RunReport document
-// (actcomp.run_report.v1, see obs/report.h): each measurement is one entry
-// of the "records" array carrying {op, shape, threads, ns_op, gb_s} plus
-// op-specific extras (gflops, speedup_vs_seed). The checked-in baseline
-// lives at bench/baselines/BENCH_kernels.json; README's Performance table
-// is derived from it.
+// (blocked GEMM, the small in-place GEMMs per tier, GELU, permute,
+// compressor encode/decode, one end-to-end fine-tune step) across thread
+// counts, and the profiler's overhead on that step. Output is a canonical
+// RunReport document (actcomp.run_report.v1, see obs/report.h): each
+// measurement is one entry of the "records" array carrying {op, shape,
+// threads, ns_op, gb_s} plus op-specific extras (gflops, speedup_vs_seed).
+// The checked-in baseline lives at bench/baselines/BENCH_kernels.json;
+// README's Performance table is derived from it.
 //
 // The GEMM baseline is a verbatim copy of the seed repo's matmul2d loop
 // (including its zero-skip branch), compiled at this file's default
@@ -169,6 +169,63 @@ void bench_matmul_tiers(int64_t m, int64_t k, int64_t n) {
   }
   core::set_simd_isa(restore);
   core::set_num_threads(1);
+}
+
+// The GEMMs at or below kSimpleGemmFlops, which each tier's tile runs in
+// place on the calling thread: decode's per-token projections (4 rows) and
+// the attention products (32 batches, one head each). Calls each tier's
+// gemm_into on preallocated buffers, as bench_table_tiers does. t=1 only:
+// the path never enters the pool, so a t=4 record would measure nothing new.
+void bench_gemm_small_tiers() {
+  namespace kn = ts::kernels;
+  struct Case {
+    int64_t batches, m, k, n;
+  };
+  const Case cases[] = {{1, 4, 128, 128},
+                        {1, 4, 128, 512},
+                        {1, 4, 512, 128},
+                        {32, 64, 32, 64},
+                        {32, 64, 64, 32}};
+  ts::Generator gen(23);
+  for (const Case& c : cases) {
+    const ts::Tensor a = gen.normal(ts::Shape{c.batches, c.m, c.k});
+    const ts::Tensor b = gen.normal(ts::Shape{c.batches, c.k, c.n});
+    std::vector<float> out(static_cast<size_t>(c.batches * c.m * c.n));
+    const double macs = static_cast<double>(c.batches * c.m * c.k * c.n);
+    const double bytes = 4.0 * static_cast<double>(c.batches) *
+                         static_cast<double>(c.m * c.k + c.k * c.n + c.m * c.n);
+    char shape[64];
+    if (c.batches == 1) {
+      std::snprintf(shape, sizeof(shape), "%lldx%lldx%lld",
+                    static_cast<long long>(c.m), static_cast<long long>(c.k),
+                    static_cast<long long>(c.n));
+    } else {
+      std::snprintf(shape, sizeof(shape), "%lldx%lldx%lldx%lld",
+                    static_cast<long long>(c.batches),
+                    static_cast<long long>(c.m), static_cast<long long>(c.k),
+                    static_cast<long long>(c.n));
+    }
+    // ~16M multiply-adds per rep, so a rep is a few milliseconds.
+    const int64_t iters =
+        std::max<int64_t>(1, static_cast<int64_t>((1 << 24) / macs));
+    for (int t = 0; t <= static_cast<int>(core::detected_simd_isa()); ++t) {
+      const kn::KernelTable& kt = kn::kernels_for_tier(t);
+      const double tsec = best_of(5, [&] {
+                            for (int64_t it = 0; it < iters; ++it) {
+                              for (int64_t i = 0; i < c.batches; ++i) {
+                                kt.gemm_into(a.data().data() + i * c.m * c.k,
+                                             b.data().data() + i * c.k * c.n,
+                                             out.data() + i * c.m * c.n, c.m,
+                                             c.k, c.n);
+                              }
+                            }
+                          }) / static_cast<double>(iters);
+      const std::string op = std::string("gemm_small_") + kt.name;
+      emit(op, shape, 1, tsec * 1e9, bytes / tsec / 1e9, 2.0 * macs / tsec / 1e9);
+      std::printf("%-17s %-13s t=1  %8.2f us  %6.1f GFLOP/s\n", op.c_str(),
+                  shape, tsec * 1e6, 2.0 * macs / tsec / 1e9);
+    }
+  }
 }
 
 // gelu and gelu_grad per SIMD tier, like bench_matmul_tiers: every tier
@@ -485,6 +542,7 @@ int main(int argc, char** argv) {
   bench_matmul(512, 512, 512, /*run_seed=*/true);
   std::printf("\n");
   bench_matmul_tiers(512, 512, 512);
+  bench_gemm_small_tiers();
   if (!quick) {
     bench_matmul(768, 768, 768, /*run_seed=*/true);
     for (int64_t hidden : {768, 1024, 2048, 4096, 8192}) {

@@ -64,6 +64,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -165,9 +166,8 @@ int explore(int argc, char** argv) {
     topo.oversubscription =
         colon == std::string::npos ? 4.0 : std::atof(topology.c_str() + colon + 1);
   } else if (topology != "flat") {
-    std::fprintf(stderr, "unknown --topology '%s' (flat|fat-tree|oversub[:N])\n",
-                 topology.c_str());
-    return 2;
+    throw std::invalid_argument("unknown --topology '" + topology +
+                                "' (flat|fat-tree|oversub[:N])");
   }
 
   const int total_gpus = tp * pp * dp;
@@ -318,9 +318,8 @@ int explore(int argc, char** argv) {
       } else if (serve_policy == "jsq") {
         rcfg.policy = sim::RoutePolicy::kJoinShortestQueue;
       } else {
-        std::fprintf(stderr, "unknown --serve-policy '%s' (rr|jsq|health)\n",
-                     serve_policy.c_str());
-        return 2;
+        throw std::invalid_argument("unknown --serve-policy '" + serve_policy +
+                                    "' (rr|jsq|health)");
       }
       rcfg.max_batch = 8;
       rcfg.token_budget = 2048;
@@ -490,9 +489,10 @@ int explore(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Bad input (a missing or malformed --trace-in file, a layout whose
-  // tp*pp*dp does not match the platform) throws from the loaders and the
-  // simulator; report it like a bad flag instead of aborting.
+  // Bad input (an unknown --topology or --serve-policy, a missing or
+  // malformed --trace-in file, a layout whose tp*pp*dp does not match the
+  // platform) throws; report it with exit status 2 instead of aborting. The
+  // RunReport skips its write while unwinding, so the last good report stays.
   try {
     return explore(argc, argv);
   } catch (const std::exception& e) {

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <thread>
 #include <utility>
 
@@ -25,13 +26,16 @@ const char* accounting_label(Accounting a) {
 
 }  // namespace
 
-RunReport::RunReport(std::string binary) : binary_(std::move(binary)) {
+RunReport::RunReport(std::string binary)
+    : binary_(std::move(binary)), uncaught_(std::uncaught_exceptions()) {
   prev_ = g_current;
   g_current = this;
 }
 
 RunReport::~RunReport() {
-  write();
+  // A run unwinding from an exception is a failed run: its partial report
+  // must not replace the last good one.
+  if (std::uncaught_exceptions() <= uncaught_) write();
   g_current = prev_;
 }
 

@@ -5,7 +5,8 @@
 // the profiler is enabled — the zone tree, and writes
 // $ACTCOMP_REPORT_DIR/REPORT_<binary>.json silently (never to stdout, so
 // golden-tested bench output is untouched). ACTCOMP_REPORT=0 disables
-// writing entirely.
+// writing entirely, and a run that unwinds from an exception writes nothing,
+// so a failed run leaves the last good report in place.
 //
 // Schema (DESIGN.md §11 is the normative description):
 //   {
@@ -40,7 +41,8 @@ class RunReport {
  public:
   /// `binary` names the emitting program (also the output file suffix).
   explicit RunReport(std::string binary);
-  /// Writes (unless already written or disabled), then pops itself from the
+  /// Writes (unless already written, disabled, or unwinding from an
+  /// exception thrown after construction), then pops itself from the
   /// current() stack.
   ~RunReport();
 
@@ -80,6 +82,7 @@ class RunReport {
   json::Value tables_ = json::Value::array();
   json::Value records_ = json::Value::array();
   RunReport* prev_ = nullptr;  ///< current() stack link
+  int uncaught_ = 0;           ///< std::uncaught_exceptions() at construction
   bool written_ = false;
 };
 

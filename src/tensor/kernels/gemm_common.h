@@ -1,27 +1,30 @@
-// Shared panel-packed GEMM driver, parameterized on a per-ISA micro-kernel
-// policy (DESIGN.md §10/§15).
+// The one GEMM driver, parameterized on a per-ISA micro-tile policy
+// (DESIGN.md §10/§15).
 //
 // A policy supplies:
-//   static constexpr int64_t kNR;   // panel width = micro-tile columns
+//   static constexpr int64_t kNR;   // micro-tile columns = packed panel width
 //   static constexpr int64_t kMR;   // micro-tile rows
 //   template <int MR, bool FIRST>
-//   static void micro(const float* a, int64_t lda, const float* panel,
-//                     float* c, int64_t ldc, int64_t kc);
+//   static void micro(const float* a, int64_t lda, const float* b,
+//                     int64_t ldb, float* c, int64_t ldc, int64_t kc);
+// where b points at a kc x kNR block whose rows are ldb floats apart.
 //
-// The driver owns everything ISA-independent: B packing (zero-padded right
-// edge), k-blocking by kKC with C-tile reload, row parallelization, and the
-// scalar edge kernel for the final partial-width panel. Determinism: every
-// C element is owned by one row chunk and its additions happen in ascending
-// k order whatever kNR/kMR the policy picks — so the scalar, AVX2, and
-// AVX-512 instantiations are bit-identical to each other and to any thread
-// count, as long as the micro-kernel spells mul-then-add (no FMA).
+// The driver owns everything ISA-independent: the row / k-block / panel
+// loop, B packing, and the scalar edge kernel for the final partial-width
+// panel. Above kSimpleGemmFlops it packs B into panels (ldb = kNR) and
+// splits rows across the pool; at or below it runs the same loop inline on
+// the caller's thread, each "panel" pointing straight into B (ldb = n),
+// with no packing and no pool. Determinism: every C element is owned by
+// one row chunk, starts from +0, and takes its mul-then-add steps in
+// ascending k order whatever kNR/kMR the policy picks, so the scalar, AVX2
+// and AVX-512 instantiations are bit-identical to each other, to any thread
+// count and to the textbook i-k-j loop (no FMA).
 //
 // Linkage note: each policy struct lives in its TU's anonymous namespace,
 // which makes every template instantiation here TU-local. That is
 // deliberate — these helpers are compiled under three different -m flag
 // sets, and a COMDAT-deduplicated copy built with AVX-512 flags must never
 // be linked into the scalar tier (it would SIGILL on a narrower host).
-// gemm_simple_impl is `static inline` for the same reason.
 #pragma once
 
 #include <algorithm>
@@ -34,30 +37,13 @@ namespace actcomp::tensor::kernels {
 
 inline constexpr int64_t kKC = 512;       // k-block: panel slice stays cache-resident
 inline constexpr int64_t kRowGrain = 32;  // rows per parallel chunk
-// Below this many multiply-adds the packing + dispatch overhead outweighs
-// the cache wins; use the simple streaming kernel instead.
+// At or below this many multiply-adds, packing and waking the pool cost
+// more than they save: the tile reads B in place, serially.
 inline constexpr int64_t kSimpleGemmFlops = 1 << 18;
-
-// The streaming i-k-j kernel for small shapes. Each ISA TU compiles its own
-// copy with its own vector width — the j loop is elementwise per C element
-// (ascending k outside it), so wider autovectorization changes speed, never
-// bytes.
-static inline void gemm_simple_impl(const float* a, const float* b, float* c,
-                                    int64_t m, int64_t k, int64_t n) {
-  for (int64_t i = 0; i < m; ++i) {
-    float* c_row = c + i * n;
-    const float* a_row = a + i * k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = a_row[kk];
-      const float* b_row = b + kk * n;
-      for (int64_t j = 0; j < n; ++j) c_row[j] += av * b_row[j];
-    }
-  }
-}
 
 // Pack b (k x n row-major) into ceil(n/NR) panels. Panel p holds columns
 // [p*NR, p*NR + NR) for every k row, contiguous, zero-padded on the right
-// edge so the full-width micro-kernel never branches on width.
+// edge so the edge kernel can run a partial panel at full width.
 template <class P>
 std::vector<float> pack_b_panels(const float* b, int64_t k, int64_t n) {
   constexpr int64_t NR = P::kNR;
@@ -81,23 +67,27 @@ std::vector<float> pack_b_panels(const float* b, int64_t k, int64_t n) {
 
 // Right-edge variant for the final panel when n % NR != 0: same k order,
 // but C loads/stores are guarded by the live width w so the kernel never
-// touches memory past the row end. Scalar is fine here — the edge covers
-// at most NR-1 of n columns.
-template <class P, int MR>
-void gemm_micro_edge(const float* a, int64_t lda, const float* panel, float* c,
-                     int64_t ldc, int64_t kc, int64_t w, bool first) {
+// touches memory past the row end. A packed panel (PADDED) is zero-padded
+// to NR columns, so the kernel runs all NR of them at a compile-time width
+// that keeps the accumulators in registers. In place it loads only the w
+// live columns, so no read runs past B's last row. Scalar is fine here —
+// the edge covers at most NR-1 of n columns.
+template <class P, int MR, bool PADDED>
+void gemm_micro_edge(const float* a, int64_t lda, const float* b, int64_t ldb,
+                     float* c, int64_t ldc, int64_t kc, int64_t w, bool first) {
   constexpr int64_t NR = P::kNR;
+  const int64_t cols = PADDED ? NR : w;
   float acc[MR][NR];
   for (int r = 0; r < MR; ++r) {
-    for (int64_t j = 0; j < NR; ++j) {
+    for (int64_t j = 0; j < cols; ++j) {
       acc[r][j] = (first || j >= w) ? 0.0f : c[r * ldc + j];
     }
   }
   for (int64_t kk = 0; kk < kc; ++kk) {
-    const float* bk = panel + kk * NR;
+    const float* bk = b + kk * ldb;
     for (int r = 0; r < MR; ++r) {
       const float av = a[r * lda + kk];
-      for (int64_t j = 0; j < NR; ++j) acc[r][j] += av * bk[j];
+      for (int64_t j = 0; j < cols; ++j) acc[r][j] += av * bk[j];
     }
   }
   for (int r = 0; r < MR; ++r) {
@@ -107,29 +97,31 @@ void gemm_micro_edge(const float* a, int64_t lda, const float* panel, float* c,
 
 template <class P, int R>
 void micro_dispatch(int64_t mr, bool first, const float* a, int64_t lda,
-                    const float* panel, float* c, int64_t ldc, int64_t kc) {
+                    const float* b, int64_t ldb, float* c, int64_t ldc,
+                    int64_t kc) {
   if (mr == R) {
     if (first) {
-      P::template micro<R, true>(a, lda, panel, c, ldc, kc);
+      P::template micro<R, true>(a, lda, b, ldb, c, ldc, kc);
     } else {
-      P::template micro<R, false>(a, lda, panel, c, ldc, kc);
+      P::template micro<R, false>(a, lda, b, ldb, c, ldc, kc);
     }
     return;
   }
   if constexpr (R > 1) {
-    micro_dispatch<P, R - 1>(mr, first, a, lda, panel, c, ldc, kc);
+    micro_dispatch<P, R - 1>(mr, first, a, lda, b, ldb, c, ldc, kc);
   }
 }
 
-template <class P, int R>
-void edge_dispatch(int64_t mr, const float* a, int64_t lda, const float* panel,
-                   float* c, int64_t ldc, int64_t kc, int64_t w, bool first) {
+template <class P, int R, bool PADDED>
+void edge_dispatch(int64_t mr, const float* a, int64_t lda, const float* b,
+                   int64_t ldb, float* c, int64_t ldc, int64_t kc, int64_t w,
+                   bool first) {
   if (mr == R) {
-    gemm_micro_edge<P, R>(a, lda, panel, c, ldc, kc, w, first);
+    gemm_micro_edge<P, R, PADDED>(a, lda, b, ldb, c, ldc, kc, w, first);
     return;
   }
   if constexpr (R > 1) {
-    edge_dispatch<P, R - 1>(mr, a, lda, panel, c, ldc, kc, w, first);
+    edge_dispatch<P, R - 1, PADDED>(mr, a, lda, b, ldb, c, ldc, kc, w, first);
   }
 }
 
@@ -138,33 +130,43 @@ template <class P>
 void gemm_into_t(const float* a, const float* b, float* c, int64_t m,
                  int64_t k, int64_t n) {
   if (m == 0 || n == 0 || k == 0) return;
-  if (m * n * k <= kSimpleGemmFlops) {
-    gemm_simple_impl(a, b, c, m, k, n);
-    return;
-  }
-  const std::vector<float> bp = pack_b_panels<P>(b, k, n);
-  const int64_t npanels = (n + P::kNR - 1) / P::kNR;
-  core::parallel_for(0, m, kRowGrain, [&](int64_t r0, int64_t r1) {
+  constexpr int64_t NR = P::kNR;
+  constexpr int MR = static_cast<int>(P::kMR);
+  const bool in_place = m * n * k <= kSimpleGemmFlops;
+  std::vector<float> bp;
+  if (!in_place) bp = pack_b_panels<P>(b, k, n);
+  const int64_t ldb = in_place ? n : NR;
+  const int64_t npanels = (n + NR - 1) / NR;
+  const auto rows = [&](int64_t r0, int64_t r1) {
     for (int64_t kc0 = 0; kc0 < k; kc0 += kKC) {
       const int64_t kc = std::min(kKC, k - kc0);
       for (int64_t p = 0; p < npanels; ++p) {
-        const float* panel = bp.data() + p * k * P::kNR + kc0 * P::kNR;
-        const int64_t j0 = p * P::kNR;
-        const int64_t w = std::min(P::kNR, n - j0);
-        for (int64_t i = r0; i < r1; i += P::kMR) {
-          const int64_t mr = std::min<int64_t>(P::kMR, r1 - i);
-          if (w == P::kNR) {
-            micro_dispatch<P, static_cast<int>(P::kMR)>(
-                mr, kc0 == 0, a + i * k + kc0, k, panel, c + i * n + j0, n, kc);
+        const int64_t j0 = p * NR;
+        const int64_t w = std::min(NR, n - j0);
+        const float* panel = in_place ? b + kc0 * n + j0
+                                      : bp.data() + p * k * NR + kc0 * NR;
+        for (int64_t i = r0; i < r1; i += MR) {
+          const int64_t mr = std::min<int64_t>(MR, r1 - i);
+          const float* ai = a + i * k + kc0;
+          float* ci = c + i * n + j0;
+          if (w == NR) {
+            micro_dispatch<P, MR>(mr, kc0 == 0, ai, k, panel, ldb, ci, n, kc);
+          } else if (in_place) {
+            edge_dispatch<P, MR, false>(mr, ai, k, panel, ldb, ci, n, kc, w,
+                                        kc0 == 0);
           } else {
-            edge_dispatch<P, static_cast<int>(P::kMR)>(
-                mr, a + i * k + kc0, k, panel, c + i * n + j0, n, kc, w,
-                kc0 == 0);
+            edge_dispatch<P, MR, true>(mr, ai, k, panel, ldb, ci, n, kc, w,
+                                       kc0 == 0);
           }
         }
       }
     }
-  });
+  };
+  if (in_place) {
+    rows(0, m);
+  } else {
+    core::parallel_for(0, m, kRowGrain, rows);
+  }
 }
 
 }  // namespace actcomp::tensor::kernels

@@ -13,6 +13,8 @@
 // that table. A SIMD tier then assigns only the entries it hand-writes with
 // intrinsics: its GEMM micro-tile, `row_max`/`row_minmax`, the F16C fp16
 // trio, the quantizer pair, and on AVX-512 the lane-per-row `rows_moments`.
+// GEMM has one kernel per tier: that tier's micro-tile under the shared
+// driver in gemm_common.h, for every shape.
 //
 // Identity contract: every entry produces bytes identical to the scalar
 // tier. The mechanics:
@@ -39,13 +41,13 @@ struct KernelTable {
   const char* name;
 
   // ---- GEMM ----
-  // c (m x n, zero-initialized) += a (m x k) * b (k x n). Packs B into
-  // panels, parallelizes rows, walks k ascending per C element.
+  // c (m x n, zero-initialized) += a (m x k) * b (k x n) through the tier's
+  // one register tile, walking k ascending per C element. Above
+  // kSimpleGemmFlops it packs B into panels and parallelizes rows; at or
+  // below it reads B in place on the caller's thread and never enters the
+  // pool, so callers may run it inside their own parallel_for.
   void (*gemm_into)(const float* a, const float* b, float* c, int64_t m,
                     int64_t k, int64_t n);
-  // Streaming i-k-j kernel for shapes below the packing threshold; serial.
-  void (*gemm_simple)(const float* a, const float* b, float* c, int64_t m,
-                      int64_t k, int64_t n);
 
   // ---- elementwise (i in [lo, hi); b index is i % nb, nb == len(a) for
   // same-shape operands) ----

@@ -34,15 +34,16 @@ namespace actcomp::tensor::kernels::avx2i {
 namespace {  // internal types: keep template instantiations TU-local
 
 // 5x16 micro-tile on ymm registers: 10 accumulators + 2 B columns + 1
-// broadcast stay inside the 16-register file. Same tile shape and k order
-// as the scalar tier's GNU-vector kernel, so the sums are bit-identical.
+// broadcast stay inside the 16-register file. Its bytes do not depend on
+// the shape: each C element starts from +0 and adds its products in
+// ascending k, as in every other tier's tile.
 struct Avx2GemmPolicy {
   static constexpr int64_t kNR = 16;
   static constexpr int64_t kMR = 5;
 
   template <int MR, bool FIRST>
-  static void micro(const float* a, int64_t lda, const float* panel, float* c,
-                    int64_t ldc, int64_t kc) {
+  static void micro(const float* a, int64_t lda, const float* b, int64_t ldb,
+                    float* c, int64_t ldc, int64_t kc) {
     __m256 acc[MR][2];
     for (int r = 0; r < MR; ++r) {
       if (FIRST) {
@@ -54,8 +55,8 @@ struct Avx2GemmPolicy {
       }
     }
     for (int64_t kk = 0; kk < kc; ++kk) {
-      const __m256 b0 = _mm256_loadu_ps(panel + kk * kNR);
-      const __m256 b1 = _mm256_loadu_ps(panel + kk * kNR + 8);
+      const __m256 b0 = _mm256_loadu_ps(b + kk * ldb);
+      const __m256 b1 = _mm256_loadu_ps(b + kk * ldb + 8);
       for (int r = 0; r < MR; ++r) {
         const __m256 av = _mm256_set1_ps(a[r * lda + kk]);
         acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(av, b0));

@@ -20,15 +20,15 @@ namespace avx512i {
 namespace {  // internal types: keep template instantiations TU-local
 
 // 8x32 micro-tile: 16 zmm accumulators + 2 B columns + 1 broadcast = 19 of
-// the 32 zmm registers. Same kKC/kRowGrain and per-element ascending-k sum
-// as the other tiers, so the bytes match despite the different tile shape.
+// the 32 zmm registers. Same per-element ascending-k sum from +0 as the
+// other tiers, so the bytes match despite the different tile shape.
 struct Avx512GemmPolicy {
   static constexpr int64_t kNR = 32;
   static constexpr int64_t kMR = 8;
 
   template <int MR, bool FIRST>
-  static void micro(const float* a, int64_t lda, const float* panel, float* c,
-                    int64_t ldc, int64_t kc) {
+  static void micro(const float* a, int64_t lda, const float* b, int64_t ldb,
+                    float* c, int64_t ldc, int64_t kc) {
     __m512 acc[MR][2];
     for (int r = 0; r < MR; ++r) {
       if (FIRST) {
@@ -40,8 +40,8 @@ struct Avx512GemmPolicy {
       }
     }
     for (int64_t kk = 0; kk < kc; ++kk) {
-      const __m512 b0 = _mm512_loadu_ps(panel + kk * kNR);
-      const __m512 b1 = _mm512_loadu_ps(panel + kk * kNR + 16);
+      const __m512 b0 = _mm512_loadu_ps(b + kk * ldb);
+      const __m512 b1 = _mm512_loadu_ps(b + kk * ldb + 16);
       for (int r = 0; r < MR; ++r) {
         const __m512 av = _mm512_set1_ps(a[r * lda + kk]);
         acc[r][0] = _mm512_add_ps(acc[r][0], _mm512_mul_ps(av, b0));

@@ -14,7 +14,6 @@
 #include <limits>
 
 #include "tensor/fp16.h"
-#include "tensor/kernels/gemm_common.h"
 #include "tensor/kernels/kernel_table.h"
 
 namespace actcomp::tensor::kernels::generic {
@@ -235,7 +234,6 @@ static inline KernelTable table(const char* name,
   return KernelTable{
       .name = name,
       .gemm_into = gemm_into,
-      .gemm_simple = gemm_simple_impl,
       .ew_add = ew_add,
       .ew_sub = ew_sub,
       .ew_mul = ew_mul,

@@ -3,11 +3,15 @@
 // flags, so the binary runs on any x86-64 (or non-x86) host. Its table is
 // generic::table() with this TU's GEMM.
 //
-// The GEMM micro-kernel keeps the GNU vector extension tile from the
-// pre-dispatch ops.cpp: without an explicit vector type GCC's SLP
-// vectorizer gives up on the accumulator and the kernel runs ~7x slower
-// than the streaming loop it replaces. With no -m flags this compiles to
-// the baseline SSE2 encoding.
+// The GEMM micro-tile is written in GNU vectors: without an explicit vector
+// type GCC's SLP vectorizer gives up on the accumulator. They are 16 bytes
+// wide, the width the baseline SSE2 encoding has natively, so the 6x8 tile
+// keeps 12 accumulators, 2 B columns and 1 broadcast in the 16 xmm
+// registers. 32-byte vectors are split into SSE2 pairs here, and a 5x16
+// tile of them needs 20 registers for its accumulators alone: it spilled
+// and ran at the seed loop's speed (1.8 GFLOP/s at 512^3, one thread),
+// where this tile runs 23, and 22-25 on decode's and attention's small
+// shapes (DESIGN.md §10).
 #include <cstring>
 
 #include "tensor/kernels/gemm_common.h"
@@ -19,51 +23,51 @@ namespace actcomp::tensor::kernels {
 namespace {
 
 #if defined(__GNUC__) || defined(__clang__)
-typedef float v8f __attribute__((vector_size(32)));
+typedef float v4f __attribute__((vector_size(16)));
 
 struct ScalarGemmPolicy {
-  static constexpr int64_t kNR = 16;  // micro-tile cols = packed panel width
-  static constexpr int64_t kMR = 5;   // micro-tile rows
+  static constexpr int64_t kNR = 8;  // micro-tile cols = packed panel width
+  static constexpr int64_t kMR = 6;  // micro-tile rows
 
   template <int MR, bool FIRST>
   static void micro(const float* __restrict__ a, int64_t lda,
-                    const float* __restrict__ panel, float* __restrict__ c,
-                    int64_t ldc, int64_t kc) {
-    v8f acc[MR][2];
+                    const float* __restrict__ b, int64_t ldb,
+                    float* __restrict__ c, int64_t ldc, int64_t kc) {
+    v4f acc[MR][2];
     for (int r = 0; r < MR; ++r) {
       if (FIRST) {
-        acc[r][0] = v8f{};
-        acc[r][1] = v8f{};
+        acc[r][0] = v4f{};
+        acc[r][1] = v4f{};
       } else {
-        std::memcpy(&acc[r][0], c + r * ldc, sizeof(v8f));
-        std::memcpy(&acc[r][1], c + r * ldc + 8, sizeof(v8f));
+        std::memcpy(&acc[r][0], c + r * ldc, sizeof(v4f));
+        std::memcpy(&acc[r][1], c + r * ldc + 4, sizeof(v4f));
       }
     }
     for (int64_t kk = 0; kk < kc; ++kk) {
-      v8f b0, b1;
-      std::memcpy(&b0, panel + kk * kNR, sizeof(v8f));
-      std::memcpy(&b1, panel + kk * kNR + 8, sizeof(v8f));
+      v4f b0, b1;
+      std::memcpy(&b0, b + kk * ldb, sizeof(v4f));
+      std::memcpy(&b1, b + kk * ldb + 4, sizeof(v4f));
       for (int r = 0; r < MR; ++r) {
         const float s = a[r * lda + kk];
-        const v8f av = {s, s, s, s, s, s, s, s};
+        const v4f av = {s, s, s, s};
         acc[r][0] = acc[r][0] + av * b0;
         acc[r][1] = acc[r][1] + av * b1;
       }
     }
     for (int r = 0; r < MR; ++r) {
-      std::memcpy(c + r * ldc, &acc[r][0], sizeof(v8f));
-      std::memcpy(c + r * ldc + 8, &acc[r][1], sizeof(v8f));
+      std::memcpy(c + r * ldc, &acc[r][0], sizeof(v4f));
+      std::memcpy(c + r * ldc + 4, &acc[r][1], sizeof(v4f));
     }
   }
 };
 #else
 struct ScalarGemmPolicy {
-  static constexpr int64_t kNR = 16;
-  static constexpr int64_t kMR = 5;
+  static constexpr int64_t kNR = 8;
+  static constexpr int64_t kMR = 6;
 
   template <int MR, bool FIRST>
-  static void micro(const float* a, int64_t lda, const float* panel, float* c,
-                    int64_t ldc, int64_t kc) {
+  static void micro(const float* a, int64_t lda, const float* b, int64_t ldb,
+                    float* c, int64_t ldc, int64_t kc) {
     float acc[MR][kNR];
     for (int r = 0; r < MR; ++r) {
       for (int64_t j = 0; j < kNR; ++j) {
@@ -71,7 +75,7 @@ struct ScalarGemmPolicy {
       }
     }
     for (int64_t kk = 0; kk < kc; ++kk) {
-      const float* bk = panel + kk * kNR;
+      const float* bk = b + kk * ldb;
       for (int r = 0; r < MR; ++r) {
         const float av = a[r * lda + kk];
         for (int64_t j = 0; j < kNR; ++j) acc[r][j] += av * bk[j];

@@ -148,11 +148,11 @@ Tensor gelu_grad(const Tensor& a) {
 // ---------------------------------------------------------------------------
 // Blocked GEMM (DESIGN.md §10/§15).
 //
-// The panel-packing driver and per-ISA micro-kernels live in
-// tensor/kernels (gemm_common.h + the per-tier TUs); matmul dispatches
-// through the active kernel table. Every tier walks k in ascending order
-// per C element with mul-then-add, so results are bit-identical across
-// tiers and thread counts (and match the pre-dispatch blocked kernel).
+// The GEMM driver and per-ISA micro-tiles live in tensor/kernels
+// (gemm_common.h + the per-tier TUs); matmul dispatches through the active
+// kernel table. Every tier walks k in ascending order per C element with
+// mul-then-add, so results are bit-identical across tiers, thread counts
+// and shapes on either side of kSimpleGemmFlops.
 
 Tensor matmul2d(const Tensor& a, const Tensor& b) {
   ACTCOMP_CHECK(a.rank() == 2 && b.rank() == 2,
@@ -191,11 +191,12 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     const kernels::KernelTable& kt = kernels::active_kernels();
     if (m * n * k <= kernels::kSimpleGemmFlops) {
       // Small per-batch matrices (attention heads): parallelize across the
-      // batch instead of within one matrix.
+      // batch instead of within one matrix. gemm_into reads these in place
+      // on the calling thread, so it never nests into the pool.
       core::parallel_for(0, B, 1, [&](int64_t b0, int64_t b1) {
         for (int64_t batch = b0; batch < b1; ++batch) {
-          kt.gemm_simple(pa + batch * m * k, pb + batch * k * n,
-                         pc + batch * m * n, m, k, n);
+          kt.gemm_into(pa + batch * m * k, pb + batch * k * n,
+                       pc + batch * m * n, m, k, n);
         }
       });
     } else {

@@ -249,26 +249,95 @@ TEST(SimdDispatch, TierNamesAreStable) {
   EXPECT_STREQ(core::simd_isa_name(core::SimdIsa::kAvx512), "avx512");
 }
 
+namespace {
+
+// The definition every tier's GEMM must reproduce byte for byte: the
+// streaming i-k-j loop the small shapes once ran, kept verbatim. Each C
+// element starts from +0 and adds a*b in ascending k, mul-then-add.
+void gemm_reference(const float* a, const float* b, float* c, int64_t m,
+                    int64_t k, int64_t n) {
+  for (int64_t i = 0; i < m; ++i) {
+    float* c_row = c + i * n;
+    const float* a_row = a + i * k;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float av = a_row[kk];
+      const float* b_row = b + kk * n;
+      for (int64_t j = 0; j < n; ++j) c_row[j] += av * b_row[j];
+    }
+  }
+}
+
+// Normal draws with signed zeros, subnormals, and pairs whose product
+// underflows to ±0 planted every fifth element.
+ts::Tensor gemm_operand(ts::Generator& gen, const ts::Shape& shape) {
+  static constexpr float kSpecial[] = {-0.0f,     0.0f,     1.0e-40f,
+                                       -2.5e-39f, 1.0e-30f, -1.0e-30f};
+  ts::Tensor t = gen.normal(shape);
+  auto d = t.data();
+  for (size_t i = 0; i < d.size(); i += 5) d[i] = kSpecial[(i / 5) % 6];
+  return t;
+}
+
+}  // namespace
+
 TEST(SimdIdentity, MatmulBytesMatchScalarAcrossTiers) {
   ThreadGuard tguard;
   ts::Generator gen(41);
-  // 80^3 takes the packed path (above the gemm_simple flops threshold),
-  // 96x64x50 exercises ragged edge tiles, 8x8x8 the streaming kernel.
-  const std::vector<std::array<int64_t, 3>> shapes = {
-      {80, 80, 80}, {96, 64, 50}, {8, 8, 8}};
+  // 80^3 takes the packed path (above kSimpleGemmFlops) and 96x64x50 adds
+  // ragged edge tiles to it. Every other shape reads B in place: m, n and k
+  // straddle each tier's tile (scalar 6x8, AVX2 5x16, AVX-512 8x32), so
+  // ragged n puts the edge tile on B's last row; 4x512x128 is decode's
+  // largest per-token GEMM, exactly at the threshold, and k > 512 reloads C
+  // between k-blocks in place.
+  std::vector<std::array<int64_t, 3>> shapes = {
+      {80, 80, 80}, {96, 64, 50}, {8, 8, 8},
+      {4, 512, 128}, {1, 1031, 33}, {6, 600, 17}};
+  for (int64_t m : {1, 4, 5, 6, 7, 8, 9, 17}) {
+    for (int64_t n : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 96}) {
+      for (int64_t k : {1, 33, 128}) shapes.push_back({m, k, n});
+    }
+  }
   for (const auto& s : shapes) {
-    const ts::Tensor a = gen.normal(ts::Shape{s[0], s[1]});
-    const ts::Tensor b = gen.normal(ts::Shape{s[1], s[2]});
-    IsaGuard scalar_guard(core::SimdIsa::kScalar);
-    core::set_num_threads(1);
-    const auto ref = tensor_bytes(ts::matmul2d(a, b));
+    const int64_t m = s[0], k = s[1], n = s[2];
+    const ts::Tensor a = gemm_operand(gen, ts::Shape{m, k});
+    const ts::Tensor b = gemm_operand(gen, ts::Shape{k, n});
+    ts::Tensor want(ts::Shape{m, n});
+    gemm_reference(a.data().data(), b.data().data(), want.data().data(), m, k,
+                   n);
+    const auto ref = tensor_bytes(want);
     for_each_supported_isa([&](core::SimdIsa isa) {
       IsaGuard guard(isa);
       for (int threads : {1, 4}) {
         core::set_num_threads(threads);
         EXPECT_EQ(tensor_bytes(ts::matmul2d(a, b)), ref)
-            << core::simd_isa_name(isa) << " t=" << threads << " "
-            << s[0] << "x" << s[1] << "x" << s[2];
+            << core::simd_isa_name(isa) << " t=" << threads << " " << m
+            << "x" << k << "x" << n;
+      }
+    });
+    core::set_num_threads(1);
+  }
+  // Batched products (the attention shapes) parallelize over the batch and
+  // run each small matrix on the calling thread.
+  const std::vector<std::array<int64_t, 4>> batched = {{32, 64, 32, 64},
+                                                       {16, 1, 33, 32}};
+  for (const auto& s : batched) {
+    const int64_t nb = s[0], m = s[1], k = s[2], n = s[3];
+    const ts::Tensor a = gemm_operand(gen, ts::Shape{nb, m, k});
+    const ts::Tensor b = gemm_operand(gen, ts::Shape{nb, k, n});
+    ts::Tensor want(ts::Shape{nb, m, n});
+    for (int64_t i = 0; i < nb; ++i) {
+      gemm_reference(a.data().data() + i * m * k, b.data().data() + i * k * n,
+                     want.data().data() + i * m * n, m, k, n);
+    }
+    const auto ref = tensor_bytes(want);
+    for_each_supported_isa([&](core::SimdIsa isa) {
+      IsaGuard guard(isa);
+      for (int threads : {1, 4}) {
+        core::set_num_threads(threads);
+        EXPECT_EQ(tensor_bytes(ts::matmul(a, b)), ref)
+            << core::simd_isa_name(isa) << " t=" << threads << " [" << nb
+            << "," << m << "," << k << "]x[" << nb << "," << k << "," << n
+            << "]";
       }
     });
     core::set_num_threads(1);

@@ -17,6 +17,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace {
 
@@ -82,23 +84,38 @@ INSTANTIATE_TEST_SUITE_P(Tables, Golden,
                                            "ablation_wire_formats"));
 
 // The explorer's answer to bad input is a message and exit status 2, as for
-// a bad flag: a malformed --trace-in file must not abort it.
+// a bad flag: a malformed --trace-in file must not abort it. A failed run
+// must also leave the last good report in ACTCOMP_REPORT_DIR untouched.
 TEST(Cli, ThroughputExplorerRejectsMalformedTrace) {
-  const std::string trace =
-      ::testing::TempDir() + "throughput_explorer_malformed_trace.json";
+  const std::string dir = ::testing::TempDir();
+  const std::string trace = dir + "throughput_explorer_malformed_trace.json";
+  const std::string report = dir + "REPORT_throughput_explorer.json";
+  const std::string sentinel = "{\"sentinel\": \"last good report\"}\n";
   std::ofstream(trace) << "{}";
-  int status = -1;
-  const std::string out =
-      run_binary("ACTCOMP_REPORT=0 " + std::string(ACTCOMP_EXAMPLE_DIR) +
-                     "/throughput_explorer --serve --trace-in " + trace,
-                 &status);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--serve --trace-in " + trace,
+       "throughput_explorer: serving_trace: missing string field 'schema'"},
+      {"--topology ring",
+       "throughput_explorer: unknown --topology 'ring' "
+       "(flat|fat-tree|oversub[:N])"},
+      {"--serve --requests 4 --replicas 2 --serve-policy lottery",
+       "throughput_explorer: unknown --serve-policy 'lottery' "
+       "(rr|jsq|health)"},
+  };
+  for (const auto& [args, message] : cases) {
+    std::ofstream(report) << sentinel;
+    int status = -1;
+    const std::string out = run_binary(
+        "ACTCOMP_REPORT_DIR=" + dir + " " + std::string(ACTCOMP_EXAMPLE_DIR) +
+            "/throughput_explorer " + args,
+        &status);
+    ASSERT_TRUE(WIFEXITED(status)) << args << "\n" << out;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << args << "\n" << out;
+    EXPECT_NE(out.find(message), std::string::npos) << args << "\n" << out;
+    EXPECT_EQ(read_file(report), sentinel) << args;
+  }
   std::remove(trace.c_str());
-  ASSERT_TRUE(WIFEXITED(status)) << out;
-  EXPECT_EQ(WEXITSTATUS(status), 2) << out;
-  EXPECT_NE(out.find("throughput_explorer: serving_trace: missing string "
-                     "field 'schema'"),
-            std::string::npos)
-      << out;
+  std::remove(report.c_str());
 }
 
 }  // namespace

@@ -18,8 +18,9 @@ shared record is required.
 The current run must also carry the codec records of the serialize path:
 `topk(...)` and `randk(...)` encode/decode, and at least one `lossless(...)`
 record (the per-tier encode/decode GB/s of standard_lossless_codecs(), see
-WIRE_FORMATS.md §6) — their silent disappearance from kernels_bench would
-otherwise leave those codecs ungated.
+WIRE_FORMATS.md §6); and the `gemm_small_<tier>` records, the in-place
+GEMMs of decode and the attention products — their silent disappearance
+from kernels_bench would otherwise leave those kernels ungated.
 
 Usage: check_kernel_perf.py BASELINE.json CURRENT.json [threshold_pct]
 """
@@ -28,8 +29,8 @@ import json
 import os
 import sys
 
-# Codec families the current run must measure (op-name prefixes).
-REQUIRED_CODECS = ("topk(", "randk(", "lossless(")
+# Op families the current run must measure (op-name prefixes).
+REQUIRED_OPS = ("topk(", "randk(", "lossless(", "gemm_small_")
 
 
 def kernel_records(path):
@@ -87,9 +88,9 @@ def main(argv):
               f"not measured by --quick)")
     if compared == 0:
         raise SystemExit("no records shared between baseline and current run")
-    for prefix in REQUIRED_CODECS:
+    for prefix in REQUIRED_OPS:
         if not any(op.startswith(prefix) for op, _, _ in cur):
-            raise SystemExit(f"current run has no {prefix}...) codec records — "
+            raise SystemExit(f"current run has no {prefix}... records — "
                              f"kernels_bench stopped measuring them")
     if failed:
         print(f"{failed} kernel record(s) regressed more than "
