@@ -1,10 +1,11 @@
 // Machine-readable kernel benchmark: times the parallel compute core
-// (blocked GEMM, the small in-place GEMMs per tier, GELU, permute,
-// compressor encode/decode, one end-to-end fine-tune step) across thread
-// counts, and the profiler's overhead on that step. Output is a canonical
-// RunReport document (actcomp.run_report.v1, see obs/report.h): each
-// measurement is one entry of the "records" array carrying {op, shape,
-// threads, ns_op, gb_s} plus op-specific extras (gflops, speedup_vs_seed).
+// (blocked GEMM, the small in-place GEMMs and the packed edge per tier,
+// GELU, permute, compressor encode/decode, one end-to-end fine-tune step)
+// across thread counts, and the profiler's overhead on that step. Output
+// is a canonical RunReport document (actcomp.run_report.v1, see
+// obs/report.h): each measurement is one entry of the "records" array
+// carrying {op, shape, threads, ns_op, gb_s} plus op-specific extras
+// (gflops, speedup_vs_seed).
 // The checked-in baseline lives at bench/baselines/BENCH_kernels.json;
 // README's Performance table is derived from it.
 //
@@ -171,21 +172,27 @@ void bench_matmul_tiers(int64_t m, int64_t k, int64_t n) {
   core::set_num_threads(1);
 }
 
-// The GEMMs at or below kSimpleGemmFlops, which each tier's tile runs in
-// place on the calling thread: decode's per-token projections (4 rows) and
-// the attention products (32 batches, one head each). Calls each tier's
-// gemm_into on preallocated buffers, as bench_table_tiers does. t=1 only:
-// the path never enters the pool, so a t=4 record would measure nothing new.
-void bench_gemm_small_tiers() {
+// Per-tier GEMMs called through each tier's gemm_into on preallocated
+// buffers, as bench_table_tiers does, at t=1. `gemm_small_` records are the
+// GEMMs at or below kSimpleGemmFlops, which the tile runs in place on the
+// calling thread: decode's per-token projections (4 rows) and the attention
+// products (32 batches, one head each); they never enter the pool, so a t=4
+// record would measure nothing new. `gemm_edge_` is the `wire` autoencoder's
+// 512x1024x50 encoder GEMM: packed, two k-blocks, and n ragged for every
+// tier's tile width, so its partial panel runs on the edge block.
+void bench_gemm_into_tiers() {
   namespace kn = ts::kernels;
   struct Case {
+    const char* op;
     int64_t batches, m, k, n;
   };
-  const Case cases[] = {{1, 4, 128, 128},
-                        {1, 4, 128, 512},
-                        {1, 4, 512, 128},
-                        {32, 64, 32, 64},
-                        {32, 64, 64, 32}};
+  const Case cases[] = {{"gemm_small_", 1, 4, 128, 128},
+                        {"gemm_small_", 1, 4, 128, 512},
+                        {"gemm_small_", 1, 4, 512, 128},
+                        {"gemm_small_", 32, 64, 32, 64},
+                        {"gemm_small_", 32, 64, 64, 32},
+                        {"gemm_edge_", 1, 512, 1024, 50}};
+  core::set_num_threads(1);
   ts::Generator gen(23);
   for (const Case& c : cases) {
     const ts::Tensor a = gen.normal(ts::Shape{c.batches, c.m, c.k});
@@ -220,7 +227,7 @@ void bench_gemm_small_tiers() {
                               }
                             }
                           }) / static_cast<double>(iters);
-      const std::string op = std::string("gemm_small_") + kt.name;
+      const std::string op = std::string(c.op) + kt.name;
       emit(op, shape, 1, tsec * 1e9, bytes / tsec / 1e9, 2.0 * macs / tsec / 1e9);
       std::printf("%-17s %-13s t=1  %8.2f us  %6.1f GFLOP/s\n", op.c_str(),
                   shape, tsec * 1e6, 2.0 * macs / tsec / 1e9);
@@ -542,7 +549,7 @@ int main(int argc, char** argv) {
   bench_matmul(512, 512, 512, /*run_seed=*/true);
   std::printf("\n");
   bench_matmul_tiers(512, 512, 512);
-  bench_gemm_small_tiers();
+  bench_gemm_into_tiers();
   if (!quick) {
     bench_matmul(768, 768, 768, /*run_seed=*/true);
     for (int64_t hidden : {768, 1024, 2048, 4096, 8192}) {

@@ -11,7 +11,7 @@
 #                       engine events/sec gate vs the committed baseline
 #                       (tools/check_engine_perf.py, >30% regression fails),
 #                       and the kernel throughput gate
-#                       (tools/check_kernel_perf.py, same threshold)
+#                       (tools/check_kernel_perf.py, >50% regression fails)
 #   ./ci.sh perfbench — the end-to-end benchmark's self-test
 #                       (perfbench/run.py --self-test)
 # No arguments runs all in sequence.

@@ -1,30 +1,31 @@
-// The one GEMM driver, parameterized on a per-ISA micro-tile policy
+// The one GEMM driver and the one register tile every tier runs
 // (DESIGN.md §10/§15).
 //
-// A policy supplies:
-//   static constexpr int64_t kNR;   // micro-tile columns = packed panel width
-//   static constexpr int64_t kMR;   // micro-tile rows
-//   template <int MR, bool FIRST>
-//   static void micro(const float* a, int64_t lda, const float* b,
-//                     int64_t ldb, float* c, int64_t ldc, int64_t kc);
-// where b points at a kc x kNR block whose rows are ldb floats apart.
+// VecTile<W, MR> is the micro-tile: MR rows of C, each held in two GNU
+// vectors of W floats, so the tile is kNR = 2W columns wide. Each k step
+// adds s * b to both vectors of a row, with that row's A scalar splatted;
+// -ffp-contract=off keeps the multiply and the add apart. Each tier's TU
+// instantiates the tile at its own vector width under its own -m flags:
+// W = 4, MR = 6 (6x8) in the scalar TU (SSE2 xmm), W = 8, MR = 5 (5x16) in
+// the AVX2 TU (ymm), W = 16, MR = 8 (8x32) in the AVX-512 TU (zmm).
 //
-// The driver owns everything ISA-independent: the row / k-block / panel
-// loop, B packing, and the scalar edge kernel for the final partial-width
-// panel. Above kSimpleGemmFlops it packs B into panels (ldb = kNR) and
-// splits rows across the pool; at or below it runs the same loop inline on
-// the caller's thread, each "panel" pointing straight into B (ldb = n),
-// with no packing and no pool. Determinism: every C element is owned by
-// one row chunk, starts from +0, and takes its mul-then-add steps in
-// ascending k order whatever kNR/kMR the policy picks, so the scalar, AVX2
-// and AVX-512 instantiations are bit-identical to each other, to any thread
+// gemm_into_t owns everything else: the row / k-block / panel loop, B
+// packing and the right edge. Above kSimpleGemmFlops it packs B into
+// zero-padded kNR-wide panels and splits rows across the pool; at or below
+// it runs the same loop inline on the caller's thread, each "panel"
+// pointing straight into B (ldb = n), with no packing and no pool.
+// Determinism: every C element is owned by one row chunk, starts from +0,
+// and takes its mul-then-add steps in ascending k order whatever the tile
+// shape, so the three tiers are bit-identical to each other, to any thread
 // count and to the textbook i-k-j loop (no FMA).
 //
-// Linkage note: each policy struct lives in its TU's anonymous namespace,
-// which makes every template instantiation here TU-local. That is
-// deliberate — these helpers are compiled under three different -m flag
-// sets, and a COMDAT-deduplicated copy built with AVX-512 flags must never
-// be linked into the scalar tier (it would SIGILL on a narrower host).
+// Linkage note: VecTile lives in this header's anonymous namespace, which
+// makes every template instantiated with it TU-local. That is deliberate —
+// these helpers are compiled under three different -m flag sets, and a
+// COMDAT-deduplicated copy built with AVX-512 flags must never be linked
+// into the scalar tier (it would SIGILL on a narrower host). The
+// tensor/KernelLinkage test fails on any weak or unique code symbol in the
+// kernel objects.
 #pragma once
 
 #include <algorithm>
@@ -41,9 +42,55 @@ inline constexpr int64_t kRowGrain = 32;  // rows per parallel chunk
 // more than they save: the tile reads B in place, serially.
 inline constexpr int64_t kSimpleGemmFlops = 1 << 18;
 
+namespace {
+
+template <int W, int MR>
+struct VecTile {
+  static constexpr int64_t kNR = 2 * W;  // micro-tile cols = packed panel width
+  static constexpr int kMR = MR;         // micro-tile rows
+
+  typedef float vec __attribute__((vector_size(4 * W)));
+  // The same vector at float alignment, free to alias floats: the view
+  // _mm*_loadu_ps reads, since B and C rows start at any float offset.
+  typedef float vec_u
+      __attribute__((vector_size(4 * W), aligned(4), may_alias));
+
+  // c[0, R) x [0, kNR) from a (R x kc, rows lda apart) times b (kc x kNR,
+  // rows ldb apart), starting from +0 when FIRST and from c otherwise.
+  template <int R, bool FIRST>
+  static void micro(const float* a, int64_t lda, const float* b, int64_t ldb,
+                    float* c, int64_t ldc, int64_t kc) {
+    vec acc[R][2];
+    for (int r = 0; r < R; ++r) {
+      if (FIRST) {
+        acc[r][0] = vec{};
+        acc[r][1] = vec{};
+      } else {
+        acc[r][0] = *reinterpret_cast<const vec_u*>(c + r * ldc);
+        acc[r][1] = *reinterpret_cast<const vec_u*>(c + r * ldc + W);
+      }
+    }
+    for (int64_t kk = 0; kk < kc; ++kk) {
+      const vec b0 = *reinterpret_cast<const vec_u*>(b + kk * ldb);
+      const vec b1 = *reinterpret_cast<const vec_u*>(b + kk * ldb + W);
+      for (int r = 0; r < R; ++r) {
+        const float s = a[r * lda + kk];
+        acc[r][0] = acc[r][0] + s * b0;
+        acc[r][1] = acc[r][1] + s * b1;
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      *reinterpret_cast<vec_u*>(c + r * ldc) = acc[r][0];
+      *reinterpret_cast<vec_u*>(c + r * ldc + W) = acc[r][1];
+    }
+  }
+};
+
+}  // namespace
+
 // Pack b (k x n row-major) into ceil(n/NR) panels. Panel p holds columns
 // [p*NR, p*NR + NR) for every k row, contiguous, zero-padded on the right
-// edge so the edge kernel can run a partial panel at full width.
+// edge so the tile can run a partial panel at full width.
 template <class P>
 std::vector<float> pack_b_panels(const float* b, int64_t k, int64_t n) {
   constexpr int64_t NR = P::kNR;
@@ -65,29 +112,21 @@ std::vector<float> pack_b_panels(const float* b, int64_t k, int64_t n) {
   return bp;
 }
 
-// Right-edge variant for the final panel when n % NR != 0: same k order,
-// but C loads/stores are guarded by the live width w so the kernel never
-// touches memory past the row end. A packed panel (PADDED) is zero-padded
-// to NR columns, so the kernel runs all NR of them at a compile-time width
-// that keeps the accumulators in registers. In place it loads only the w
-// live columns, so no read runs past B's last row. Scalar is fine here —
-// the edge covers at most NR-1 of n columns.
-template <class P, int MR, bool PADDED>
+// Right edge read in place, when n % NR != 0: the same k order over only
+// the w live columns, so no read runs past B's last row or C's row end.
+// Scalar is fine here — the edge covers at most NR-1 of n columns.
+template <class P, int MR>
 void gemm_micro_edge(const float* a, int64_t lda, const float* b, int64_t ldb,
                      float* c, int64_t ldc, int64_t kc, int64_t w, bool first) {
-  constexpr int64_t NR = P::kNR;
-  const int64_t cols = PADDED ? NR : w;
-  float acc[MR][NR];
+  float acc[MR][P::kNR];
   for (int r = 0; r < MR; ++r) {
-    for (int64_t j = 0; j < cols; ++j) {
-      acc[r][j] = (first || j >= w) ? 0.0f : c[r * ldc + j];
-    }
+    for (int64_t j = 0; j < w; ++j) acc[r][j] = first ? 0.0f : c[r * ldc + j];
   }
   for (int64_t kk = 0; kk < kc; ++kk) {
     const float* bk = b + kk * ldb;
     for (int r = 0; r < MR; ++r) {
       const float av = a[r * lda + kk];
-      for (int64_t j = 0; j < cols; ++j) acc[r][j] += av * bk[j];
+      for (int64_t j = 0; j < w; ++j) acc[r][j] += av * bk[j];
     }
   }
   for (int r = 0; r < MR; ++r) {
@@ -112,26 +151,28 @@ void micro_dispatch(int64_t mr, bool first, const float* a, int64_t lda,
   }
 }
 
-template <class P, int R, bool PADDED>
+template <class P, int R>
 void edge_dispatch(int64_t mr, const float* a, int64_t lda, const float* b,
                    int64_t ldb, float* c, int64_t ldc, int64_t kc, int64_t w,
                    bool first) {
   if (mr == R) {
-    gemm_micro_edge<P, R, PADDED>(a, lda, b, ldb, c, ldc, kc, w, first);
+    gemm_micro_edge<P, R>(a, lda, b, ldb, c, ldc, kc, w, first);
     return;
   }
   if constexpr (R > 1) {
-    edge_dispatch<P, R - 1, PADDED>(mr, a, lda, b, ldb, c, ldc, kc, w, first);
+    edge_dispatch<P, R - 1>(mr, a, lda, b, ldb, c, ldc, kc, w, first);
   }
 }
 
-// c (m x n, zero-initialized) += a (m x k) * b (k x n).
+// c (m x n) = a (m x k) * b (k x n). For k >= 1 every C element is written
+// from +0 and c's prior contents are never read; for k == 0 c is left
+// untouched.
 template <class P>
 void gemm_into_t(const float* a, const float* b, float* c, int64_t m,
                  int64_t k, int64_t n) {
   if (m == 0 || n == 0 || k == 0) return;
   constexpr int64_t NR = P::kNR;
-  constexpr int MR = static_cast<int>(P::kMR);
+  constexpr int MR = P::kMR;
   const bool in_place = m * n * k <= kSimpleGemmFlops;
   std::vector<float> bp;
   if (!in_place) bp = pack_b_panels<P>(b, k, n);
@@ -149,14 +190,28 @@ void gemm_into_t(const float* a, const float* b, float* c, int64_t m,
           const int64_t mr = std::min<int64_t>(MR, r1 - i);
           const float* ai = a + i * k + kc0;
           float* ci = c + i * n + j0;
-          if (w == NR) {
-            micro_dispatch<P, MR>(mr, kc0 == 0, ai, k, panel, ldb, ci, n, kc);
-          } else if (in_place) {
-            edge_dispatch<P, MR, false>(mr, ai, k, panel, ldb, ci, n, kc, w,
-                                        kc0 == 0);
-          } else {
-            edge_dispatch<P, MR, true>(mr, ai, k, panel, ldb, ci, n, kc, w,
-                                       kc0 == 0);
+          const bool edge = w < NR;
+          if (edge && in_place) {
+            edge_dispatch<P, MR>(mr, ai, k, panel, ldb, ci, n, kc, w,
+                                 kc0 == 0);
+            continue;
+          }
+          // A packed panel is zero-padded to NR columns, so a partial one
+          // runs the tile on an NR-wide block holding C's w live columns.
+          // Full and partial panels share one call: a second call site left
+          // micro_dispatch out of line, and decode's 4-row GEMMs ran ~20%
+          // slower.
+          float blk[MR * NR];
+          if (edge) {
+            std::fill_n(blk, MR * NR, 0.0f);
+            for (int64_t r = 0; kc0 != 0 && r < mr; ++r) {
+              std::copy_n(ci + r * n, w, blk + r * NR);
+            }
+          }
+          micro_dispatch<P, MR>(mr, kc0 == 0, ai, k, panel, ldb,
+                                edge ? blk : ci, edge ? NR : n, kc);
+          for (int64_t r = 0; edge && r < mr; ++r) {
+            std::copy_n(blk + r * NR, w, ci + r * n);
           }
         }
       }

@@ -9,12 +9,12 @@
 //
 // Every tier's table starts as `generic::table()` (kernels_generic.h): the
 // portable loops, compiled in that tier's TU under its own -m flags, so the
-// compiler vectorizes them at the tier's width. The scalar tier is exactly
-// that table. A SIMD tier then assigns only the entries it hand-writes with
-// intrinsics: its GEMM micro-tile, `row_max`/`row_minmax`, the F16C fp16
-// trio, the quantizer pair, and on AVX-512 the lane-per-row `rows_moments`.
-// GEMM has one kernel per tier: that tier's micro-tile under the shared
-// driver in gemm_common.h, for every shape.
+// compiler vectorizes them at the tier's width. Its GEMM is gemm_common.h's
+// one register tile and driver, instantiated at the tier's vector width for
+// every shape. The scalar tier is exactly that table. A SIMD tier then
+// assigns only the entries it hand-writes with intrinsics: `row_max`/
+// `row_minmax`, the F16C fp16 trio, the quantizer pair, and on AVX-512 the
+// lane-per-row `rows_moments`.
 //
 // Identity contract: every entry produces bytes identical to the scalar
 // tier. The mechanics:
@@ -41,11 +41,13 @@ struct KernelTable {
   const char* name;
 
   // ---- GEMM ----
-  // c (m x n, zero-initialized) += a (m x k) * b (k x n) through the tier's
-  // one register tile, walking k ascending per C element. Above
-  // kSimpleGemmFlops it packs B into panels and parallelizes rows; at or
-  // below it reads B in place on the caller's thread and never enters the
-  // pool, so callers may run it inside their own parallel_for.
+  // c (m x n) = a (m x k) * b (k x n) through the tier's register tile,
+  // walking k ascending per C element. For k >= 1 every C element is written
+  // from +0 and c's prior contents are never read; for k == 0 c is left
+  // untouched. Above kSimpleGemmFlops it packs B into panels and
+  // parallelizes rows; at or below it reads B in place on the caller's
+  // thread and never enters the pool, so callers may run it inside their
+  // own parallel_for.
   void (*gemm_into)(const float* a, const float* b, float* c, int64_t m,
                     int64_t k, int64_t n);
 

@@ -1,10 +1,14 @@
 // AVX2 kernel tier. Compiled with -mavx2 -mf16c -O3 -ffp-contract=off;
 // selected at runtime only when cpuid reports both features (core/simd.cpp),
 // so the EVEX-free 256-bit code here never executes on a narrower host.
+// Its GEMM is gemm_common.h's VecTile at 8-float (ymm) vectors, 5x16: 10
+// accumulators, 2 B columns and 1 broadcast stay inside the 16-register
+// file.
 #include "tensor/kernels/tiers.h"
 
 #if defined(__AVX2__) && defined(__F16C__)
 
+#include "tensor/kernels/gemm_common.h"
 #include "tensor/kernels/kernels_avx2_inl.h"
 #include "tensor/kernels/kernels_generic.h"
 
@@ -16,7 +20,7 @@ const KernelTable* avx2_kernels() {
   // too (its in-order double sums do not vectorize); the AVX-512 tier has
   // the lane-per-row variant.
   static const KernelTable table = [] {
-    KernelTable t = generic::table("avx2", avx2i::gemm_into);
+    KernelTable t = generic::table("avx2", gemm_into_t<VecTile<8, 5>>);
     t.row_max = avx2i::row_max;
     t.row_minmax = avx2i::row_minmax;
     t.fp16_encode = avx2i::fp16_encode;

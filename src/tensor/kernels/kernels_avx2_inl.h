@@ -1,16 +1,16 @@
 // 256-bit AVX2 + F16C kernels: the entries the avx2 tier hand-writes on top
-// of generic::table() — the GEMM micro-tile, the row_max/row_minmax scans,
-// the fp16 trio and the quantizer pair. The avx512 TU includes this header
-// too and keeps the scans, the quantizer pair, the fp16 round trip and the
-// fp16 remainders at 256 bits. The elementwise family and ln_xhat have no
-// intrinsic version: the generic loops vectorize under each tier's -m flags
-// with the same bytes.
+// of generic::table() — the row_max/row_minmax scans, the fp16 trio and the
+// quantizer pair. The avx512 TU includes this header too and keeps the
+// scans, the quantizer pair, the fp16 round trip and the fp16 remainders at
+// 256 bits. The GEMM tile, the elementwise family and ln_xhat have no
+// intrinsic version: gemm_common.h's VecTile and the generic loops compile
+// under each tier's -m flags at that tier's width with the same bytes.
 //
 // Only include from a TU compiled with -mavx2 -mf16c (or wider). Everything
-// here is `static` (or a static function template, or a type in an anonymous
-// namespace): these functions exist in TUs compiled under *different* -m
-// flag sets, and a COMDAT-deduplicated copy encoded with AVX-512 must never
-// be linked into a narrower tier — it would SIGILL on an AVX2-only host.
+// here is `static`: these functions exist in TUs compiled under *different*
+// -m flag sets, and a COMDAT-deduplicated copy encoded with AVX-512 must
+// never be linked into a narrower tier — it would SIGILL on an AVX2-only
+// host.
 //
 // Identity rules applied throughout (see kernel_table.h):
 //   * mul-then-add spelled explicitly, no FMA intrinsics;
@@ -26,51 +26,9 @@
 #include <cstdint>
 
 #include "tensor/fp16.h"
-#include "tensor/kernels/gemm_common.h"
 #include "tensor/kernels/kernels_generic.h"
 
 namespace actcomp::tensor::kernels::avx2i {
-
-namespace {  // internal types: keep template instantiations TU-local
-
-// 5x16 micro-tile on ymm registers: 10 accumulators + 2 B columns + 1
-// broadcast stay inside the 16-register file. Its bytes do not depend on
-// the shape: each C element starts from +0 and adds its products in
-// ascending k, as in every other tier's tile.
-struct Avx2GemmPolicy {
-  static constexpr int64_t kNR = 16;
-  static constexpr int64_t kMR = 5;
-
-  template <int MR, bool FIRST>
-  static void micro(const float* a, int64_t lda, const float* b, int64_t ldb,
-                    float* c, int64_t ldc, int64_t kc) {
-    __m256 acc[MR][2];
-    for (int r = 0; r < MR; ++r) {
-      if (FIRST) {
-        acc[r][0] = _mm256_setzero_ps();
-        acc[r][1] = _mm256_setzero_ps();
-      } else {
-        acc[r][0] = _mm256_loadu_ps(c + r * ldc);
-        acc[r][1] = _mm256_loadu_ps(c + r * ldc + 8);
-      }
-    }
-    for (int64_t kk = 0; kk < kc; ++kk) {
-      const __m256 b0 = _mm256_loadu_ps(b + kk * ldb);
-      const __m256 b1 = _mm256_loadu_ps(b + kk * ldb + 8);
-      for (int r = 0; r < MR; ++r) {
-        const __m256 av = _mm256_set1_ps(a[r * lda + kk]);
-        acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(av, b0));
-        acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(av, b1));
-      }
-    }
-    for (int r = 0; r < MR; ++r) {
-      _mm256_storeu_ps(c + r * ldc, acc[r][0]);
-      _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
-    }
-  }
-};
-
-}  // namespace
 
 // ---- row reductions ----
 //
@@ -263,13 +221,6 @@ static inline void quant_dequantize_row(const uint8_t* q, int64_t cols,
   }
   if (c < cols) generic::quant_dequantize_row(q + c, cols - c, lo, scale,
                                               out + c);
-}
-
-// ---- GEMM ----
-
-static inline void gemm_into(const float* a, const float* b, float* c,
-                             int64_t m, int64_t k, int64_t n) {
-  gemm_into_t<Avx2GemmPolicy>(a, b, c, m, k, n);
 }
 
 }  // namespace actcomp::tensor::kernels::avx2i

@@ -3,7 +3,9 @@
 // (core/simd.cpp). Foundation instructions only — no BW/DQ/VL — so the
 // 16-bit lane work (fp16 NaN screening, quantizer byte packing) stays on
 // the 128/256-bit units via the shared avx2 implementations, which this TU
-// compiles as its own internal copies.
+// compiles as its own internal copies. Its GEMM is gemm_common.h's VecTile
+// at 16-float (zmm) vectors, 8x32: 16 accumulators, 2 B columns and 1
+// broadcast use 19 of the 32 zmm registers.
 #include "tensor/kernels/tiers.h"
 
 #if defined(__AVX512F__) && defined(__AVX2__) && defined(__F16C__)
@@ -16,46 +18,6 @@
 
 namespace actcomp::tensor::kernels {
 namespace avx512i {
-
-namespace {  // internal types: keep template instantiations TU-local
-
-// 8x32 micro-tile: 16 zmm accumulators + 2 B columns + 1 broadcast = 19 of
-// the 32 zmm registers. Same per-element ascending-k sum from +0 as the
-// other tiers, so the bytes match despite the different tile shape.
-struct Avx512GemmPolicy {
-  static constexpr int64_t kNR = 32;
-  static constexpr int64_t kMR = 8;
-
-  template <int MR, bool FIRST>
-  static void micro(const float* a, int64_t lda, const float* b, int64_t ldb,
-                    float* c, int64_t ldc, int64_t kc) {
-    __m512 acc[MR][2];
-    for (int r = 0; r < MR; ++r) {
-      if (FIRST) {
-        acc[r][0] = _mm512_setzero_ps();
-        acc[r][1] = _mm512_setzero_ps();
-      } else {
-        acc[r][0] = _mm512_loadu_ps(c + r * ldc);
-        acc[r][1] = _mm512_loadu_ps(c + r * ldc + 16);
-      }
-    }
-    for (int64_t kk = 0; kk < kc; ++kk) {
-      const __m512 b0 = _mm512_loadu_ps(b + kk * ldb);
-      const __m512 b1 = _mm512_loadu_ps(b + kk * ldb + 16);
-      for (int r = 0; r < MR; ++r) {
-        const __m512 av = _mm512_set1_ps(a[r * lda + kk]);
-        acc[r][0] = _mm512_add_ps(acc[r][0], _mm512_mul_ps(av, b0));
-        acc[r][1] = _mm512_add_ps(acc[r][1], _mm512_mul_ps(av, b1));
-      }
-    }
-    for (int r = 0; r < MR; ++r) {
-      _mm512_storeu_ps(c + r * ldc, acc[r][0]);
-      _mm512_storeu_ps(c + r * ldc + 16, acc[r][1]);
-    }
-  }
-};
-
-}  // namespace
 
 // ---- row reductions ----
 
@@ -137,13 +99,6 @@ static inline void fp16_decode(const uint16_t* in, float* out, int64_t n) {
   if (i < n) avx2i::fp16_decode(in + i, out + i, n - i);
 }
 
-// ---- GEMM ----
-
-static inline void gemm_into(const float* a, const float* b, float* c,
-                             int64_t m, int64_t k, int64_t n) {
-  gemm_into_t<Avx512GemmPolicy>(a, b, c, m, k, n);
-}
-
 }  // namespace avx512i
 
 const KernelTable* avx512_kernels() {
@@ -155,7 +110,7 @@ const KernelTable* avx512_kernels() {
   // run 1.3-1.7x faster on the wire path's 8192-element chunks (DESIGN.md
   // §15).
   static const KernelTable table = [] {
-    KernelTable t = generic::table("avx512", avx512i::gemm_into);
+    KernelTable t = generic::table("avx512", gemm_into_t<VecTile<16, 8>>);
     t.row_max = avx2i::row_max;
     t.row_minmax = avx2i::row_minmax;
     t.rows_moments = avx512i::rows_moments;

@@ -284,13 +284,15 @@ TEST(SimdIdentity, MatmulBytesMatchScalarAcrossTiers) {
   ThreadGuard tguard;
   ts::Generator gen(41);
   // 80^3 takes the packed path (above kSimpleGemmFlops) and 96x64x50 adds
-  // ragged edge tiles to it. Every other shape reads B in place: m, n and k
+  // ragged edge tiles to it; 37x1031x50 runs the packed edge over three
+  // k-blocks with m ragged for every tier's tile, so the edge carries C from
+  // one k-block to the next. Every other shape reads B in place: m, n and k
   // straddle each tier's tile (scalar 6x8, AVX2 5x16, AVX-512 8x32), so
   // ragged n puts the edge tile on B's last row; 4x512x128 is decode's
   // largest per-token GEMM, exactly at the threshold, and k > 512 reloads C
   // between k-blocks in place.
   std::vector<std::array<int64_t, 3>> shapes = {
-      {80, 80, 80}, {96, 64, 50}, {8, 8, 8},
+      {80, 80, 80}, {96, 64, 50}, {37, 1031, 50}, {8, 8, 8},
       {4, 512, 128}, {1, 1031, 33}, {6, 600, 17}};
   for (int64_t m : {1, 4, 5, 6, 7, 8, 9, 17}) {
     for (int64_t n : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 96}) {
@@ -312,6 +314,17 @@ TEST(SimdIdentity, MatmulBytesMatchScalarAcrossTiers) {
         EXPECT_EQ(tensor_bytes(ts::matmul2d(a, b)), ref)
             << core::simd_isa_name(isa) << " t=" << threads << " " << m
             << "x" << k << "x" << n;
+        // gemm_into overwrites C: matmul2d hands it zeros, so a tile that
+        // read C before its first k-block would pass above but not here.
+        ts::Tensor c(ts::Shape{m, n});
+        std::fill(c.data().begin(), c.data().end(),
+                  std::numeric_limits<float>::quiet_NaN());
+        ts::kernels::kernels_for_tier(static_cast<int>(isa))
+            .gemm_into(a.data().data(), b.data().data(), c.data().data(), m,
+                       k, n);
+        EXPECT_EQ(tensor_bytes(c), ref)
+            << core::simd_isa_name(isa) << " t=" << threads << " " << m
+            << "x" << k << "x" << n << " into NaN";
       }
     });
     core::set_num_threads(1);
