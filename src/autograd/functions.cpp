@@ -46,44 +46,11 @@ Variable add(const Variable& a, const Variable& b) {
       "add");
 }
 
-Variable sub(const Variable& a, const Variable& b) {
-  ts::Tensor out = ts::sub(a.value(), b.value());
-  return Variable::make(
-      std::move(out), {a, b},
-      [an = a.node(), bn = b.node()](Node& n) {
-        if (an->requires_grad) an->accumulate(n.grad);
-        if (bn->requires_grad) {
-          bn->accumulate(reduce_to_shape(ts::neg(n.grad), bn->value.shape()));
-        }
-      },
-      "sub");
-}
-
-Variable mul(const Variable& a, const Variable& b) {
-  ts::Tensor out = ts::mul(a.value(), b.value());
-  return Variable::make(
-      std::move(out), {a, b},
-      [an = a.node(), bn = b.node()](Node& n) {
-        if (an->requires_grad) an->accumulate(ts::mul(n.grad, bn->value));
-        if (bn->requires_grad) {
-          bn->accumulate(
-              reduce_to_shape(ts::mul(n.grad, an->value), bn->value.shape()));
-        }
-      },
-      "mul");
-}
-
 Variable mul_scalar(const Variable& a, float s) {
   return Variable::make(
       ts::mul_scalar(a.value(), s), {a},
       [an = a.node(), s](Node& n) { an->accumulate(ts::mul_scalar(n.grad, s)); },
       "mul_scalar");
-}
-
-Variable add_scalar(const Variable& a, float s) {
-  return Variable::make(
-      ts::add_scalar(a.value(), s), {a},
-      [an = a.node()](Node& n) { an->accumulate(n.grad); }, "add_scalar");
 }
 
 Variable matmul(const Variable& a, const Variable& b) {
@@ -154,52 +121,6 @@ Variable transpose_last2(const Variable& a) {
   return permute(a, axes);
 }
 
-Variable concat_last(const std::vector<Variable>& parts) {
-  ACTCOMP_CHECK(!parts.empty(), "concat_last of zero variables");
-  std::vector<ts::Tensor> values;
-  values.reserve(parts.size());
-  std::vector<int64_t> widths;
-  for (const Variable& p : parts) {
-    values.push_back(p.value());
-    widths.push_back(p.value().dim(-1));
-  }
-  ts::Tensor out = ts::concat_last(values);
-  return Variable::make(
-      std::move(out), parts,
-      [parents = parts, widths](Node& n) {
-        int64_t off = 0;
-        for (size_t i = 0; i < parents.size(); ++i) {
-          auto pn = parents[i].node();
-          if (pn->requires_grad) {
-            pn->accumulate(ts::slice_last(n.grad, off, widths[i]));
-          }
-          off += widths[i];
-        }
-      },
-      "concat_last");
-}
-
-Variable slice_last(const Variable& a, int64_t start, int64_t len) {
-  ts::Tensor out = ts::slice_last(a.value(), start, len);
-  return Variable::make(
-      std::move(out), {a},
-      [an = a.node(), start, len](Node& n) {
-        ts::Tensor full{an->value.shape()};
-        const int64_t cols = an->value.dim(-1);
-        const int64_t rows = cols == 0 ? 0 : an->value.numel() / cols;
-        auto df = full.data();
-        const auto dg = n.grad.data();
-        for (int64_t r = 0; r < rows; ++r) {
-          for (int64_t c = 0; c < len; ++c) {
-            df[static_cast<size_t>(r * cols + start + c)] =
-                dg[static_cast<size_t>(r * len + c)];
-          }
-        }
-        an->accumulate(full);
-      },
-      "slice_last");
-}
-
 Variable gelu(const Variable& a) {
   return Variable::make(
       ts::gelu(a.value()), {a},
@@ -207,26 +128,6 @@ Variable gelu(const Variable& a) {
         an->accumulate(ts::mul(n.grad, ts::gelu_grad(an->value)));
       },
       "gelu");
-}
-
-Variable relu(const Variable& a) {
-  return Variable::make(
-      ts::relu(a.value()), {a},
-      [an = a.node()](Node& n) {
-        ts::Tensor g = n.grad.clone();
-        auto dg = g.data();
-        const auto dx = an->value.data();
-        core::parallel_for(0, static_cast<int64_t>(dg.size()), kEwGrain,
-                           [&](int64_t b, int64_t e) {
-                             for (int64_t i = b; i < e; ++i) {
-                               if (dx[static_cast<size_t>(i)] <= 0.0f) {
-                                 dg[static_cast<size_t>(i)] = 0.0f;
-                               }
-                             }
-                           });
-        an->accumulate(g);
-      },
-      "relu");
 }
 
 Variable tanh(const Variable& a) {
@@ -248,27 +149,6 @@ Variable tanh(const Variable& a) {
         an->accumulate(g);
       },
       "tanh");
-}
-
-Variable sigmoid(const Variable& a) {
-  ts::Tensor out = ts::sigmoid(a.value());
-  return Variable::make(
-      out, {a},
-      [an = a.node(), out](Node& n) {
-        ts::Tensor g{out.shape()};
-        auto dg = g.data();
-        const auto ds = out.data();
-        const auto dn = n.grad.data();
-        core::parallel_for(0, static_cast<int64_t>(dg.size()), kEwGrain,
-                           [&](int64_t b, int64_t e) {
-                             for (int64_t idx = b; idx < e; ++idx) {
-                               const size_t i = static_cast<size_t>(idx);
-                               dg[i] = dn[i] * ds[i] * (1.0f - ds[i]);
-                             }
-                           });
-        an->accumulate(g);
-      },
-      "sigmoid");
 }
 
 Variable bias_act(const Variable& x, const Variable& b, Act act) {

@@ -16,24 +16,18 @@ namespace actcomp::autograd {
 
 // ---- arithmetic ----
 Variable add(const Variable& a, const Variable& b);   // right-aligned broadcast of b
-Variable sub(const Variable& a, const Variable& b);
-Variable mul(const Variable& a, const Variable& b);   // same-shape or broadcast b
 Variable mul_scalar(const Variable& a, float s);
-Variable add_scalar(const Variable& a, float s);
 
 // ---- matmul / structure ----
 Variable matmul(const Variable& a, const Variable& b);  // 2D/3D as tensor::matmul
 Variable reshape(const Variable& a, tensor::Shape shape);
 Variable permute(const Variable& a, const std::vector<int>& axes);
 Variable transpose_last2(const Variable& a);
-Variable concat_last(const std::vector<Variable>& parts);
-Variable slice_last(const Variable& a, int64_t start, int64_t len);
 
 // ---- activations ----
+/// Unfused GELU: the composition bias_act(x, b, Act::kGelu) must match.
 Variable gelu(const Variable& a);
-Variable relu(const Variable& a);
 Variable tanh(const Variable& a);
-Variable sigmoid(const Variable& a);
 
 /// Activation applied by the fused bias epilogue.
 enum class Act { kNone, kGelu };

@@ -168,12 +168,4 @@ tensor::Tensor KvCache::values_by_head(int64_t layer, int64_t total,
   return out;
 }
 
-void KvCache::rollback(int64_t new_len) {
-  ACTCOMP_CHECK(!step_open_, "KvCache::rollback with an open step");
-  ACTCOMP_CHECK(new_len >= 0 && new_len <= len_,
-                "KvCache::rollback to " << new_len << " outside [0, " << len_
-                                        << "]");
-  len_ = new_len;
-}
-
 }  // namespace actcomp::nn

@@ -6,8 +6,8 @@
 // positions (growing storage if needed), each layer append()s its k/v rows as
 // its attention runs, and commit() advances the shared length — so a throw
 // mid-forward leaves the committed prefix intact and the step can simply be
-// retried. rollback() truncates to any shorter prefix (speculative decoding,
-// prompt reuse) without touching storage.
+// retried. The committed length only grows: a new sequence takes a new
+// cache.
 //
 // Contract pinned by tests/kv_cache_test.cpp: decoding token-by-token through
 // the cache reproduces the full-sequence causal forward byte-for-byte at
@@ -62,11 +62,6 @@ class KvCache {
   /// keys() / values().
   tensor::Tensor keys_t_by_head(int64_t layer, int64_t total, int64_t heads) const;
   tensor::Tensor values_by_head(int64_t layer, int64_t total, int64_t heads) const;
-
-  /// Truncates to a shorter committed prefix (no step may be open).
-  void rollback(int64_t new_len);
-  /// rollback(0): forget everything, keep storage.
-  void reset() { rollback(0); }
 
  private:
   struct Slot {

@@ -5,8 +5,7 @@
 
 namespace actcomp::nn {
 
-Linear::Linear(int64_t in_features, int64_t out_features, tensor::Generator& gen,
-               bool bias)
+Linear::Linear(int64_t in_features, int64_t out_features, tensor::Generator& gen)
     : in_(in_features), out_(out_features) {
   ACTCOMP_CHECK(in_features > 0 && out_features > 0,
                 "linear dims must be positive: " << in_features << " x "
@@ -14,10 +13,8 @@ Linear::Linear(int64_t in_features, int64_t out_features, tensor::Generator& gen
   weight_ = autograd::Variable::leaf(
       tensor::xavier_uniform(gen, tensor::Shape{in_, out_}, in_, out_),
       /*requires_grad=*/true);
-  if (bias) {
-    bias_ = autograd::Variable::leaf(tensor::Tensor::zeros(tensor::Shape{out_}),
-                                     /*requires_grad=*/true);
-  }
+  bias_ = autograd::Variable::leaf(tensor::Tensor::zeros(tensor::Shape{out_}),
+                                   /*requires_grad=*/true);
 }
 
 autograd::Variable Linear::forward(const autograd::Variable& x,
@@ -25,15 +22,11 @@ autograd::Variable Linear::forward(const autograd::Variable& x,
   ACTCOMP_CHECK(x.value().dim(-1) == in_,
                 "linear expects last dim " << in_ << ", got "
                                            << x.value().shape().str());
-  autograd::Variable y = autograd::matmul(x, weight_);
-  if (bias_.defined()) return autograd::bias_act(y, bias_, act);
-  return act == autograd::Act::kGelu ? autograd::gelu(y) : y;
+  return autograd::bias_act(autograd::matmul(x, weight_), bias_, act);
 }
 
 std::vector<NamedParam> Linear::named_parameters() const {
-  std::vector<NamedParam> out{{"weight", weight_}};
-  if (bias_.defined()) out.emplace_back("bias", bias_);
-  return out;
+  return {{"weight", weight_}, {"bias", bias_}};
 }
 
 }  // namespace actcomp::nn

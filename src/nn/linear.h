@@ -1,4 +1,5 @@
-// Linear (dense) layer: y = x W + b.
+// Linear (dense) layer: y = act(x W + b). Every layer of the model carries
+// a bias, so the bias add always runs through bias_act.
 #pragma once
 
 #include "autograd/functions.h"
@@ -9,8 +10,7 @@ namespace actcomp::nn {
 
 class Linear final : public Module {
  public:
-  Linear(int64_t in_features, int64_t out_features, tensor::Generator& gen,
-         bool bias = true);
+  Linear(int64_t in_features, int64_t out_features, tensor::Generator& gen);
 
   /// x: [..., in_features] -> [..., out_features]. When `act` is not kNone
   /// the activation fuses with the bias into one tape node (bias_act).
@@ -27,7 +27,7 @@ class Linear final : public Module {
   int64_t in_;
   int64_t out_;
   autograd::Variable weight_;  // [in, out]
-  autograd::Variable bias_;    // [out], undefined when bias = false
+  autograd::Variable bias_;    // [out]
 };
 
 }  // namespace actcomp::nn

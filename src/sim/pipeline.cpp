@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
-#include <string>
 
 #include "obs/profiler.h"
 #include "obs/registry.h"
@@ -16,18 +13,11 @@ namespace actcomp::sim {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& msg) {
-  throw std::invalid_argument("simulate_pipeline: " + msg);
-}
-
 void check_durations(const std::vector<double>& v, const char* name) {
   for (size_t i = 0; i < v.size(); ++i) {
-    if (!std::isfinite(v[i]) || v[i] < 0.0) {
-      std::ostringstream os;
-      os << name << "[" << i << "] = " << v[i]
-         << " — durations must be finite and non-negative";
-      fail(os.str());
-    }
+    ACTCOMP_CHECK(std::isfinite(v[i]) && v[i] >= 0.0,
+                  "simulate_pipeline: " << name << "[" << i << "] = " << v[i]
+                      << " — durations must be finite and non-negative");
   }
 }
 
@@ -93,84 +83,64 @@ std::vector<Step> stage_program(int s, int p, int v, int m, ScheduleKind kind) {
 void validate_pipeline_inputs(const PipelineCosts& c,
                               const PipelineOptions& o) {
   const size_t p = c.fwd_ms.size();
-  std::ostringstream os;
-  if (p == 0) fail("fwd_ms is empty — need at least one stage");
-  if (c.bwd_ms.size() != p) {
-    os << "bwd_ms has " << c.bwd_ms.size() << " entries, expected stages = "
-       << p;
-    fail(os.str());
-  }
-  if (c.p2p_fwd_ms.size() != p - 1) {
-    os << "p2p_fwd_ms has " << c.p2p_fwd_ms.size()
-       << " entries, expected stages - 1 = " << p - 1;
-    fail(os.str());
-  }
-  if (c.p2p_bwd_ms.size() != p - 1) {
-    os << "p2p_bwd_ms has " << c.p2p_bwd_ms.size()
-       << " entries, expected stages - 1 = " << p - 1;
-    fail(os.str());
-  }
-  if (c.micro_batches < 1) {
-    os << "micro_batches = " << c.micro_batches << ", must be >= 1";
-    fail(os.str());
-  }
+  ACTCOMP_CHECK(p > 0, "simulate_pipeline: fwd_ms is empty — need at least one stage");
+  ACTCOMP_CHECK(c.bwd_ms.size() == p, "simulate_pipeline: bwd_ms has "
+                                          << c.bwd_ms.size() << " entries, expected stages = " << p);
+  ACTCOMP_CHECK(c.p2p_fwd_ms.size() == p - 1,
+                "simulate_pipeline: p2p_fwd_ms has " << c.p2p_fwd_ms.size()
+                    << " entries, expected stages - 1 = " << p - 1);
+  ACTCOMP_CHECK(c.p2p_bwd_ms.size() == p - 1,
+                "simulate_pipeline: p2p_bwd_ms has " << c.p2p_bwd_ms.size()
+                    << " entries, expected stages - 1 = " << p - 1);
+  ACTCOMP_CHECK(c.micro_batches >= 1, "simulate_pipeline: micro_batches = "
+                                          << c.micro_batches << ", must be >= 1");
   check_durations(c.fwd_ms, "fwd_ms");
   check_durations(c.bwd_ms, "bwd_ms");
   check_durations(c.p2p_fwd_ms, "p2p_fwd_ms");
   check_durations(c.p2p_bwd_ms, "p2p_bwd_ms");
   check_durations({c.p2p_wrap_fwd_ms, c.p2p_wrap_bwd_ms}, "p2p_wrap_ms");
   if (!c.boundary_shape.empty()) {
-    if (c.boundary_shape.size() != p - 1) {
-      os << "boundary_shape has " << c.boundary_shape.size()
-         << " entries, expected stages - 1 = " << p - 1 << " (or empty)";
-      fail(os.str());
-    }
+    ACTCOMP_CHECK(c.boundary_shape.size() == p - 1,
+                  "simulate_pipeline: boundary_shape has "
+                      << c.boundary_shape.size() << " entries, expected stages - 1 = "
+                      << p - 1 << " (or empty)");
     for (size_t b = 0; b < c.boundary_shape.size(); ++b) {
-      if (c.boundary_shape[b].slices < 1 || c.boundary_shape[b].lanes < 1) {
-        os << "boundary_shape[" << b << "] = {slices="
-           << c.boundary_shape[b].slices << ", lanes="
-           << c.boundary_shape[b].lanes << "} — both must be >= 1";
-        fail(os.str());
-      }
+      const auto& shape = c.boundary_shape[b];
+      ACTCOMP_CHECK(shape.slices >= 1 && shape.lanes >= 1,
+                    "simulate_pipeline: boundary_shape[" << b << "] = {slices=" << shape.slices
+                        << ", lanes=" << shape.lanes << "} — both must be >= 1");
     }
   }
   o.faults.validate();
-  if (o.faults.straggler_stage >= static_cast<int>(p)) {
-    os << "faults.straggler_stage = " << o.faults.straggler_stage
-       << ", but there are only " << p << " stages";
-    fail(os.str());
-  }
-  if (o.faults.faulty_boundary >= static_cast<int>(p)) {
-    os << "faults.faulty_boundary = " << o.faults.faulty_boundary
-       << " out of range — boundaries are 0.." << p - 2
-       << " and the wrap link is " << p - 1;
-    fail(os.str());
-  }
+  ACTCOMP_CHECK(o.faults.straggler_stage < static_cast<int>(p),
+                "simulate_pipeline: faults.straggler_stage = "
+                    << o.faults.straggler_stage << ", but there are only " << p
+                    << " stages");
+  ACTCOMP_CHECK(o.faults.faulty_boundary < static_cast<int>(p),
+                "simulate_pipeline: faults.faulty_boundary = "
+                    << o.faults.faulty_boundary
+                    << " out of range — boundaries are 0.." << p - 2
+                    << " and the wrap link is " << p - 1);
   if (o.schedule == ScheduleKind::kInterleaved1F1B) {
-    if (o.virtual_stages < 2) {
-      os << "interleaved 1F1B needs virtual_stages >= 2, got "
-         << o.virtual_stages;
-      fail(os.str());
-    }
-    if (c.micro_batches % static_cast<int>(p) != 0) {
-      os << "interleaved 1F1B needs micro_batches divisible by stages, got "
-         << c.micro_batches << " % " << p << " != 0";
-      fail(os.str());
-    }
-  } else if (o.virtual_stages != 1) {
-    os << "virtual_stages = " << o.virtual_stages
-       << " is only valid with ScheduleKind::kInterleaved1F1B";
-    fail(os.str());
+    ACTCOMP_CHECK(o.virtual_stages >= 2,
+                  "simulate_pipeline: interleaved 1F1B needs virtual_stages >= 2, got "
+                      << o.virtual_stages);
+    ACTCOMP_CHECK(c.micro_batches % static_cast<int>(p) == 0,
+                  "simulate_pipeline: interleaved 1F1B needs micro_batches "
+                  "divisible by stages, got "
+                      << c.micro_batches << " % " << p << " != 0");
+  } else {
+    ACTCOMP_CHECK(o.virtual_stages == 1,
+                  "simulate_pipeline: virtual_stages = "
+                      << o.virtual_stages
+                      << " is only valid with ScheduleKind::kInterleaved1F1B");
   }
-  if (c.dp.replicas < 1) {
-    os << "dp.replicas = " << c.dp.replicas << ", must be >= 1";
-    fail(os.str());
-  }
-  if (!c.dp.grad_allreduce_ms.empty() && c.dp.grad_allreduce_ms.size() != p) {
-    os << "dp.grad_allreduce_ms has " << c.dp.grad_allreduce_ms.size()
-       << " entries, expected stages = " << p << " (or empty)";
-    fail(os.str());
-  }
+  ACTCOMP_CHECK(c.dp.replicas >= 1, "simulate_pipeline: dp.replicas = "
+                                        << c.dp.replicas << ", must be >= 1");
+  ACTCOMP_CHECK(c.dp.grad_allreduce_ms.empty() || c.dp.grad_allreduce_ms.size() == p,
+                "simulate_pipeline: dp.grad_allreduce_ms has "
+                    << c.dp.grad_allreduce_ms.size() << " entries, expected stages = "
+                    << p << " (or empty)");
   check_durations(c.dp.grad_allreduce_ms, "dp.grad_allreduce_ms");
 }
 

@@ -6,6 +6,10 @@
 // per-ISA translation units are compiled with explicit -mavx2/-mavx512f
 // flags (never -march=native), so one binary carries every tier and picks
 // at runtime — release builds no longer depend on the build host's ISA.
+// The table holds only what the library's ops call: the GEMM, the bias
+// and mask arithmetic, softmax's scale and shift, GELU, the layernorm
+// passes, fp16 and the quantizer. An entry only tests reach is deleted
+// with its op, since every tier compiles and vets each one.
 //
 // Every tier's table starts as `generic::table()` (kernels_generic.h): the
 // portable loops, compiled in that tier's TU under its own -m flags, so the
@@ -59,17 +63,10 @@ struct KernelTable {
                  int64_t hi, int64_t nb);
   void (*ew_mul)(const float* a, const float* b, float* out, int64_t lo,
                  int64_t hi, int64_t nb);
-  void (*ew_div)(const float* a, const float* b, float* out, int64_t lo,
-                 int64_t hi, int64_t nb);
-  void (*ew_add_scalar)(const float* a, float s, float* out, int64_t lo,
-                        int64_t hi);
   void (*ew_mul_scalar)(const float* a, float s, float* out, int64_t lo,
                         int64_t hi);
   void (*ew_sub_scalar)(const float* a, float s, float* out, int64_t lo,
                         int64_t hi);
-  void (*ew_neg)(const float* a, float* out, int64_t lo, int64_t hi);
-  void (*ew_abs)(const float* a, float* out, int64_t lo, int64_t hi);
-  void (*ew_relu)(const float* a, float* out, int64_t lo, int64_t hi);
   void (*ew_scale)(float* x, float s, int64_t lo, int64_t hi);  // x[i] *= s
   // GELU (tanh form) and its derivative. Every tier points at the one
   // polynomial in kernels_generic.h, compiled under its own -m flags.

@@ -60,15 +60,7 @@ static inline void ew_mul(const float* a, const float* b, float* out, int64_t lo
                    int64_t hi, int64_t nb) {
   ew_binary(a, b, out, lo, hi, nb, [](float x, float y) { return x * y; });
 }
-static inline void ew_div(const float* a, const float* b, float* out, int64_t lo,
-                   int64_t hi, int64_t nb) {
-  ew_binary(a, b, out, lo, hi, nb, [](float x, float y) { return x / y; });
-}
 
-static inline void ew_add_scalar(const float* a, float s, float* out, int64_t lo,
-                          int64_t hi) {
-  for (int64_t i = lo; i < hi; ++i) out[i] = a[i] + s;
-}
 static inline void ew_mul_scalar(const float* a, float s, float* out, int64_t lo,
                           int64_t hi) {
   for (int64_t i = lo; i < hi; ++i) out[i] = a[i] * s;
@@ -76,15 +68,6 @@ static inline void ew_mul_scalar(const float* a, float s, float* out, int64_t lo
 static inline void ew_sub_scalar(const float* a, float s, float* out, int64_t lo,
                           int64_t hi) {
   for (int64_t i = lo; i < hi; ++i) out[i] = a[i] - s;
-}
-static inline void ew_neg(const float* a, float* out, int64_t lo, int64_t hi) {
-  for (int64_t i = lo; i < hi; ++i) out[i] = -a[i];
-}
-static inline void ew_abs(const float* a, float* out, int64_t lo, int64_t hi) {
-  for (int64_t i = lo; i < hi; ++i) out[i] = std::fabs(a[i]);
-}
-static inline void ew_relu(const float* a, float* out, int64_t lo, int64_t hi) {
-  for (int64_t i = lo; i < hi; ++i) out[i] = a[i] > 0.0f ? a[i] : 0.0f;
 }
 static inline void ew_scale(float* x, float s, int64_t lo, int64_t hi) {
   for (int64_t i = lo; i < hi; ++i) x[i] *= s;
@@ -237,13 +220,8 @@ static inline KernelTable table(const char* name,
       .ew_add = ew_add,
       .ew_sub = ew_sub,
       .ew_mul = ew_mul,
-      .ew_div = ew_div,
-      .ew_add_scalar = ew_add_scalar,
       .ew_mul_scalar = ew_mul_scalar,
       .ew_sub_scalar = ew_sub_scalar,
-      .ew_neg = ew_neg,
-      .ew_abs = ew_abs,
-      .ew_relu = ew_relu,
       .ew_scale = ew_scale,
       .ew_gelu = ew_gelu,
       .ew_gelu_grad = ew_gelu_grad,

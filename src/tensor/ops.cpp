@@ -39,8 +39,9 @@ bool right_aligned(const Shape& big, const Shape& small) {
 // Elementwise ops route through the active SIMD kernel tier
 // (tensor/kernels): the parallel_for chunking — and thus 1-vs-N-thread
 // identity — stays here in the caller, and the kernel handles [lo, hi).
-// GELU's tanh is the kernel layer's polynomial (DESIGN.md §15); exp, log,
-// tanh and sigmoid stay as scalar libm lambdas.
+// GELU's tanh is the kernel layer's polynomial (DESIGN.md §15); the
+// pooler's tensor::tanh stays on libm, as do the exp and log of softmax and
+// log_softmax.
 
 Tensor binary_kernel(const Tensor& a, const Tensor& b,
                      void (*kfn)(const float*, const float*, float*, int64_t,
@@ -87,20 +88,6 @@ Tensor scalar_kernel(const Tensor& a, float s,
   return out;
 }
 
-template <typename F>
-Tensor unary(const Tensor& a, F f) {
-  Tensor out(a.shape());
-  const auto da = a.data();
-  auto dout = out.data();
-  core::parallel_for(0, static_cast<int64_t>(da.size()), kEwGrain,
-                     [&](int64_t lo, int64_t hi) {
-                       for (int64_t i = lo; i < hi; ++i) {
-                         dout[static_cast<size_t>(i)] = f(da[static_cast<size_t>(i)]);
-                       }
-                     });
-  return out;
-}
-
 }  // namespace
 
 Tensor add(const Tensor& a, const Tensor& b) {
@@ -112,30 +99,22 @@ Tensor sub(const Tensor& a, const Tensor& b) {
 Tensor mul(const Tensor& a, const Tensor& b) {
   return binary_kernel(a, b, kernels::active_kernels().ew_mul, "mul");
 }
-Tensor div(const Tensor& a, const Tensor& b) {
-  return binary_kernel(a, b, kernels::active_kernels().ew_div, "div");
-}
 
-Tensor add_scalar(const Tensor& a, float s) {
-  return scalar_kernel(a, s, kernels::active_kernels().ew_add_scalar);
-}
 Tensor mul_scalar(const Tensor& a, float s) {
   return scalar_kernel(a, s, kernels::active_kernels().ew_mul_scalar);
 }
 
-Tensor neg(const Tensor& a) {
-  return unary_kernel(a, kernels::active_kernels().ew_neg);
-}
-Tensor exp(const Tensor& a) { return unary(a, [](float x) { return std::exp(x); }); }
-Tensor abs(const Tensor& a) {
-  return unary_kernel(a, kernels::active_kernels().ew_abs);
-}
-Tensor tanh(const Tensor& a) { return unary(a, [](float x) { return std::tanh(x); }); }
-Tensor sigmoid(const Tensor& a) {
-  return unary(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
-Tensor relu(const Tensor& a) {
-  return unary_kernel(a, kernels::active_kernels().ew_relu);
+Tensor tanh(const Tensor& a) {
+  Tensor out(a.shape());
+  const auto da = a.data();
+  auto dout = out.data();
+  core::parallel_for(0, static_cast<int64_t>(da.size()), kEwGrain,
+                     [&](int64_t lo, int64_t hi) {
+                       for (int64_t i = lo; i < hi; ++i) {
+                         dout[static_cast<size_t>(i)] = std::tanh(da[static_cast<size_t>(i)]);
+                       }
+                     });
+  return out;
 }
 
 Tensor gelu(const Tensor& a) {
@@ -312,21 +291,6 @@ Shape drop_last(const Shape& s) {
 }
 }  // namespace
 
-Tensor sum_last(const Tensor& a) {
-  const auto [rows, cols] = rows_cols(a);
-  Tensor out{drop_last(a.shape())};
-  const auto din = a.data();
-  auto dout = out.data();
-  core::parallel_for(0, rows, row_grain(cols), [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      double s = 0.0;
-      for (int64_t c = 0; c < cols; ++c) s += din[static_cast<size_t>(r * cols + c)];
-      dout[static_cast<size_t>(r)] = static_cast<float>(s);
-    }
-  });
-  return out;
-}
-
 Tensor sum_to_last(const Tensor& a) {
   const auto [rows, cols] = rows_cols(a);
   Tensor out{Shape{cols}};
@@ -455,57 +419,6 @@ float rel_error(const Tensor& a, const Tensor& b) {
     s += d * d;
   }
   return static_cast<float>(std::sqrt(s)) / std::max(nb, 1e-12f);
-}
-
-Tensor concat_last(const std::vector<Tensor>& parts) {
-  ACTCOMP_CHECK(!parts.empty(), "concat_last of zero tensors");
-  const Shape& first = parts.front().shape();
-  int64_t total_last = 0;
-  for (const Tensor& p : parts) {
-    ACTCOMP_CHECK(p.rank() == first.rank(), "concat_last rank mismatch");
-    for (int i = 0; i + 1 < first.rank(); ++i) {
-      ACTCOMP_CHECK(p.dim(i) == first.dim(i), "concat_last leading-dim mismatch");
-    }
-    total_last += p.dim(-1);
-  }
-  std::vector<int64_t> out_dims = first.dims();
-  out_dims.back() = total_last;
-  Tensor out{Shape(out_dims)};
-  const int64_t rows = total_last == 0 ? 0 : out.numel() / total_last;
-  auto dout = out.data();
-  int64_t col_off = 0;
-  for (const Tensor& p : parts) {
-    const int64_t pc = p.dim(-1);
-    const auto dp = p.data();
-    for (int64_t r = 0; r < rows; ++r) {
-      for (int64_t c = 0; c < pc; ++c) {
-        dout[static_cast<size_t>(r * total_last + col_off + c)] =
-            dp[static_cast<size_t>(r * pc + c)];
-      }
-    }
-    col_off += pc;
-  }
-  return out;
-}
-
-Tensor slice_last(const Tensor& a, int64_t start, int64_t len) {
-  const int64_t cols = a.dim(-1);
-  ACTCOMP_CHECK(start >= 0 && len >= 0 && start + len <= cols,
-                "slice_last [" << start << ", " << start + len << ") out of range "
-                               << cols);
-  std::vector<int64_t> out_dims = a.shape().dims();
-  out_dims.back() = len;
-  Tensor out{Shape(out_dims)};
-  const int64_t rows = cols == 0 ? 0 : a.numel() / cols;
-  const auto din = a.data();
-  auto dout = out.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t c = 0; c < len; ++c) {
-      dout[static_cast<size_t>(r * len + c)] =
-          din[static_cast<size_t>(r * cols + start + c)];
-    }
-  }
-  return out;
 }
 
 }  // namespace actcomp::tensor

@@ -1,7 +1,11 @@
 // Raw (non-differentiable) math kernels over Tensor.
 //
-// These are the primitives the autograd layer composes. Broadcasting is
-// deliberately limited to the two cases the library needs:
+// These are the primitives the autograd layer composes: the fixed op set a
+// BERT training step and a KV-cache decode run (GEMM, bias add, GELU, the
+// pooler's tanh, softmax, layernorm statistics, dropout's mask product, the
+// losses' reductions), plus the comparison helpers tests use as oracles.
+// An op no layer, loss or compressor calls does not belong here.
+// Broadcasting is deliberately limited to the two cases the library needs:
 //   * identical shapes, and
 //   * right-aligned broadcast of a lower-rank operand (e.g. adding a [h] bias
 //     to a [b, s, h] activation).
@@ -19,19 +23,12 @@ namespace actcomp::tensor {
 Tensor add(const Tensor& a, const Tensor& b);
 Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);
-Tensor div(const Tensor& a, const Tensor& b);
 
 // ---- elementwise with scalar ----
-Tensor add_scalar(const Tensor& a, float s);
 Tensor mul_scalar(const Tensor& a, float s);
 
 // ---- elementwise unary ----
-Tensor neg(const Tensor& a);
-Tensor exp(const Tensor& a);
-Tensor abs(const Tensor& a);
 Tensor tanh(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
-Tensor relu(const Tensor& a);
 /// Gaussian error linear unit (tanh approximation, as in BERT).
 Tensor gelu(const Tensor& a);
 /// d gelu(x) / dx, elementwise.
@@ -55,8 +52,6 @@ Tensor permute(const Tensor& a, const std::vector<int>& axes);
 float sum_all(const Tensor& a);
 float mean_all(const Tensor& a);
 float max_all(const Tensor& a);
-/// Sum over the last dimension: [..., n] -> [...].
-Tensor sum_last(const Tensor& a);
 /// Sum over all dimensions except the last: [..., n] -> [n] (bias gradients).
 Tensor sum_to_last(const Tensor& a);
 /// Index of the max element along the last dimension, as floats: [..., n] -> [...].
@@ -80,11 +75,5 @@ float max_abs_diff(const Tensor& a, const Tensor& b);
 /// Relative Frobenius-norm error ||a-b|| / max(||b||, tiny).
 float rel_error(const Tensor& a, const Tensor& b);
 float frobenius_norm(const Tensor& a);
-
-// ---- structural ----
-/// Concatenate along the last dimension; all inputs must agree elsewhere.
-Tensor concat_last(const std::vector<Tensor>& parts);
-/// Slice [start, start+len) of the last dimension.
-Tensor slice_last(const Tensor& a, int64_t start, int64_t len);
 
 }  // namespace actcomp::tensor

@@ -1,6 +1,7 @@
 #include "train/checkpoint.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -128,12 +129,30 @@ Checkpoint read_checkpoint(std::istream& is) {
   if (step == nullptr || rng == nullptr) {
     fail("checkpoint metadata missing 'step' or 'rng'");
   }
+  // as_int()/as_string() read 0 and "" from a value of another kind, so the
+  // kinds are checked before anything is read.
+  if (step->kind() != obs::json::Kind::kInt || step->as_int() < 0) {
+    fail("checkpoint metadata 'step' must be a non-negative integer, got " +
+         step->dump());
+  }
+  if (rng->kind() != obs::json::Kind::kString) {
+    fail("checkpoint metadata 'rng' must be a string, got " + rng->dump());
+  }
 
   Checkpoint ckpt;
   ckpt.step = step->as_int();
   ckpt.rng_state = rng->as_string();
   if (const obs::json::Value* extra = meta.find("meta")) {
-    for (const auto& [k, v] : extra->members()) ckpt.meta[k] = v.as_string();
+    if (extra->kind() != obs::json::Kind::kObject) {
+      fail("checkpoint metadata 'meta' must be an object, got " + extra->dump());
+    }
+    for (const auto& [k, v] : extra->members()) {
+      if (v.kind() != obs::json::Kind::kString) {
+        fail("checkpoint metadata 'meta." + k + "' must be a string, got " +
+             v.dump());
+      }
+      ckpt.meta[k] = v.as_string();
+    }
   }
   std::istringstream payload_is(payload);
   try {
@@ -244,15 +263,28 @@ void restore_train_state(const Checkpoint& ckpt,
     v[i] = iv->second.clone();
   }
   int64_t opt_step = 0;
-  const auto it = ckpt.meta.find("opt_step");
-  if (it != ckpt.meta.end()) opt_step = std::stoll(it->second);
+  if (const auto it = ckpt.meta.find("opt_step"); it != ckpt.meta.end()) {
+    const std::string& s = it->second;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), opt_step);
+    if (ec != std::errc() || end != s.data() + s.size() || opt_step < 0) {
+      fail("optimizer step '" + s + "' is not a non-negative integer");
+    }
+  }
+  tensor::Generator restored(0);
+  try {
+    restored.set_state(ckpt.rng_state);
+  } catch (const std::invalid_argument&) {
+    fail("malformed RNG state (" + std::to_string(ckpt.rng_state.size()) +
+         " bytes)");
+  }
 
+  // Everything has validated: restore_state cannot throw from here on.
+  opt.restore_state(opt_step, std::move(m), std::move(v));
   for (const auto& [name, p] : params) {
     autograd::Variable handle = p;
     handle.mutable_value() = ckpt.tensors.at(name).clone();
   }
-  opt.restore_state(opt_step, std::move(m), std::move(v));
-  gen.set_state(ckpt.rng_state);
+  gen = restored;
 }
 
 }  // namespace actcomp::train

@@ -25,8 +25,10 @@
 //
 // load_checkpoint() rejects bad files with precise std::runtime_error
 // messages ("bad checkpoint magic…", "unsupported checkpoint version…",
-// "checkpoint truncated…", "checkpoint checksum mismatch…") — a corrupted or
-// torn file can never be half-restored into a live model.
+// "checkpoint truncated…", "checkpoint checksum mismatch…", and metadata of
+// the wrong kind: a 'step' that is not a non-negative integer, an 'rng' or
+// a 'meta' member that is not a string) — a corrupted or torn file can
+// never be half-restored into a live model.
 #pragma once
 
 #include <cstdint>
@@ -72,8 +74,9 @@ Checkpoint capture_train_state(const std::vector<nn::NamedParam>& params,
 
 /// Inverse of capture_train_state: write parameter values, optimizer
 /// moments, and the RNG cursor back into live objects. Throws
-/// std::runtime_error naming the first missing or shape-mismatched entry;
-/// nothing is mutated until the whole checkpoint has validated.
+/// std::runtime_error naming the first missing or shape-mismatched entry,
+/// a malformed RNG state, or an optimizer step that is not a non-negative
+/// integer; nothing is mutated until the whole checkpoint has validated.
 void restore_train_state(const Checkpoint& ckpt,
                          const std::vector<nn::NamedParam>& params, Adam& opt,
                          tensor::Generator& gen);

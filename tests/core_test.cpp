@@ -646,8 +646,7 @@ int64_t first_byte_mismatch(const std::vector<float>& got,
 TEST(SimdIdentity, ElementwiseBytesMatchScalarAcrossTiers) {
   namespace kn = ts::kernels;
   using Binary = decltype(kn::KernelTable::ew_add);
-  using WithScalar = decltype(kn::KernelTable::ew_add_scalar);
-  using Unary = decltype(kn::KernelTable::ew_neg);
+  using WithScalar = decltype(kn::KernelTable::ew_mul_scalar);
   constexpr int64_t n = 1031;  // not a multiple of any vector width
   const std::vector<float> a = ew_operand(n, 50, 7, /*with_nan=*/true);
   const std::vector<float> b = ew_operand(n, 51, 5, /*with_nan=*/false);
@@ -661,16 +660,10 @@ TEST(SimdIdentity, ElementwiseBytesMatchScalarAcrossTiers) {
   const BinaryEntry binaries[] = {
       {"add", &kn::KernelTable::ew_add, [](float x, float y) { return x + y; }},
       {"sub", &kn::KernelTable::ew_sub, [](float x, float y) { return x - y; }},
-      {"mul", &kn::KernelTable::ew_mul, [](float x, float y) { return x * y; }},
-      {"div", &kn::KernelTable::ew_div, [](float x, float y) { return x / y; }}};
+      {"mul", &kn::KernelTable::ew_mul, [](float x, float y) { return x * y; }}};
   const std::pair<const char*, WithScalar kn::KernelTable::*> with_scalars[] = {
-      {"add_scalar", &kn::KernelTable::ew_add_scalar},
       {"mul_scalar", &kn::KernelTable::ew_mul_scalar},
       {"sub_scalar", &kn::KernelTable::ew_sub_scalar}};
-  const std::pair<const char*, Unary kn::KernelTable::*> unaries[] = {
-      {"neg", &kn::KernelTable::ew_neg},
-      {"abs", &kn::KernelTable::ew_abs},
-      {"relu", &kn::KernelTable::ew_relu}};
   const std::pair<int64_t, int64_t> ranges[] = {
       {0, n}, {5, n - 3}, {5, 100}, {77, 300}, {261, n}, {n - 1, n}};
 
@@ -711,11 +704,6 @@ TEST(SimdIdentity, ElementwiseBytesMatchScalarAcrossTiers) {
         check("scale" + where, [&](const kn::KernelTable& k, std::vector<float>& out) {
           std::copy(a.begin(), a.end(), out.begin());
           k.ew_scale(out.data(), s, lo, hi);
-        });
-      }
-      for (const auto& [name, fn] : unaries) {
-        check(name + span, [&, fn = fn](const kn::KernelTable& k, std::vector<float>& out) {
-          (k.*fn)(a.data(), out.data(), lo, hi);
         });
       }
     }

@@ -54,8 +54,6 @@ TEST(Linear, ForwardShapeAndBias) {
   ag::Variable x = ag::Variable::leaf(gen.normal(ts::Shape{3, 8}));
   EXPECT_EQ(lin.forward(x).value().shape(), (ts::Shape{3, 4}));
   EXPECT_EQ(lin.named_parameters().size(), 2u);
-  nn::Linear nobias(8, 4, gen, false);
-  EXPECT_EQ(nobias.named_parameters().size(), 1u);
 }
 
 TEST(Linear, WrongInputDimThrows) {

@@ -146,18 +146,14 @@ TEST(Ops, AddBadBroadcastThrows) {
 TEST(Ops, MulDivSubScalar) {
   ts::Tensor a(ts::Shape{2}, {4, 9});
   EXPECT_TRUE(ts::allclose(ts::mul_scalar(a, 2.0f), ts::Tensor(ts::Shape{2}, {8, 18})));
-  EXPECT_TRUE(ts::allclose(ts::add_scalar(a, 1.0f), ts::Tensor(ts::Shape{2}, {5, 10})));
+  EXPECT_TRUE(ts::allclose(ts::mul(a, a), ts::Tensor(ts::Shape{2}, {16, 81})));
   EXPECT_TRUE(ts::allclose(ts::sub(a, a), ts::Tensor::zeros(ts::Shape{2})));
-  EXPECT_TRUE(ts::allclose(ts::div(a, a), ts::Tensor::ones(ts::Shape{2})));
 }
 
 TEST(Ops, UnaryFunctions) {
   ts::Tensor a(ts::Shape{3}, {-1.0f, 0.0f, 1.0f});
-  EXPECT_TRUE(ts::allclose(ts::relu(a), ts::Tensor(ts::Shape{3}, {0, 0, 1})));
-  EXPECT_TRUE(ts::allclose(ts::abs(a), ts::Tensor(ts::Shape{3}, {1, 0, 1})));
-  EXPECT_TRUE(ts::allclose(ts::neg(a), ts::Tensor(ts::Shape{3}, {1, 0, -1})));
-  EXPECT_NEAR(ts::sigmoid(a).at({1}), 0.5f, 1e-6f);
-  EXPECT_NEAR(ts::exp(a).at({2}), std::exp(1.0f), 1e-5f);
+  const ts::Tensor t = ts::tanh(a);
+  for (int64_t i = 0; i < 3; ++i) EXPECT_EQ(t.at({i}), std::tanh(a.at({i})));
 }
 
 TEST(Ops, GeluMatchesReference) {
@@ -339,21 +335,6 @@ TEST(Permute, MatchesDivModOracle) {
   actcomp::core::set_num_threads(saved_threads);
 }
 
-TEST(Ops, ConcatSliceLastRoundTrip) {
-  ts::Generator gen(5);
-  ts::Tensor a = gen.normal(ts::Shape{2, 3});
-  ts::Tensor b = gen.normal(ts::Shape{2, 5});
-  const ts::Tensor cat = ts::concat_last({a, b});
-  ASSERT_EQ(cat.shape(), (ts::Shape{2, 8}));
-  EXPECT_TRUE(ts::allclose(ts::slice_last(cat, 0, 3), a));
-  EXPECT_TRUE(ts::allclose(ts::slice_last(cat, 3, 5), b));
-}
-
-TEST(Ops, SliceOutOfRangeThrows) {
-  ts::Tensor a{ts::Shape{2, 3}};
-  EXPECT_THROW(ts::slice_last(a, 2, 2), std::invalid_argument);
-}
-
 // ---------- reductions / softmax ----------
 
 TEST(Ops, Reductions) {
@@ -361,7 +342,6 @@ TEST(Ops, Reductions) {
   EXPECT_FLOAT_EQ(ts::sum_all(a), 21.0f);
   EXPECT_FLOAT_EQ(ts::mean_all(a), 3.5f);
   EXPECT_FLOAT_EQ(ts::max_all(a), 6.0f);
-  EXPECT_TRUE(ts::allclose(ts::sum_last(a), ts::Tensor(ts::Shape{2}, {6, 15})));
   EXPECT_TRUE(ts::allclose(ts::sum_to_last(a), ts::Tensor(ts::Shape{3}, {5, 7, 9})));
 }
 
@@ -396,9 +376,10 @@ TEST(Ops, SoftmaxNumericallyStableForLargeLogits) {
 TEST(Ops, LogSoftmaxConsistentWithSoftmax) {
   ts::Generator gen(7);
   ts::Tensor a = gen.normal(ts::Shape{4, 6});
-  const ts::Tensor ls = ts::log_softmax_last(a);
+  ts::Tensor ls = ts::log_softmax_last(a);
   const ts::Tensor s = ts::softmax_last(a);
-  EXPECT_TRUE(ts::allclose(ts::exp(ls), s, 1e-4f, 1e-5f));
+  for (float& v : ls.data()) v = std::exp(v);
+  EXPECT_TRUE(ts::allclose(ls, s, 1e-4f, 1e-5f));
 }
 
 TEST(Ops, RowMoments) {
