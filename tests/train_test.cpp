@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "autograd/functions.h"
 #include "compress/autoencoder.h"
 #include "core/binder.h"
+#include "core/simd.h"
+#include "core/threadpool.h"
 #include "data/dataset.h"
 #include "data/pretrain.h"
 #include "data/vocab.h"
@@ -276,4 +282,121 @@ TEST(PretrainMlm, CheckpointThenFinetuneWithoutCodecs) {
   cfg.batch_size = 16;
   cfg.epochs = 1;
   EXPECT_NO_THROW(tr::finetune(fresh, train, dev, cfg, nullptr));
+}
+
+// ---------- pinned training-plane bytes ----------
+
+namespace {
+
+uint64_t fnv1a(uint64_t h, const ts::Tensor& t) {
+  const auto d = t.data();
+  const auto* p = reinterpret_cast<const unsigned char*>(d.data());
+  for (size_t i = 0; i < d.size() * sizeof(float); ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/// FNV-1a digests of one tiny seeded run of the training plane: two MLM
+/// steps with Adam over a batch whose second sequence is padded (so the key
+/// mask takes effect), then the causal forward, a prefill and a 3-token
+/// cached decode. Labels: both losses, every parameter after the two steps,
+/// every gradient of the second step, and the inference outputs.
+std::vector<std::pair<std::string, uint64_t>> training_plane_digests() {
+  nn::BertConfig cfg;
+  cfg.vocab_size = 61;
+  cfg.hidden = 32;
+  cfg.num_layers = 2;
+  cfg.num_heads = 4;
+  cfg.intermediate = 64;
+  cfg.max_seq = 16;
+  cfg.dropout = 0.1f;
+  ts::Generator gen(2026);
+  nn::BertModel model(cfg, gen);
+  nn::MlmHead head(cfg.hidden, cfg.vocab_size, gen);
+  std::vector<ag::Variable> params = model.parameters();
+  for (const ag::Variable& p : head.parameters()) params.push_back(p);
+  tr::Adam opt(params, 1e-2f);
+
+  nn::EncoderInput in;
+  in.batch = 2;
+  in.seq = 8;
+  in.token_ids = {2, 17, 33, 5, 48, 9, 60, 3, 2, 41, 7, 29, 3, 0, 0, 0};
+  in.segment_ids = {0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0};
+  in.lengths = {8, 5};
+  const int64_t kIgnore = -100;
+  const std::vector<int64_t> labels = {kIgnore, 19, kIgnore, kIgnore, 50,
+                                       kIgnore, kIgnore, 11, kIgnore, kIgnore,
+                                       8, kIgnore, kIgnore, kIgnore, kIgnore,
+                                       kIgnore};
+
+  std::vector<std::pair<std::string, uint64_t>> out;
+  for (int step = 0; step < 2; ++step) {
+    opt.zero_grad();
+    const ag::Variable seq = model.forward(in, gen, /*training=*/true);
+    const ag::Variable loss =
+        ag::softmax_cross_entropy_masked(head.forward(seq), labels, kIgnore);
+    loss.backward();
+    out.emplace_back("loss" + std::to_string(step), fnv1a(kFnvBasis, loss.value()));
+    if (step == 1) {
+      uint64_t h = kFnvBasis;
+      for (const ag::Variable& p : params) h = fnv1a(h, p.grad());
+      out.emplace_back("grads", h);
+    }
+    opt.step();
+  }
+  uint64_t h = kFnvBasis;
+  for (const ag::Variable& p : params) h = fnv1a(h, p.value());
+  out.emplace_back("params", h);
+
+  const std::vector<int64_t> stream = {2, 17, 33, 5, 48, 9, 60, 3,
+                                       2, 41, 7, 29, 3, 12, 13, 14};
+  out.emplace_back("causal",
+                   fnv1a(kFnvBasis, model.forward_causal(stream, 2).value()));
+  nn::KvCache cache = model.make_cache(2);
+  h = fnv1a(kFnvBasis,
+            model.forward_cached({2, 17, 33, 5, 2, 41, 7, 29}, 2, cache).value());
+  for (const std::vector<int64_t>& next :
+       {std::vector<int64_t>{48, 3}, {9, 12}, {60, 13}}) {
+    h = fnv1a(h, model.forward_cached(next, 2, cache).value());
+  }
+  out.emplace_back("decode", h);
+  return out;
+}
+
+}  // namespace
+
+TEST(TrainingPlane, BytesMatchPinnedDigests) {
+  // Absolute bytes of the model's training and inference paths, pinned so
+  // that a refactor of attention, GEMM or autograd keeps every rounding of
+  // the losses, parameters, gradients and decode outputs, at any thread
+  // count and on every SIMD tier.
+  const std::vector<std::pair<std::string, uint64_t>> pinned = {
+      {"loss0", 0x3fe8e771d08a7079ull},  {"loss1", 0xd30681eb1fac76d6ull},
+      {"grads", 0x57db7370998d0a18ull},  {"params", 0x1406c94bdfa9146full},
+      {"causal", 0xd6ff310c1f19c6f4ull}, {"decode", 0x7b2942ed2db17330ull},
+  };
+  const int saved_threads = core::num_threads();
+  const core::SimdIsa saved_isa = core::simd_isa();
+  for (int t = 0; t <= static_cast<int>(core::detected_simd_isa()); ++t) {
+    const auto isa = static_cast<core::SimdIsa>(t);
+    core::set_simd_isa(isa);
+    for (const int threads : {1, 4}) {
+      core::set_num_threads(threads);
+      const auto got = training_plane_digests();
+      ASSERT_EQ(got.size(), pinned.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].first, pinned[i].first);
+        EXPECT_EQ(got[i].second, pinned[i].second)
+            << "{\"" << got[i].first << "\", 0x" << std::hex << got[i].second
+            << "ull}, " << core::simd_isa_name(isa) << " t=" << std::dec
+            << threads;
+      }
+    }
+  }
+  core::set_simd_isa(saved_isa);
+  core::set_num_threads(saved_threads);
 }
