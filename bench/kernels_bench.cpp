@@ -1,7 +1,8 @@
 // Machine-readable kernel benchmark: times the parallel compute core
-// (blocked GEMM, the small in-place GEMMs and the packed edge per tier,
-// GELU, permute, compressor encode/decode, one end-to-end fine-tune step)
-// across thread counts, and the profiler's overhead on that step. Output
+// (blocked GEMM, the small in-place GEMMs, the packed edge and the strided
+// operands per tier, GELU, compressor encode/decode, one end-to-end
+// fine-tune step) across thread counts, and the profiler's overhead on that
+// step. Output
 // is a canonical RunReport document (actcomp.run_report.v1, see
 // obs/report.h): each measurement is one entry of the "records" array
 // carrying {op, shape, threads, ns_op, gb_s} plus op-specific extras
@@ -179,24 +180,38 @@ void bench_matmul_tiers(int64_t m, int64_t k, int64_t n) {
 // products (32 batches, one head each); they never enter the pool, so a t=4
 // record would measure nothing new. `gemm_edge_` is the `wire` autoencoder's
 // 512x1024x50 encoder GEMM: packed, two k-blocks, and n ragged for every
-// tier's tile width, so its partial panel runs on the edge block.
+// tier's tile width, so its partial panel runs on the edge block. The rest
+// read an operand through strides: the two Linear-backward products, dW =
+// Xᵀ G with A transposed (`gemm_at_`) and dX = G Wᵀ with B transposed, so
+// packed (`gemm_bt_`), and decode's cached score product (`gemm_kcache_`),
+// one head's query against 96 live positions of the KV cache's Kᵀ rows,
+// which lie ldb = cap = 128 apart.
 void bench_gemm_into_tiers() {
   namespace kn = ts::kernels;
   struct Case {
     const char* op;
     int64_t batches, m, k, n;
+    bool trans_a = false, trans_b = false;
+    int64_t ldb = 0;  ///< B's row stride when not transposed; 0 means n
   };
   const Case cases[] = {{"gemm_small_", 1, 4, 128, 128},
                         {"gemm_small_", 1, 4, 128, 512},
                         {"gemm_small_", 1, 4, 512, 128},
                         {"gemm_small_", 32, 64, 32, 64},
                         {"gemm_small_", 32, 64, 64, 32},
-                        {"gemm_edge_", 1, 512, 1024, 50}};
+                        {"gemm_edge_", 1, 512, 1024, 50},
+                        {"gemm_at_", 1, 128, 512, 128, true, false},
+                        {"gemm_bt_", 1, 512, 128, 128, false, true},
+                        {"gemm_kcache_", 1, 1, 32, 96, false, false, 128}};
   core::set_num_threads(1);
   ts::Generator gen(23);
   for (const Case& c : cases) {
-    const ts::Tensor a = gen.normal(ts::Shape{c.batches, c.m, c.k});
-    const ts::Tensor b = gen.normal(ts::Shape{c.batches, c.k, c.n});
+    const int64_t ldb = c.ldb > 0 ? c.ldb : c.n;
+    const int64_t rsa = c.trans_a ? 1 : c.k, csa = c.trans_a ? c.m : 1;
+    const int64_t rsb = c.trans_b ? 1 : ldb, csb = c.trans_b ? c.k : 1;
+    const int64_t b_size = c.trans_b ? c.n * c.k : c.k * ldb;
+    const ts::Tensor a = gen.normal(ts::Shape{c.batches, c.m * c.k});
+    const ts::Tensor b = gen.normal(ts::Shape{c.batches, b_size});
     std::vector<float> out(static_cast<size_t>(c.batches * c.m * c.n));
     const double macs = static_cast<double>(c.batches * c.m * c.k * c.n);
     const double bytes = 4.0 * static_cast<double>(c.batches) *
@@ -221,9 +236,10 @@ void bench_gemm_into_tiers() {
                             for (int64_t it = 0; it < iters; ++it) {
                               for (int64_t i = 0; i < c.batches; ++i) {
                                 kt.gemm_into(a.data().data() + i * c.m * c.k,
-                                             b.data().data() + i * c.k * c.n,
-                                             out.data() + i * c.m * c.n, c.m,
-                                             c.k, c.n);
+                                             rsa, csa,
+                                             b.data().data() + i * b_size, rsb,
+                                             csb, out.data() + i * c.m * c.n,
+                                             c.n, c.m, c.k, c.n);
                               }
                             }
                           }) / static_cast<double>(iters);
@@ -326,33 +342,6 @@ void bench_table_tiers() {
     record("fp16_decode", "8192", 6.0 * kChunk,
            time_entry(kChunk, [&] { k.fp16_decode(half.data(), out.data(), kChunk); }));
   }
-}
-
-// tensor::permute at the attention head split (its inner axis stays
-// contiguous) and a square transpose (its inner axis is strided).
-void bench_permute() {
-  ts::Generator gen(17);
-  struct Case {
-    const char* label;
-    ts::Shape shape;
-    std::vector<int> axes;
-  };
-  const Case cases[] = {
-      {"8x64x4x32/0213", ts::Shape{8, 64, 4, 32}, {0, 2, 1, 3}},
-      {"512x512/10", ts::Shape{512, 512}, {1, 0}},
-  };
-  for (const Case& c : cases) {
-    const ts::Tensor x = gen.normal(c.shape);
-    const double bytes = 8.0 * static_cast<double>(x.numel());
-    for (int threads : {1, 4}) {
-      core::set_num_threads(threads);
-      const double tsec = best_of(5, [&] { ts::permute(x, c.axes); });
-      emit("permute", c.label, threads, tsec * 1e9, bytes / tsec / 1e9);
-      std::printf("%-16s %-15s t=%d  %8.3f ms  %6.2f GB/s\n", "permute", c.label,
-                  threads, tsec * 1e3, bytes / tsec / 1e9);
-    }
-  }
-  core::set_num_threads(1);
 }
 
 template <typename C>
@@ -482,11 +471,13 @@ double median(std::vector<double> v) {
 }
 
 // The enabled profiler's cost on the fine-tune step (DESIGN.md §11), timed
-// in one process as `pairs` interleaved pairs of steps, one with the
-// profiler off and one with it on; the order flips every pair so drift
-// cancels. The record's `ratio` is the median of the per-pair on/off
-// ratios, which tools/check_overhead.py gates.
-void bench_profiler_overhead(int pairs) {
+// in one process as 60 interleaved pairs of steps, one with the profiler
+// off and one with it on; the order flips every pair so drift cancels. The
+// record's `ratio` is the median of the per-pair on/off ratios, which
+// tools/check_overhead.py gates at 2%. Quick runs take as many pairs as
+// the full sweep: at 30 the t=4 median read at the threshold.
+void bench_profiler_overhead() {
+  constexpr int pairs = 60;
   const bool restore = obs::profiler_enabled();
   for (int threads : {1, 4}) {
     core::set_num_threads(threads);
@@ -562,7 +553,6 @@ int main(int argc, char** argv) {
   std::printf("\n");
   bench_gelu_tiers();
   bench_table_tiers();
-  bench_permute();
 
   std::printf("\n");
   {
@@ -587,7 +577,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n");
   bench_finetune_step();
-  bench_profiler_overhead(quick ? 30 : 60);
+  bench_profiler_overhead();
 
   // The argv path gets the same canonical document the RunReport writes to
   // $ACTCOMP_REPORT_DIR — this is what baselines are committed from.

@@ -45,10 +45,12 @@ sanitize() {
   # loudly, so require a non-empty selection. The compress/, wire and
   # Lossless suites join for the lossless codec layer: hand-rolled byte
   # coders (RLE runs, Huffman bit accumulators, plane gathers) are exactly
-  # where ASan/UBSan catch off-by-one overruns and shift UB. tensor/ joins
-  # for the odometer permute (per-chunk index decode, carries across row
-  # ends) and the GELU polynomial, whose float-to-int step UBSan's
-  # float-cast-overflow check watches on NaN, ±Inf and huge inputs.
+  # where ASan/UBSan catch off-by-one overruns and shift UB. tensor/ and
+  # Simd join for the strided GEMM (transposed operands, head column
+  # blocks, C rows ldc apart) and the GELU polynomial, whose float-to-int
+  # step UBSan's float-cast-overflow check watches on NaN, ±Inf and huge
+  # inputs; Attention and TrainingPlane for the attention core, which
+  # walks every head's Q, K, V and context through raw strides.
   # obs/Json joins because its parser reads checkpoint metadata and
   # --trace-in serving traces: hostile bytes reach it. WireAgreement runs
   # every real encoder against compress::wire_bytes, the bytes the
@@ -56,7 +58,7 @@ sanitize() {
   ASAN_OPTIONS=detect_leaks=0:halt_on_error=1 \
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan \
-      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|tensor/|compress/|wire|WireAgreement|Lossless|obs/Json' \
+      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|tensor/|compress/|wire|WireAgreement|Lossless|obs/Json|Attention|TrainingPlane' \
       --no-tests=error --output-on-failure -j "$jobs"
   # The same slice once more with the kernel dispatch pinned to the scalar
   # tier: the SIMD tiers must be a pure throughput change (DESIGN.md §15),
@@ -66,7 +68,7 @@ sanitize() {
   ASAN_OPTIONS=detect_leaks=0:halt_on_error=1 \
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan \
-      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|tensor/|compress/|wire|WireAgreement|Lossless|obs/Json' \
+      -R 'golden|property|engine|topology|checkpoint|recovery|kv_cache|serving|Simd|tensor/|compress/|wire|WireAgreement|Lossless|obs/Json|Attention|TrainingPlane' \
       --no-tests=error --output-on-failure -j "$jobs"
 }
 

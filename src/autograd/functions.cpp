@@ -46,44 +46,23 @@ Variable add(const Variable& a, const Variable& b) {
       "add");
 }
 
-Variable mul_scalar(const Variable& a, float s) {
-  return Variable::make(
-      ts::mul_scalar(a.value(), s), {a},
-      [an = a.node(), s](Node& n) { an->accumulate(ts::mul_scalar(n.grad, s)); },
-      "mul_scalar");
-}
-
 Variable matmul(const Variable& a, const Variable& b) {
   ts::Tensor out = ts::matmul(a.value(), b.value());
-  const int ra = a.value().rank();
-  const int rb = b.value().rank();
   return Variable::make(
       std::move(out), {a, b},
-      [an = a.node(), bn = b.node(), ra, rb](Node& n) {
-        const ts::Tensor& g = n.grad;
-        if (ra == 2 && rb == 2) {
-          if (an->requires_grad)
-            an->accumulate(ts::matmul2d(g, ts::transpose_last2(bn->value)));
-          if (bn->requires_grad)
-            bn->accumulate(ts::matmul2d(ts::transpose_last2(an->value), g));
-        } else if (ra == 3 && rb == 2) {
-          const int64_t B = an->value.dim(0), m = an->value.dim(1),
-                        k = an->value.dim(2);
-          const int64_t nn = bn->value.dim(1);
-          ts::Tensor g2 = g.reshape(ts::Shape{B * m, nn});
-          if (an->requires_grad) {
-            an->accumulate(ts::matmul2d(g2, ts::transpose_last2(bn->value))
-                               .reshape(ts::Shape{B, m, k}));
-          }
-          if (bn->requires_grad) {
-            ts::Tensor a2 = an->value.reshape(ts::Shape{B * m, k});
-            bn->accumulate(ts::matmul2d(ts::transpose_last2(a2), g2));
-          }
-        } else {  // 3x3 batched
-          if (an->requires_grad)
-            an->accumulate(ts::matmul(g, ts::transpose_last2(bn->value)));
-          if (bn->requires_grad)
-            bn->accumulate(ts::matmul(ts::transpose_last2(an->value), g));
+      [an = a.node(), bn = b.node()](Node& n) {
+        // a folds to its [rows, k] matrix (b is [k, n]); dA = G Bᵀ and
+        // dB = Aᵀ G read the transposes in place.
+        const ts::Tensor& av = an->value;
+        const int64_t rows = av.dim(0) * (av.rank() == 3 ? av.dim(1) : 1);
+        const ts::Tensor g = n.grad.reshape(ts::Shape{rows, bn->value.dim(1)});
+        if (an->requires_grad) {
+          an->accumulate(ts::matmul2d(g, bn->value, false, /*trans_b=*/true)
+                             .reshape(av.shape()));
+        }
+        if (bn->requires_grad) {
+          bn->accumulate(ts::matmul2d(av.reshape(ts::Shape{rows, av.dim(-1)}), g,
+                                      /*trans_a=*/true));
         }
       },
       "matmul");
@@ -97,28 +76,6 @@ Variable reshape(const Variable& a, ts::Shape shape) {
         an->accumulate(n.grad.reshape(an->value.shape()));
       },
       "reshape");
-}
-
-Variable permute(const Variable& a, const std::vector<int>& axes) {
-  ts::Tensor out = ts::permute(a.value(), axes);
-  std::vector<int> inverse(axes.size());
-  for (size_t i = 0; i < axes.size(); ++i) {
-    inverse[static_cast<size_t>(axes[i])] = static_cast<int>(i);
-  }
-  return Variable::make(
-      std::move(out), {a},
-      [an = a.node(), inverse](Node& n) {
-        an->accumulate(ts::permute(n.grad, inverse));
-      },
-      "permute");
-}
-
-Variable transpose_last2(const Variable& a) {
-  const int r = a.value().rank();
-  std::vector<int> axes(static_cast<size_t>(r));
-  for (int i = 0; i < r; ++i) axes[static_cast<size_t>(i)] = i;
-  std::swap(axes[axes.size() - 1], axes[axes.size() - 2]);
-  return permute(a, axes);
 }
 
 Variable gelu(const Variable& a) {
@@ -250,36 +207,6 @@ Variable layernorm(const Variable& x, const Variable& gamma, const Variable& bet
         }
       },
       "layernorm");
-}
-
-Variable softmax_last(const Variable& a) {
-  ts::Tensor out = ts::softmax_last(a.value());
-  return Variable::make(
-      out, {a},
-      [an = a.node(), out](Node& n) {
-        // ds = s * (g - sum(g * s, last))
-        const int64_t cols = out.dim(-1);
-        const int64_t rows = cols == 0 ? 0 : out.numel() / cols;
-        ts::Tensor gx{out.shape()};
-        auto dx = gx.data();
-        const auto ds = out.data();
-        const auto dg = n.grad.data();
-        core::parallel_for(0, rows, row_grain(cols), [&](int64_t r0, int64_t r1) {
-          for (int64_t r = r0; r < r1; ++r) {
-            double dot = 0.0;
-            for (int64_t c = 0; c < cols; ++c) {
-              const size_t i = static_cast<size_t>(r * cols + c);
-              dot += static_cast<double>(dg[i]) * ds[i];
-            }
-            for (int64_t c = 0; c < cols; ++c) {
-              const size_t i = static_cast<size_t>(r * cols + c);
-              dx[i] = ds[i] * (dg[i] - static_cast<float>(dot));
-            }
-          }
-        });
-        an->accumulate(gx);
-      },
-      "softmax_last");
 }
 
 Variable dropout(const Variable& a, float p, ts::Generator& gen, bool training) {

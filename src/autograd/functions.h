@@ -1,9 +1,10 @@
 // Differentiable operations over Variables.
 //
 // Each function computes the forward value with tensor:: kernels and attaches
-// a backward closure. Fused ops (layernorm, softmax cross-entropy, attention
-// score scaling) carry hand-derived gradients so tapes stay short — this
-// library trains real (small) Transformers on one CPU core.
+// a backward closure. Fused ops (layernorm, softmax cross-entropy, the bias
+// epilogue) carry hand-derived gradients so tapes stay short — this library
+// trains real (small) Transformers on one CPU core. Attention is one such
+// node too, written in nn/attention.cpp over the strided GEMM.
 #pragma once
 
 #include <cstdint>
@@ -16,13 +17,10 @@ namespace actcomp::autograd {
 
 // ---- arithmetic ----
 Variable add(const Variable& a, const Variable& b);   // right-aligned broadcast of b
-Variable mul_scalar(const Variable& a, float s);
 
 // ---- matmul / structure ----
-Variable matmul(const Variable& a, const Variable& b);  // 2D/3D as tensor::matmul
+Variable matmul(const Variable& a, const Variable& b);  // as tensor::matmul
 Variable reshape(const Variable& a, tensor::Shape shape);
-Variable permute(const Variable& a, const std::vector<int>& axes);
-Variable transpose_last2(const Variable& a);
 
 // ---- activations ----
 /// Unfused GELU: the composition bias_act(x, b, Act::kGelu) must match.
@@ -38,10 +36,9 @@ enum class Act { kNone, kGelu };
 /// but the tape carries one node.
 Variable bias_act(const Variable& x, const Variable& bias, Act act);
 
-// ---- normalization / softmax ----
+// ---- normalization ----
 Variable layernorm(const Variable& x, const Variable& gamma, const Variable& beta,
                    float eps = 1e-5f);
-Variable softmax_last(const Variable& a);
 
 // ---- regularization ----
 Variable dropout(const Variable& a, float p, tensor::Generator& gen, bool training);

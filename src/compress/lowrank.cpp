@@ -87,11 +87,10 @@ LowRankCompressor::Factors LowRankCompressor::factorize(const ts::Tensor& x2d) {
   // Subspace iteration: Q <- N(0,1); repeat { P = X Q, orth(P), Q = X^T P }.
   ts::Tensor q = gen_.normal(ts::Shape{cols, r});
   ts::Tensor p;
-  const ts::Tensor xt = ts::transpose_last2(x2d);
   for (int it = 0; it < power_iterations_; ++it) {
     p = ts::matmul2d(x2d, q);
     orthonormalize_columns(p);
-    q = ts::matmul2d(xt, p);
+    q = ts::matmul2d(x2d, p, /*trans_a=*/true);
   }
   return {std::move(p), std::move(q)};
 }
@@ -128,14 +127,14 @@ ts::Tensor LowRankCompressor::do_decode(const CompressedMessage& msg) const {
                                              << " + " << cols << ") x " << r);
   ts::Tensor p(ts::Shape{rows, r}, wire::read_fp16(msg.body, off, rows * r));
   ts::Tensor q(ts::Shape{cols, r}, wire::read_fp16(msg.body, off, cols * r));
-  return ts::matmul2d(p, ts::transpose_last2(q)).reshape(shape);
+  return ts::matmul2d(p, q, false, /*trans_b=*/true).reshape(shape);
 }
 
 ts::Tensor LowRankCompressor::round_trip(const ts::Tensor& x) {
   const ts::Tensor x2d = as_matrix(x);
   const Factors f = factorize(x2d);
-  return ts::matmul2d(ts::fp16_round(f.p),
-                      ts::transpose_last2(ts::fp16_round(f.q)))
+  return ts::matmul2d(ts::fp16_round(f.p), ts::fp16_round(f.q), false,
+                      /*trans_b=*/true)
       .reshape(x.shape());
 }
 

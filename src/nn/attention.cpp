@@ -1,10 +1,14 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "autograd/functions.h"
+#include "core/threadpool.h"
+#include "obs/profiler.h"
 #include "tensor/check.h"
+#include "tensor/kernels/kernel_table.h"
 
 namespace actcomp::nn {
 
@@ -15,7 +19,6 @@ MultiHeadAttention::MultiHeadAttention(int64_t hidden, int64_t num_heads,
                                        tensor::Generator& gen)
     : hidden_(hidden),
       heads_(num_heads),
-      head_dim_(hidden / num_heads),
       wq_(hidden, hidden, gen),
       wk_(hidden, hidden, gen),
       wv_(hidden, hidden, gen),
@@ -26,31 +29,185 @@ MultiHeadAttention::MultiHeadAttention(int64_t hidden, int64_t num_heads,
 
 namespace {
 
-/// [b, s, h] -> [b*nh, s, dh]
-ag::Variable split_heads(const ag::Variable& x, int64_t b, int64_t s, int64_t nh,
-                         int64_t dh) {
-  ag::Variable r = ag::reshape(x, ts::Shape{b, s, nh, dh});
-  r = ag::permute(r, {0, 2, 1, 3});  // [b, nh, s, dh]
-  return ag::reshape(r, ts::Shape{b * nh, s, dh});
-}
+/// The additive mask the row pass folds in: a [b, total] key mask added to
+/// every query of sequence b, or a causal one, where query i sits at
+/// position causal_start + i and sees keys 0 .. causal_start + i; later keys
+/// get -inf. -inf (not the finite -1e4 of the padding mask) makes masked
+/// lanes exactly 0.0 after softmax, so trailing positions perturb neither
+/// the normalizer nor the context sum. That keeps the cached decode
+/// bit-identical to the full causal forward. A row that sees every key is
+/// not masked at all, which covers every one-token decode step.
+struct Mask {
+  const ts::Tensor* key_mask = nullptr;
+  int64_t causal_start = -1;  ///< < 0: not causal
+};
 
-/// Additive causal mask [groups, n, total]: query row i sits at global
-/// position start+i and sees keys 0..start+i; later keys get -inf. -inf (not
-/// the finite -1e4 the padding mask uses) makes masked lanes exactly 0.0
-/// after softmax, which is what keeps the cached decode bit-identical to the
-/// full causal forward: trailing zero terms perturb neither the softmax
-/// normalizer nor the context accumulation.
-ts::Tensor causal_mask(int64_t groups, int64_t n, int64_t total, int64_t start) {
-  ts::Tensor m{ts::Shape{groups, n, total}};
-  const float ninf = -std::numeric_limits<float>::infinity();
-  auto d = m.data();
-  for (int64_t g = 0; g < groups; ++g) {
-    for (int64_t i = 0; i < n; ++i) {
-      float* row = d.data() + static_cast<size_t>((g * n + i) * total);
-      for (int64_t j = start + i + 1; j < total; ++j) row[j] = ninf;
-    }
+/// Where each head's operands start. Head g is head g % heads of sequence
+/// g / heads; q, the context and their gradients are [b, n, h] rows, v is
+/// [b, ·, h] rows, and k is either rows like v or, in the KV cache, one
+/// [h, cap] block of Kᵀ per sequence. Within a head, Kᵀ[d, j] sits at
+/// d * kt_rs + j * kt_cs, and the scores are a contiguous [n, total] block.
+struct Layout {
+  int64_t heads, dh, n, h, total;
+  int64_t kseq, vseq;    ///< floats per sequence of k and v
+  int64_t kt_rs, kt_cs;  ///< (1, h) for key rows, (cap, 1) for the cache
+  int64_t q(int64_t g) const { return (g / heads) * n * h + (g % heads) * dh; }
+  int64_t k(int64_t g) const {
+    return (g / heads) * kseq + (g % heads) * dh * kt_rs;
   }
-  return m;
+  int64_t v(int64_t g) const { return (g / heads) * vseq + (g % heads) * dh; }
+  int64_t s(int64_t g) const { return g * n * total; }
+};
+
+/// Scaled dot-product attention over `heads` heads, as one tape node whose
+/// parents are (q, k, v), over `total` key positions. That parent order
+/// makes backward reach the v, k and q projections in that order, so the
+/// layer input sums its gradients as residual, V, K, Q: the rounding that
+/// TrainingPlane.BytesMatchPinnedDigests pins. `keys_transposed`
+/// selects the cache's Kᵀ layout for k (see Layout). Each head's Q, K and V
+/// are read in place through the GEMM's strides, and each head's context is
+/// written into the [b, n, h] output with ldc = h, so no head is split or
+/// merged by a copy. The 1/sqrt(dh) scale and the mask fold into softmax's
+/// row pass, in the per-element order s * scale, + mask, then max/exp/sum.
+ag::Variable attend(const ag::Variable& q, const ag::Variable& k,
+                    const ag::Variable& v, int64_t heads, int64_t total,
+                    bool keys_transposed, const Mask& mask) {
+  ACTCOMP_ASSERT(!keys_transposed || !k.requires_grad(),
+                 "attention: keys stored transposed take no gradient");
+  const ts::Tensor& qv = q.value();
+  const int64_t b = qv.dim(0), n = qv.dim(1), h = qv.dim(2);
+  const int64_t kt_rs = keys_transposed ? k.value().dim(2) : 1;
+  const Layout L{heads, h / heads, n, h, total, k.value().numel() / b,
+                 v.value().numel() / b, kt_rs, keys_transposed ? 1 : h};
+  const int64_t groups = b * heads;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(L.dh));
+  const int64_t row_grain = std::max<int64_t>(1, (1 << 13) / total);
+  const ts::kernels::KernelTable& kt = ts::kernels::active_kernels();
+
+  ts::Tensor p{ts::Shape{groups, n, total}};  // scores, then probabilities
+  ts::Tensor ctx{ts::Shape{b, n, h}};
+  const float* qd = qv.data().data();
+  const float* kd = k.value().data().data();
+  const float* vd = v.value().data().data();
+  float* pd = p.data().data();
+  {
+    ACTCOMP_PROFILE("tensor.matmul_batched");
+    core::parallel_for(0, groups, 1, [&](int64_t g0, int64_t g1) {
+      for (int64_t g = g0; g < g1; ++g) {  // S = Q Kᵀ
+        kt.gemm_into(qd + L.q(g), h, 1, kd + L.k(g), L.kt_rs, L.kt_cs,
+                     pd + L.s(g), total, n, L.dh, total);
+      }
+    });
+  }
+  {
+    ACTCOMP_PROFILE("tensor.softmax");
+    const float ninf = -std::numeric_limits<float>::infinity();
+    const float* km = mask.key_mask ? mask.key_mask->data().data() : nullptr;
+    core::parallel_for(0, groups * n, row_grain, [&](int64_t r0, int64_t r1) {
+      for (int64_t r = r0; r < r1; ++r) {
+        float* row = pd + r * total;
+        for (int64_t j = 0; j < total; ++j) row[j] = row[j] * scale;
+        if (km != nullptr) {
+          const float* mrow = km + (r / n / heads) * total;
+          for (int64_t j = 0; j < total; ++j) row[j] = row[j] + mrow[j];
+        }
+        if (mask.causal_start >= 0) {
+          for (int64_t j = mask.causal_start + r % n + 1; j < total; ++j) {
+            row[j] = row[j] + ninf;
+          }
+        }
+        const float m = kt.row_max(row, total);
+        double z = 0.0;
+        for (int64_t j = 0; j < total; ++j) {
+          const float e = std::exp(row[j] - m);
+          row[j] = e;
+          z += e;
+        }
+        kt.ew_scale(row, static_cast<float>(1.0 / z), 0, total);
+      }
+    });
+  }
+  {
+    ACTCOMP_PROFILE("tensor.matmul_batched");
+    float* cd = ctx.data().data();
+    core::parallel_for(0, groups, 1, [&](int64_t g0, int64_t g1) {
+      for (int64_t g = g0; g < g1; ++g) {  // O = P V
+        kt.gemm_into(pd + L.s(g), total, 1, vd + L.v(g), h, 1, cd + L.q(g), h,
+                     n, total, L.dh);
+      }
+    });
+  }
+
+  return ag::Variable::make(
+      std::move(ctx), {q, k, v},
+      [qn = q.node(), kn = k.node(), vn = v.node(), p, L, groups, scale,
+       row_grain](ag::detail::Node& node) {
+        const int64_t n = L.n, h = L.h, total = L.total;
+        const ts::kernels::KernelTable& kt = ts::kernels::active_kernels();
+        const float* go = node.grad.data().data();
+        const float* qd = qn->value.data().data();
+        const float* kd = kn->value.data().data();
+        const float* vd = vn->value.data().data();
+        const float* pd = p.data().data();
+        const bool need_ds = qn->requires_grad || kn->requires_grad;
+        ts::Tensor ds{p.shape()};  // dP, then dS
+        ts::Tensor dq, dk, dv;
+        if (qn->requires_grad) dq = ts::Tensor(qn->value.shape());
+        if (kn->requires_grad) dk = ts::Tensor(kn->value.shape());
+        if (vn->requires_grad) dv = ts::Tensor(vn->value.shape());
+        float* dsd = ds.data().data();
+        {
+          ACTCOMP_PROFILE("tensor.matmul_batched");
+          core::parallel_for(0, groups, 1, [&](int64_t g0, int64_t g1) {
+            for (int64_t g = g0; g < g1; ++g) {
+              if (need_ds) {  // dP = dO Vᵀ
+                kt.gemm_into(go + L.q(g), h, 1, vd + L.v(g), 1, h,
+                             dsd + L.s(g), total, n, L.dh, total);
+              }
+              if (vn->requires_grad) {  // dV = Pᵀ dO
+                kt.gemm_into(pd + L.s(g), 1, total, go + L.q(g), h, 1,
+                             dv.data().data() + L.v(g), h, total, n, L.dh);
+              }
+            }
+          });
+        }
+        if (need_ds) {
+          // Softmax's backward, then the scale: dS = P (dP - dot) * scale.
+          core::parallel_for(0, groups * n, row_grain, [&](int64_t r0, int64_t r1) {
+            for (int64_t r = r0; r < r1; ++r) {
+              float* row = dsd + r * total;
+              const float* prow = pd + r * total;
+              double dot = 0.0;
+              for (int64_t j = 0; j < total; ++j) {
+                dot += static_cast<double>(row[j]) * prow[j];
+              }
+              const float dotf = static_cast<float>(dot);
+              for (int64_t j = 0; j < total; ++j) {
+                const float d = prow[j] * (row[j] - dotf);
+                row[j] = d * scale;
+              }
+            }
+          });
+          ACTCOMP_PROFILE("tensor.matmul_batched");
+          core::parallel_for(0, groups, 1, [&](int64_t g0, int64_t g1) {
+            for (int64_t g = g0; g < g1; ++g) {
+              if (qn->requires_grad) {  // dQ = dS K
+                kt.gemm_into(dsd + L.s(g), total, 1, kd + L.k(g), L.kt_cs,
+                             L.kt_rs, dq.data().data() + L.q(g), h, n, total,
+                             L.dh);
+              }
+              if (kn->requires_grad) {  // dK = dSᵀ Q
+                kt.gemm_into(dsd + L.s(g), 1, total, qd + L.q(g), h, 1,
+                             dk.data().data() + L.k(g), h, total, n, L.dh);
+              }
+            }
+          });
+        }
+        if (qn->requires_grad) qn->accumulate(dq);
+        if (kn->requires_grad) kn->accumulate(dk);
+        if (vn->requires_grad) vn->accumulate(dv);
+      },
+      "attention");
 }
 
 }  // namespace
@@ -62,39 +219,16 @@ ag::Variable MultiHeadAttention::forward(const ag::Variable& x,
                 "attention expects [b, s, " << hidden_ << "], got "
                                             << xv.shape().str());
   const int64_t b = xv.dim(0), s = xv.dim(1);
-
-  ag::Variable q = split_heads(wq_.forward(x), b, s, heads_, head_dim_);
-  ag::Variable k = split_heads(wk_.forward(x), b, s, heads_, head_dim_);
-  ag::Variable v = split_heads(wv_.forward(x), b, s, heads_, head_dim_);
-
-  ag::Variable scores = ag::matmul(q, ag::transpose_last2(k));  // [b*nh, s, s]
-  scores = ag::mul_scalar(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
-
+  Mask mask;
   if (key_mask.numel() > 0) {
     ACTCOMP_CHECK(key_mask.shape() == (ts::Shape{b, s}),
                   "key_mask must be [b, s], got " << key_mask.shape().str());
-    // Expand the per-key mask to [b*nh, s, s]: every (query row, head) sees
-    // the same additive bias over keys.
-    ts::Tensor full{ts::Shape{b * heads_, s, s}};
-    const auto dm = key_mask.data();
-    auto df = full.data();
-    for (int64_t bi = 0; bi < b; ++bi) {
-      for (int64_t hrow = 0; hrow < heads_ * s; ++hrow) {
-        for (int64_t key = 0; key < s; ++key) {
-          df[static_cast<size_t>(((bi * heads_ * s) + hrow) * s + key)] =
-              dm[static_cast<size_t>(bi * s + key)];
-        }
-      }
-    }
-    scores = ag::add(scores, ag::Variable::leaf(std::move(full)));
+    mask.key_mask = &key_mask;
   }
-
-  ag::Variable attn = ag::softmax_last(scores);
-  ag::Variable ctx = ag::matmul(attn, v);  // [b*nh, s, dh]
-  ctx = ag::reshape(ctx, ts::Shape{b, heads_, s, head_dim_});
-  ctx = ag::permute(ctx, {0, 2, 1, 3});  // [b, s, nh, dh]
-  ctx = ag::reshape(ctx, ts::Shape{b, s, hidden_});
-  return wo_.forward(ctx);
+  const ag::Variable q = wq_.forward(x);
+  const ag::Variable k = wk_.forward(x);
+  const ag::Variable v = wv_.forward(x);
+  return wo_.forward(attend(q, k, v, heads_, s, false, mask));
 }
 
 ag::Variable MultiHeadAttention::forward_causal(const ag::Variable& x) const {
@@ -102,22 +236,10 @@ ag::Variable MultiHeadAttention::forward_causal(const ag::Variable& x) const {
   ACTCOMP_CHECK(xv.rank() == 3 && xv.dim(2) == hidden_,
                 "causal attention expects [b, s, " << hidden_ << "], got "
                                                    << xv.shape().str());
-  const int64_t b = xv.dim(0), s = xv.dim(1);
-
-  ag::Variable q = split_heads(wq_.forward(x), b, s, heads_, head_dim_);
-  ag::Variable k = split_heads(wk_.forward(x), b, s, heads_, head_dim_);
-  ag::Variable v = split_heads(wv_.forward(x), b, s, heads_, head_dim_);
-
-  ag::Variable scores = ag::matmul(q, ag::transpose_last2(k));  // [b*nh, s, s]
-  scores = ag::mul_scalar(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
-  scores = ag::add(scores, ag::Variable::leaf(causal_mask(b * heads_, s, s, 0)));
-
-  ag::Variable attn = ag::softmax_last(scores);
-  ag::Variable ctx = ag::matmul(attn, v);  // [b*nh, s, dh]
-  ctx = ag::reshape(ctx, ts::Shape{b, heads_, s, head_dim_});
-  ctx = ag::permute(ctx, {0, 2, 1, 3});
-  ctx = ag::reshape(ctx, ts::Shape{b, s, hidden_});
-  return wo_.forward(ctx);
+  const ag::Variable q = wq_.forward(x);
+  const ag::Variable k = wk_.forward(x);
+  const ag::Variable v = wv_.forward(x);
+  return wo_.forward(attend(q, k, v, heads_, xv.dim(1), false, Mask{nullptr, 0}));
 }
 
 ag::Variable MultiHeadAttention::forward_cached(const ag::Variable& x,
@@ -131,33 +253,17 @@ ag::Variable MultiHeadAttention::forward_cached(const ag::Variable& x,
                 "cache shape [" << cache.batch() << ", ·, " << cache.hidden()
                                 << "] does not match input "
                                 << xv.shape().str());
-  const int64_t b = xv.dim(0), n = xv.dim(1);
   const int64_t start = cache.len();
-  const int64_t total = start + n;
-
-  ag::Variable q = wq_.forward(x);
-  ag::Variable k = wk_.forward(x);
-  ag::Variable v = wv_.forward(x);
+  const int64_t total = start + xv.dim(1);
+  const ag::Variable q = wq_.forward(x);
+  const ag::Variable k = wk_.forward(x);
+  const ag::Variable v = wv_.forward(x);
   cache.append(layer, k.value(), v.value());
-
-  // Keys and values leave the cache already split into heads (keys
-  // transposed), so each costs one copy of the cache per token.
-  ag::Variable q3 = split_heads(q, b, n, heads_, head_dim_);
-  ag::Variable kt =
-      ag::Variable::leaf(cache.keys_t_by_head(layer, total, heads_));  // [b*nh, dh, total]
-  ag::Variable v3 = ag::Variable::leaf(cache.values_by_head(layer, total, heads_));
-
-  ag::Variable scores = ag::matmul(q3, kt);  // [b*nh, n, total]
-  scores = ag::mul_scalar(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
-  scores =
-      ag::add(scores, ag::Variable::leaf(causal_mask(b * heads_, n, total, start)));
-
-  ag::Variable attn = ag::softmax_last(scores);
-  ag::Variable ctx = ag::matmul(attn, v3);  // [b*nh, n, dh]
-  ctx = ag::reshape(ctx, ts::Shape{b, heads_, n, head_dim_});
-  ctx = ag::permute(ctx, {0, 2, 1, 3});
-  ctx = ag::reshape(ctx, ts::Shape{b, n, hidden_});
-  return wo_.forward(ctx);
+  // The cache's own storage, read in place: keys transposed, values as rows.
+  const KvCache::Storage kv = cache.storage(layer, total);
+  return wo_.forward(attend(q, ag::Variable::leaf(kv.keys_t),
+                            ag::Variable::leaf(kv.values), heads_, total,
+                            true, Mask{nullptr, start}));
 }
 
 std::vector<NamedParam> MultiHeadAttention::named_parameters() const {

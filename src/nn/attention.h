@@ -1,4 +1,6 @@
-// Multi-head self-attention (the BERT encoder flavour).
+// Multi-head self-attention (the BERT encoder flavour). The three forwards
+// are thin callers of one attention core (attention.cpp): one tape node that
+// reads every head's Q, K and V in place through the strided GEMM.
 #pragma once
 
 #include "nn/kv_cache.h"
@@ -18,14 +20,14 @@ class MultiHeadAttention final : public Module {
                              const tensor::Tensor& key_mask) const;
 
   /// Full-sequence causal self-attention (no cache): query t attends keys
-  /// 0..t via an additive -inf mask. The reference path the KV-cache decode
-  /// is pinned against (tests/kv_cache_test.cpp).
+  /// 0..t; later keys are masked with -inf. The reference path the KV-cache
+  /// decode is pinned against (tests/kv_cache_test.cpp).
   autograd::Variable forward_causal(const autograd::Variable& x) const;
 
   /// Incremental causal attention: projects k/v for the n new positions in
   /// `x` ([b, n, h]), appends them to `cache` under `layer`, and attends the
-  /// new queries over every cached position. The cache step must be open
-  /// (KvCache::begin_step).
+  /// new queries over every cached position, reading the cache's storage in
+  /// place. The cache step must be open (KvCache::begin_step).
   autograd::Variable forward_cached(const autograd::Variable& x, KvCache& cache,
                                     int64_t layer) const;
 
@@ -37,7 +39,6 @@ class MultiHeadAttention final : public Module {
  private:
   int64_t hidden_;
   int64_t heads_;
-  int64_t head_dim_;
   Linear wq_;
   Linear wk_;
   Linear wv_;

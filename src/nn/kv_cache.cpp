@@ -24,22 +24,22 @@ void KvCache::grow(int64_t needed) {
   int64_t new_cap = std::max<int64_t>(cap_ * 2, 16);
   new_cap = std::max(new_cap, needed);
   for (auto& slot : slots_) {
-    ts::Tensor k{ts::Shape{batch_, new_cap, hidden_}};
+    ts::Tensor kt{ts::Shape{batch_, hidden_, new_cap}};
     ts::Tensor v{ts::Shape{batch_, new_cap, hidden_}};
     if (len_ > 0) {
-      const auto ok = slot.k.data();
-      const auto ov = slot.v.data();
-      auto nk = k.data();
-      auto nv = v.data();
+      const float* okt = slot.kt.data().data();
+      const float* ov = slot.v.data().data();
+      float* nkt = kt.data().data();
+      float* nv = v.data().data();
+      for (int64_t row = 0; row < batch_ * hidden_; ++row) {
+        std::copy_n(okt + row * cap_, len_, nkt + row * new_cap);
+      }
       for (int64_t b = 0; b < batch_; ++b) {
-        const size_t src = static_cast<size_t>(b * cap_ * hidden_);
-        const size_t dst = static_cast<size_t>(b * new_cap * hidden_);
-        const size_t rows = static_cast<size_t>(len_ * hidden_);
-        std::copy_n(ok.data() + src, rows, nk.data() + dst);
-        std::copy_n(ov.data() + src, rows, nv.data() + dst);
+        std::copy_n(ov + b * cap_ * hidden_, len_ * hidden_,
+                    nv + b * new_cap * hidden_);
       }
     }
-    slot.k = std::move(k);
+    slot.kt = std::move(kt);
     slot.v = std::move(v);
   }
   cap_ = new_cap;
@@ -69,16 +69,19 @@ void KvCache::append(int64_t layer, const tensor::Tensor& k,
                 "KvCache::append: expected k/v " << want.str() << ", got k "
                                                  << k.shape().str() << ", v "
                                                  << v.shape().str());
-  const auto sk = k.data();
-  const auto sv = v.data();
-  auto dk = slot.k.data();
-  auto dv = slot.v.data();
+  const float* sk = k.data().data();
+  const float* sv = v.data().data();
+  float* dkt = slot.kt.data().data();
+  float* dv = slot.v.data().data();
+  // Keys land as n new columns of each sequence's [hidden, cap] block.
   for (int64_t b = 0; b < batch_; ++b) {
-    const size_t src = static_cast<size_t>(b * step_n_ * hidden_);
-    const size_t dst = static_cast<size_t>((b * cap_ + len_) * hidden_);
-    const size_t rows = static_cast<size_t>(step_n_ * hidden_);
-    std::copy_n(sk.data() + src, rows, dk.data() + dst);
-    std::copy_n(sv.data() + src, rows, dv.data() + dst);
+    for (int64_t p = 0; p < step_n_; ++p) {
+      const float* row = sk + (b * step_n_ + p) * hidden_;
+      float* col = dkt + b * hidden_ * cap_ + len_ + p;
+      for (int64_t c = 0; c < hidden_; ++c) col[c * cap_] = row[c];
+    }
+    std::copy_n(sv + b * step_n_ * hidden_, step_n_ * hidden_,
+                dv + (b * cap_ + len_) * hidden_);
   }
   slot.appended = true;
 }
@@ -106,64 +109,31 @@ const KvCache::Slot& KvCache::readable(int64_t layer, int64_t total) const {
   return slot;
 }
 
-tensor::Tensor KvCache::gather(const tensor::Tensor& store, int64_t total) const {
-  ts::Tensor out{ts::Shape{batch_, total, hidden_}};
-  const auto src = store.data();
-  auto dst = out.data();
-  for (int64_t b = 0; b < batch_; ++b) {
-    std::copy_n(src.data() + static_cast<size_t>(b * cap_ * hidden_),
-                static_cast<size_t>(total * hidden_),
-                dst.data() + static_cast<size_t>(b * total * hidden_));
-  }
-  return out;
+KvCache::Storage KvCache::storage(int64_t layer, int64_t total) const {
+  const Slot& slot = readable(layer, total);
+  return {slot.kt, slot.v};
 }
 
 tensor::Tensor KvCache::keys(int64_t layer, int64_t total) const {
-  return gather(readable(layer, total).k, total);
-}
-
-tensor::Tensor KvCache::values(int64_t layer, int64_t total) const {
-  return gather(readable(layer, total).v, total);
-}
-
-int64_t KvCache::head_dim(int64_t heads) const {
-  ACTCOMP_CHECK(heads > 0 && hidden_ % heads == 0,
-                "KvCache: hidden " << hidden_ << " does not split into " << heads
-                                   << " heads");
-  return hidden_ / heads;
-}
-
-tensor::Tensor KvCache::keys_t_by_head(int64_t layer, int64_t total,
-                                       int64_t heads) const {
-  const float* src = readable(layer, total).k.data().data();
-  const int64_t dh = head_dim(heads);
-  ts::Tensor out{ts::Shape{batch_ * heads, dh, total}};
+  const float* src = readable(layer, total).kt.data().data();
+  ts::Tensor out{ts::Shape{batch_, total, hidden_}};
   float* dst = out.data().data();
-  // Row h*dh + d of a sequence's [hidden, total] transpose is head h's row
-  // d, so each sequence transposes as one block.
   for (int64_t b = 0; b < batch_; ++b) {
-    float* block = dst + b * hidden_ * total;
     for (int64_t p = 0; p < total; ++p) {
-      const float* row = src + (b * cap_ + p) * hidden_;
-      for (int64_t c = 0; c < hidden_; ++c) block[c * total + p] = row[c];
+      for (int64_t c = 0; c < hidden_; ++c) {
+        dst[(b * total + p) * hidden_ + c] = src[(b * hidden_ + c) * cap_ + p];
+      }
     }
   }
   return out;
 }
 
-tensor::Tensor KvCache::values_by_head(int64_t layer, int64_t total,
-                                       int64_t heads) const {
+tensor::Tensor KvCache::values(int64_t layer, int64_t total) const {
   const float* src = readable(layer, total).v.data().data();
-  const int64_t dh = head_dim(heads);
-  ts::Tensor out{ts::Shape{batch_ * heads, total, dh}};
-  float* dst = out.data().data();
+  ts::Tensor out{ts::Shape{batch_, total, hidden_}};
   for (int64_t b = 0; b < batch_; ++b) {
-    for (int64_t h = 0; h < heads; ++h) {
-      for (int64_t p = 0; p < total; ++p) {
-        std::copy_n(src + (b * cap_ + p) * hidden_ + h * dh, dh, dst);
-        dst += dh;
-      }
-    }
+    std::copy_n(src + b * cap_ * hidden_, total * hidden_,
+                out.data().data() + b * total * hidden_);
   }
   return out;
 }

@@ -1,8 +1,13 @@
 // KvCache: per-layer key/value storage for autoregressive decoding.
 //
 // The cache holds, for every encoder layer, the projected keys and values of
-// every committed position as [batch, capacity, hidden] tensors sharing one
-// position counter. A decode step is a transaction: begin_step(n) reserves n
+// every committed position, sharing one position counter. Keys are stored
+// transposed, [batch, hidden, capacity]: rows h*dh .. (h+1)*dh - 1 of a
+// sequence's block are head h's Kᵀ with row stride capacity, the operand
+// cached attention's score GEMM reads in place. Values are stored as
+// [batch, capacity, hidden], so head h's V is a column block with row
+// stride hidden. Attention reads both where they lie: no per-head copy is
+// made, and a step writes only its n new columns and rows. A decode step is a transaction: begin_step(n) reserves n
 // positions (growing storage if needed), each layer append()s its k/v rows as
 // its attention runs, and commit() advances the shared length — so a throw
 // mid-forward leaves the committed prefix intact and the step can simply be
@@ -50,23 +55,27 @@ class KvCache {
   /// Commits the open step: every layer must have appended.
   void commit();
 
-  /// The first `total` cached key/value rows of `layer` as [batch, total,
-  /// hidden]. Within an open step, rows the layer just appended are visible.
+  /// Layer `layer`'s storage, which cached attention reads in place, after
+  /// checking that its first `total` positions are cached: `keys_t` is
+  /// [batch, hidden, capacity()] and `values` [batch, capacity(), hidden].
+  /// Positions at or past `total` are unspecified. Within an open step,
+  /// positions the layer just appended are visible. The handles share the
+  /// cache's storage; a later grow() leaves theirs intact.
+  struct Storage {
+    tensor::Tensor keys_t;
+    tensor::Tensor values;
+  };
+  Storage storage(int64_t layer, int64_t total) const;
+
+  /// Copies of the first `total` cached key/value rows of `layer` as
+  /// [batch, total, hidden], with storage()'s visibility.
   tensor::Tensor keys(int64_t layer, int64_t total) const;
   tensor::Tensor values(int64_t layer, int64_t total) const;
 
-  /// The same rows split into `heads` heads, in the layouts attention
-  /// multiplies by: keys transposed per head as [batch*heads, hidden/heads,
-  /// total], values as [batch*heads, total, hidden/heads]. Each is one copy
-  /// out of the cache, equal to transpose_last2 / the head split of
-  /// keys() / values().
-  tensor::Tensor keys_t_by_head(int64_t layer, int64_t total, int64_t heads) const;
-  tensor::Tensor values_by_head(int64_t layer, int64_t total, int64_t heads) const;
-
  private:
   struct Slot {
-    tensor::Tensor k;  // [batch, cap, hidden]
-    tensor::Tensor v;  // [batch, cap, hidden]
+    tensor::Tensor kt;  // [batch, hidden, cap]
+    tensor::Tensor v;   // [batch, cap, hidden]
     bool appended = false;  ///< this layer's rows for the open step
   };
 
@@ -74,8 +83,6 @@ class KvCache {
   /// The slot of `layer`, after checking that its first `total` rows are
   /// cached.
   const Slot& readable(int64_t layer, int64_t total) const;
-  tensor::Tensor gather(const tensor::Tensor& store, int64_t total) const;
-  int64_t head_dim(int64_t heads) const;
 
   int64_t batch_;
   int64_t hidden_;

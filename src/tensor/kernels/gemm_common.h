@@ -10,10 +10,15 @@
 // the AVX2 TU (ymm), W = 16, MR = 8 (8x32) in the AVX-512 TU (zmm).
 //
 // gemm_into_t owns everything else: the row / k-block / panel loop, B
-// packing and the right edge. Above kSimpleGemmFlops it packs B into
+// packing and the right edge. Operands are BLIS-style general strides:
+// element (i, j) of A is a[i * rsa + j * csa], of B b[i * rsb + j * csb],
+// and C's rows are ldc apart, so a transposed operand or one head's column
+// block of a wider matrix is only a choice of strides. The tile reads A
+// through its strides. Above kSimpleGemmFlops the driver packs B into
 // zero-padded kNR-wide panels and splits rows across the pool; at or below
-// it runs the same loop inline on the caller's thread, each "panel"
-// pointing straight into B (ldb = n), with no packing and no pool.
+// it runs the same loop inline on the caller's thread and never enters the
+// pool: each "panel" points straight into B (ldb = rsb) when B's columns
+// are contiguous (csb == 1), and otherwise B is packed serially first.
 // Determinism: every C element is owned by one row chunk, starts from +0,
 // and takes its mul-then-add steps in ascending k order whatever the tile
 // shape, so the three tiers are bit-identical to each other, to any thread
@@ -55,11 +60,11 @@ struct VecTile {
   typedef float vec_u
       __attribute__((vector_size(4 * W), aligned(4), may_alias));
 
-  // c[0, R) x [0, kNR) from a (R x kc, rows lda apart) times b (kc x kNR,
-  // rows ldb apart), starting from +0 when FIRST and from c otherwise.
+  // c[0, R) x [0, kNR) from a (R x kc, strides rsa / csa) times b (kc x
+  // kNR, rows ldb apart), starting from +0 when FIRST and from c otherwise.
   template <int R, bool FIRST>
-  static void micro(const float* a, int64_t lda, const float* b, int64_t ldb,
-                    float* c, int64_t ldc, int64_t kc) {
+  static void micro(const float* a, int64_t rsa, int64_t csa, const float* b,
+                    int64_t ldb, float* c, int64_t ldc, int64_t kc) {
     vec acc[R][2];
     for (int r = 0; r < R; ++r) {
       if (FIRST) {
@@ -73,8 +78,9 @@ struct VecTile {
     for (int64_t kk = 0; kk < kc; ++kk) {
       const vec b0 = *reinterpret_cast<const vec_u*>(b + kk * ldb);
       const vec b1 = *reinterpret_cast<const vec_u*>(b + kk * ldb + W);
+      const float* ak = a + kk * csa;
       for (int r = 0; r < R; ++r) {
-        const float s = a[r * lda + kk];
+        const float s = ak[r * rsa];
         acc[r][0] = acc[r][0] + s * b0;
         acc[r][1] = acc[r][1] + s * b1;
       }
@@ -88,44 +94,46 @@ struct VecTile {
 
 }  // namespace
 
-// Pack b (k x n row-major) into ceil(n/NR) panels. Panel p holds columns
-// [p*NR, p*NR + NR) for every k row, contiguous, zero-padded on the right
-// edge so the tile can run a partial panel at full width.
+// Pack panels [p0, p1) of b (k x n, strides rsb / csb) into bp. Panel p
+// holds columns [p*NR, p*NR + NR) for every k row, contiguous, zero-padded
+// on the right edge so the tile can run a partial panel at full width.
 template <class P>
-std::vector<float> pack_b_panels(const float* b, int64_t k, int64_t n) {
+void pack_b_panels(const float* b, int64_t rsb, int64_t csb, int64_t k,
+                   int64_t n, float* bp, int64_t p0, int64_t p1) {
   constexpr int64_t NR = P::kNR;
-  const int64_t npanels = (n + NR - 1) / NR;
-  std::vector<float> bp(static_cast<size_t>(npanels * k * NR));
-  core::parallel_for(0, npanels, 1, [&](int64_t p0, int64_t p1) {
-    for (int64_t p = p0; p < p1; ++p) {
-      const int64_t j0 = p * NR;
-      const int64_t w = std::min(NR, n - j0);
-      float* dst = bp.data() + p * k * NR;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float* src = b + kk * n + j0;
-        for (int64_t j = 0; j < w; ++j) dst[j] = src[j];
-        for (int64_t j = w; j < NR; ++j) dst[j] = 0.0f;
-        dst += NR;
+  for (int64_t p = p0; p < p1; ++p) {
+    const int64_t j0 = p * NR;
+    const int64_t w = std::min(NR, n - j0);
+    float* dst = bp + p * k * NR;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float* src = b + kk * rsb + j0 * csb;
+      if (csb == 1) {
+        std::copy_n(src, w, dst);
+      } else {
+        for (int64_t j = 0; j < w; ++j) dst[j] = src[j * csb];
       }
+      std::fill(dst + w, dst + NR, 0.0f);
+      dst += NR;
     }
-  });
-  return bp;
+  }
 }
 
 // Right edge read in place, when n % NR != 0: the same k order over only
 // the w live columns, so no read runs past B's last row or C's row end.
 // Scalar is fine here — the edge covers at most NR-1 of n columns.
 template <class P, int MR>
-void gemm_micro_edge(const float* a, int64_t lda, const float* b, int64_t ldb,
-                     float* c, int64_t ldc, int64_t kc, int64_t w, bool first) {
+void gemm_micro_edge(const float* a, int64_t rsa, int64_t csa, const float* b,
+                     int64_t ldb, float* c, int64_t ldc, int64_t kc, int64_t w,
+                     bool first) {
   float acc[MR][P::kNR];
   for (int r = 0; r < MR; ++r) {
     for (int64_t j = 0; j < w; ++j) acc[r][j] = first ? 0.0f : c[r * ldc + j];
   }
   for (int64_t kk = 0; kk < kc; ++kk) {
     const float* bk = b + kk * ldb;
+    const float* ak = a + kk * csa;
     for (int r = 0; r < MR; ++r) {
-      const float av = a[r * lda + kk];
+      const float av = ak[r * rsa];
       for (int64_t j = 0; j < w; ++j) acc[r][j] += av * bk[j];
     }
   }
@@ -135,64 +143,77 @@ void gemm_micro_edge(const float* a, int64_t lda, const float* b, int64_t ldb,
 }
 
 template <class P, int R>
-void micro_dispatch(int64_t mr, bool first, const float* a, int64_t lda,
-                    const float* b, int64_t ldb, float* c, int64_t ldc,
-                    int64_t kc) {
+void micro_dispatch(int64_t mr, bool first, const float* a, int64_t rsa,
+                    int64_t csa, const float* b, int64_t ldb, float* c,
+                    int64_t ldc, int64_t kc) {
   if (mr == R) {
     if (first) {
-      P::template micro<R, true>(a, lda, b, ldb, c, ldc, kc);
+      P::template micro<R, true>(a, rsa, csa, b, ldb, c, ldc, kc);
     } else {
-      P::template micro<R, false>(a, lda, b, ldb, c, ldc, kc);
+      P::template micro<R, false>(a, rsa, csa, b, ldb, c, ldc, kc);
     }
     return;
   }
   if constexpr (R > 1) {
-    micro_dispatch<P, R - 1>(mr, first, a, lda, b, ldb, c, ldc, kc);
+    micro_dispatch<P, R - 1>(mr, first, a, rsa, csa, b, ldb, c, ldc, kc);
   }
 }
 
 template <class P, int R>
-void edge_dispatch(int64_t mr, const float* a, int64_t lda, const float* b,
-                   int64_t ldb, float* c, int64_t ldc, int64_t kc, int64_t w,
-                   bool first) {
+void edge_dispatch(int64_t mr, const float* a, int64_t rsa, int64_t csa,
+                   const float* b, int64_t ldb, float* c, int64_t ldc,
+                   int64_t kc, int64_t w, bool first) {
   if (mr == R) {
-    gemm_micro_edge<P, R>(a, lda, b, ldb, c, ldc, kc, w, first);
+    gemm_micro_edge<P, R>(a, rsa, csa, b, ldb, c, ldc, kc, w, first);
     return;
   }
   if constexpr (R > 1) {
-    edge_dispatch<P, R - 1>(mr, a, lda, b, ldb, c, ldc, kc, w, first);
+    edge_dispatch<P, R - 1>(mr, a, rsa, csa, b, ldb, c, ldc, kc, w, first);
   }
 }
 
-// c (m x n) = a (m x k) * b (k x n). For k >= 1 every C element is written
-// from +0 and c's prior contents are never read; for k == 0 c is left
-// untouched.
+// c (m x n, rows ldc apart) = a (m x k) * b (k x n), A and B read through
+// their strides. For k >= 1 every C element is written from +0 and c's
+// prior contents are never read; for k == 0 c is left untouched. Columns
+// [n, ldc) of C's rows are never touched.
 template <class P>
-void gemm_into_t(const float* a, const float* b, float* c, int64_t m,
+void gemm_into_t(const float* a, int64_t rsa, int64_t csa, const float* b,
+                 int64_t rsb, int64_t csb, float* c, int64_t ldc, int64_t m,
                  int64_t k, int64_t n) {
   if (m == 0 || n == 0 || k == 0) return;
   constexpr int64_t NR = P::kNR;
   constexpr int MR = P::kMR;
-  const bool in_place = m * n * k <= kSimpleGemmFlops;
-  std::vector<float> bp;
-  if (!in_place) bp = pack_b_panels<P>(b, k, n);
-  const int64_t ldb = in_place ? n : NR;
+  const bool small = m * n * k <= kSimpleGemmFlops;
+  const bool in_place = small && csb == 1;
   const int64_t npanels = (n + NR - 1) / NR;
+  std::vector<float> bp;
+  if (!in_place) {
+    bp.resize(static_cast<size_t>(npanels * k * NR));
+    const auto pack = [&](int64_t p0, int64_t p1) {
+      pack_b_panels<P>(b, rsb, csb, k, n, bp.data(), p0, p1);
+    };
+    if (small) {
+      pack(0, npanels);
+    } else {
+      core::parallel_for(0, npanels, 1, pack);
+    }
+  }
+  const int64_t ldb = in_place ? rsb : NR;
   const auto rows = [&](int64_t r0, int64_t r1) {
     for (int64_t kc0 = 0; kc0 < k; kc0 += kKC) {
       const int64_t kc = std::min(kKC, k - kc0);
       for (int64_t p = 0; p < npanels; ++p) {
         const int64_t j0 = p * NR;
         const int64_t w = std::min(NR, n - j0);
-        const float* panel = in_place ? b + kc0 * n + j0
+        const float* panel = in_place ? b + kc0 * rsb + j0
                                       : bp.data() + p * k * NR + kc0 * NR;
         for (int64_t i = r0; i < r1; i += MR) {
           const int64_t mr = std::min<int64_t>(MR, r1 - i);
-          const float* ai = a + i * k + kc0;
-          float* ci = c + i * n + j0;
+          const float* ai = a + i * rsa + kc0 * csa;
+          float* ci = c + i * ldc + j0;
           const bool edge = w < NR;
           if (edge && in_place) {
-            edge_dispatch<P, MR>(mr, ai, k, panel, ldb, ci, n, kc, w,
+            edge_dispatch<P, MR>(mr, ai, rsa, csa, panel, ldb, ci, ldc, kc, w,
                                  kc0 == 0);
             continue;
           }
@@ -205,19 +226,19 @@ void gemm_into_t(const float* a, const float* b, float* c, int64_t m,
           if (edge) {
             std::fill_n(blk, MR * NR, 0.0f);
             for (int64_t r = 0; kc0 != 0 && r < mr; ++r) {
-              std::copy_n(ci + r * n, w, blk + r * NR);
+              std::copy_n(ci + r * ldc, w, blk + r * NR);
             }
           }
-          micro_dispatch<P, MR>(mr, kc0 == 0, ai, k, panel, ldb,
-                                edge ? blk : ci, edge ? NR : n, kc);
+          micro_dispatch<P, MR>(mr, kc0 == 0, ai, rsa, csa, panel, ldb,
+                                edge ? blk : ci, edge ? NR : ldc, kc);
           for (int64_t r = 0; edge && r < mr; ++r) {
-            std::copy_n(blk + r * NR, w, ci + r * n);
+            std::copy_n(blk + r * NR, w, ci + r * ldc);
           }
         }
       }
     }
   };
-  if (in_place) {
+  if (small) {
     rows(0, m);
   } else {
     core::parallel_for(0, m, kRowGrain, rows);

@@ -46,13 +46,18 @@ struct KernelTable {
 
   // ---- GEMM ----
   // c (m x n) = a (m x k) * b (k x n) through the tier's register tile,
-  // walking k ascending per C element. For k >= 1 every C element is written
-  // from +0 and c's prior contents are never read; for k == 0 c is left
-  // untouched. Above kSimpleGemmFlops it packs B into panels and
-  // parallelizes rows; at or below it reads B in place on the caller's
-  // thread and never enters the pool, so callers may run it inside their
-  // own parallel_for.
-  void (*gemm_into)(const float* a, const float* b, float* c, int64_t m,
+  // walking k ascending per C element. A and B take general strides:
+  // element (i, j) of A is a[i * rsa + j * csa] and of B b[i * rsb +
+  // j * csb], so a transposed operand, or one head's column block of a
+  // wider matrix, is read in place. C's rows are ldc >= n apart, and
+  // columns [n, ldc) are never touched. For k >= 1 every C element is
+  // written from +0 and c's prior contents are never read; for k == 0 c is
+  // left untouched. Above kSimpleGemmFlops it packs B into panels and
+  // parallelizes rows. At or below it runs on the caller's thread and never
+  // enters the pool, so callers may run it inside their own parallel_for:
+  // it reads B in place when csb == 1 and packs B serially otherwise.
+  void (*gemm_into)(const float* a, int64_t rsa, int64_t csa, const float* b,
+                    int64_t rsb, int64_t csb, float* c, int64_t ldc, int64_t m,
                     int64_t k, int64_t n);
 
   // ---- elementwise (i in [lo, hi); b index is i % nb, nb == len(a) for

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "core/threadpool.h"
 #include "obs/profiler.h"
 #include "tensor/check.h"
-#include "tensor/kernels/gemm_common.h"
 #include "tensor/kernels/kernel_table.h"
 
 namespace actcomp::tensor {
@@ -40,8 +38,7 @@ bool right_aligned(const Shape& big, const Shape& small) {
 // (tensor/kernels): the parallel_for chunking — and thus 1-vs-N-thread
 // identity — stays here in the caller, and the kernel handles [lo, hi).
 // GELU's tanh is the kernel layer's polynomial (DESIGN.md §15); the
-// pooler's tensor::tanh stays on libm, as do the exp and log of softmax and
-// log_softmax.
+// pooler's tensor::tanh stays on libm, as do log_softmax's exp and log.
 
 Tensor binary_kernel(const Tensor& a, const Tensor& b,
                      void (*kfn)(const float*, const float*, float*, int64_t,
@@ -133,129 +130,31 @@ Tensor gelu_grad(const Tensor& a) {
 // mul-then-add, so results are bit-identical across tiers, thread counts
 // and shapes on either side of kSimpleGemmFlops.
 
-Tensor matmul2d(const Tensor& a, const Tensor& b) {
+Tensor matmul2d(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   ACTCOMP_CHECK(a.rank() == 2 && b.rank() == 2,
                 "matmul2d needs rank-2 operands, got " << a.shape().str() << " x "
                                                        << b.shape().str());
-  const int64_t m = a.dim(0), k = a.dim(1), k2 = b.dim(0), n = b.dim(1);
-  ACTCOMP_CHECK(k == k2, "matmul2d inner dims differ: " << a.shape().str() << " x "
-                                                        << b.shape().str());
+  const int64_t m = a.dim(trans_a ? 1 : 0), k = a.dim(trans_a ? 0 : 1);
+  const int64_t k2 = b.dim(trans_b ? 1 : 0), n = b.dim(trans_b ? 0 : 1);
+  ACTCOMP_CHECK(k == k2, "matmul2d inner dims differ: "
+                             << a.shape().str() << (trans_a ? "^T" : "") << " x "
+                             << b.shape().str() << (trans_b ? "^T" : ""));
   ACTCOMP_PROFILE("tensor.matmul2d");
   Tensor out(Shape{m, n});
-  kernels::active_kernels().gemm_into(a.data().data(), b.data().data(),
-                                      out.data().data(), m, k, n);
+  // A stored transposed is (k, m): element (i, kk) sits at a[kk * m + i].
+  kernels::active_kernels().gemm_into(
+      a.data().data(), trans_a ? 1 : k, trans_a ? m : 1, b.data().data(),
+      trans_b ? 1 : n, trans_b ? k : 1, out.data().data(), n, m, k, n);
   return out;
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   if (a.rank() == 2 && b.rank() == 2) return matmul2d(a, b);
-  if (a.rank() == 3 && b.rank() == 2) {
-    const int64_t B = a.dim(0), m = a.dim(1), k = a.dim(2);
-    Tensor flat = a.reshape(Shape{B * m, k});
-    return matmul2d(flat, b).reshape(Shape{B, m, b.dim(1)});
-  }
-  if (a.rank() == 3 && b.rank() == 3) {
-    ACTCOMP_CHECK(a.dim(0) == b.dim(0), "batched matmul batch dims differ: "
-                                            << a.shape().str() << " x "
-                                            << b.shape().str());
-    ACTCOMP_CHECK(a.dim(2) == b.dim(1), "batched matmul inner dims differ: "
-                                            << a.shape().str() << " x "
-                                            << b.shape().str());
-    ACTCOMP_PROFILE("tensor.matmul_batched");
-    const int64_t B = a.dim(0), m = a.dim(1), k = a.dim(2), n = b.dim(2);
-    Tensor out(Shape{B, m, n});
-    const float* pa = a.data().data();
-    const float* pb = b.data().data();
-    float* pc = out.data().data();
-    const kernels::KernelTable& kt = kernels::active_kernels();
-    if (m * n * k <= kernels::kSimpleGemmFlops) {
-      // Small per-batch matrices (attention heads): parallelize across the
-      // batch instead of within one matrix. gemm_into reads these in place
-      // on the calling thread, so it never nests into the pool.
-      core::parallel_for(0, B, 1, [&](int64_t b0, int64_t b1) {
-        for (int64_t batch = b0; batch < b1; ++batch) {
-          kt.gemm_into(pa + batch * m * k, pb + batch * k * n,
-                       pc + batch * m * n, m, k, n);
-        }
-      });
-    } else {
-      for (int64_t batch = 0; batch < B; ++batch) {
-        kt.gemm_into(pa + batch * m * k, pb + batch * k * n,
-                     pc + batch * m * n, m, k, n);
-      }
-    }
-    return out;
-  }
-  ACTCOMP_CHECK(false, "matmul: unsupported ranks " << a.rank() << " x " << b.rank());
-}
-
-Tensor transpose_last2(const Tensor& a) {
-  ACTCOMP_CHECK(a.rank() >= 2, "transpose_last2 needs rank >= 2");
-  std::vector<int> axes(static_cast<size_t>(a.rank()));
-  for (int i = 0; i < a.rank(); ++i) axes[static_cast<size_t>(i)] = i;
-  std::swap(axes[axes.size() - 1], axes[axes.size() - 2]);
-  return permute(a, axes);
-}
-
-Tensor permute(const Tensor& a, const std::vector<int>& axes) {
-  const int r = a.rank();
-  ACTCOMP_CHECK(static_cast<int>(axes.size()) == r,
-                "permute axes count " << axes.size() << " != rank " << r);
-  std::vector<bool> seen(static_cast<size_t>(r), false);
-  std::vector<int64_t> out_dims(static_cast<size_t>(r));
-  for (int i = 0; i < r; ++i) {
-    const int ax = axes[static_cast<size_t>(i)];
-    ACTCOMP_CHECK(ax >= 0 && ax < r && !seen[static_cast<size_t>(ax)],
-                  "invalid permutation axis " << ax);
-    seen[static_cast<size_t>(ax)] = true;
-    out_dims[static_cast<size_t>(i)] = a.dim(ax);
-  }
-  if (r == 0) return a.clone();  // a scalar: nothing to permute
-  Tensor out{Shape(out_dims)};
-  const float* src = a.data().data();
-  float* dst = out.data().data();
-  // step[i]: input offset of one step along output axis i.
-  const auto in_strides = a.shape().strides();
-  const auto out_strides = out.shape().strides();
-  std::vector<int64_t> step(static_cast<size_t>(r));
-  for (int i = 0; i < r; ++i) {
-    step[static_cast<size_t>(i)] = in_strides[static_cast<size_t>(axes[static_cast<size_t>(i)])];
-  }
-  const int64_t inner = out_dims.back();
-  const int64_t inner_step = step.back();
-  // Odometer copy: each chunk decodes its first output coordinate once, then
-  // walks the innermost output axis as one run (a memcpy when the input is
-  // contiguous along it) and carries into the outer axes at run ends.
-  core::parallel_for(0, a.numel(), kEwGrain, [&](int64_t lo, int64_t hi) {
-    std::vector<int64_t> coord(static_cast<size_t>(r));
-    int64_t s = 0;
-    int64_t rem = lo;
-    for (int i = 0; i < r; ++i) {
-      const size_t ui = static_cast<size_t>(i);
-      coord[ui] = rem / out_strides[ui];
-      rem %= out_strides[ui];
-      s += coord[ui] * step[ui];
-    }
-    for (int64_t flat = lo; flat < hi;) {
-      const int64_t len = std::min(inner - coord.back(), hi - flat);
-      if (inner_step == 1) {
-        std::memcpy(dst + flat, src + s, static_cast<size_t>(len) * sizeof(float));
-      } else {
-        for (int64_t j = 0; j < len; ++j) dst[flat + j] = src[s + j * inner_step];
-      }
-      flat += len;
-      s += (len - inner) * inner_step;  // back to the row start ...
-      coord.back() = 0;
-      for (int i = r - 2; i >= 0; --i) {  // ... then carry one row on
-        const size_t ui = static_cast<size_t>(i);
-        s += step[ui];
-        if (++coord[ui] < out_dims[ui]) break;
-        s -= out_dims[ui] * step[ui];
-        coord[ui] = 0;
-      }
-    }
-  });
-  return out;
+  ACTCOMP_CHECK(a.rank() == 3 && b.rank() == 2,
+                "matmul: unsupported ranks " << a.rank() << " x " << b.rank());
+  const int64_t B = a.dim(0), m = a.dim(1), k = a.dim(2);
+  Tensor flat = a.reshape(Shape{B * m, k});
+  return matmul2d(flat, b).reshape(Shape{B, m, b.dim(1)});
 }
 
 float sum_all(const Tensor& a) {
@@ -320,30 +219,6 @@ Tensor argmax_last(const Tensor& a) {
         }
       }
       dout[static_cast<size_t>(r)] = static_cast<float>(best);
-    }
-  });
-  return out;
-}
-
-Tensor softmax_last(const Tensor& a) {
-  ACTCOMP_PROFILE("tensor.softmax");
-  const auto [rows, cols] = rows_cols(a);
-  Tensor out(a.shape());
-  const auto din = a.data();
-  auto dout = out.data();
-  const kernels::KernelTable& kt = kernels::active_kernels();
-  core::parallel_for(0, rows, row_grain(cols), [&](int64_t r0, int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      const size_t base = static_cast<size_t>(r * cols);
-      const float m = kt.row_max(din.data() + base, cols);
-      double z = 0.0;
-      for (int64_t c = 0; c < cols; ++c) {
-        const float e = std::exp(din[base + static_cast<size_t>(c)] - m);
-        dout[base + static_cast<size_t>(c)] = e;
-        z += e;
-      }
-      const float inv = static_cast<float>(1.0 / z);
-      kt.ew_scale(dout.data(), inv, r * cols, (r + 1) * cols);
     }
   });
   return out;

@@ -2,8 +2,11 @@
 //
 // These are the primitives the autograd layer composes: the fixed op set a
 // BERT training step and a KV-cache decode run (GEMM, bias add, GELU, the
-// pooler's tanh, softmax, layernorm statistics, dropout's mask product, the
-// losses' reductions), plus the comparison helpers tests use as oracles.
+// pooler's tanh, layernorm statistics, dropout's mask product, the losses'
+// log-softmax and reductions), plus the comparison helpers tests use as
+// oracles. Nothing here permutes or transposes: the GEMM reads transposed
+// operands through strides, and attention (nn/attention.cpp) calls the
+// kernel table's GEMM per head with its own softmax row pass.
 // An op no layer, loss or compressor calls does not belong here.
 // Broadcasting is deliberately limited to the two cases the library needs:
 //   * identical shapes, and
@@ -35,18 +38,13 @@ Tensor gelu(const Tensor& a);
 Tensor gelu_grad(const Tensor& a);
 
 // ---- matmul ----
-/// (m,k) x (k,n) -> (m,n).
-Tensor matmul2d(const Tensor& a, const Tensor& b);
-/// Batched matmul. Accepts:
-///   (B,m,k) x (B,k,n) -> (B,m,n)
-///   (B,m,k) x (k,n)   -> (B,m,n)   (shared right operand)
-///   (m,k)   x (k,n)   -> (m,n)
+/// (m,k) x (k,n) -> (m,n). `trans_a` / `trans_b` read an operand stored
+/// transposed, (k,m) or (n,k), in place: no transpose is materialized.
+Tensor matmul2d(const Tensor& a, const Tensor& b, bool trans_a = false,
+                bool trans_b = false);
+/// (m,k) x (k,n) -> (m,n), or (B,m,k) x (k,n) -> (B,m,n) with the rows of
+/// every batch sharing the right operand.
 Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// Transpose the last two dimensions (materializes; rank >= 2).
-Tensor transpose_last2(const Tensor& a);
-/// General axis permutation (materializes).
-Tensor permute(const Tensor& a, const std::vector<int>& axes);
 
 // ---- reductions ----
 float sum_all(const Tensor& a);
@@ -57,8 +55,7 @@ Tensor sum_to_last(const Tensor& a);
 /// Index of the max element along the last dimension, as floats: [..., n] -> [...].
 Tensor argmax_last(const Tensor& a);
 
-// ---- softmax family (last dimension) ----
-Tensor softmax_last(const Tensor& a);
+// ---- log-softmax (last dimension) ----
 Tensor log_softmax_last(const Tensor& a);
 
 // ---- normalization helpers ----

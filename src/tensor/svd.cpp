@@ -10,19 +10,22 @@ namespace actcomp::tensor {
 
 std::vector<float> singular_values(const Tensor& a, float tol, int max_sweeps) {
   ACTCOMP_CHECK(a.rank() == 2, "singular_values needs a matrix, got " << a.shape().str());
-  // Work on the orientation with fewer columns: sv(A) == sv(A^T).
-  Tensor m = a.dim(0) >= a.dim(1) ? a.clone() : transpose_last2(a);
-  const int64_t rows = m.dim(0);
-  const int64_t cols = m.dim(1);
+  // Work on the orientation with fewer columns: sv(A) == sv(A^T). Element
+  // (i, j) of that orientation is a[i * rs + j * cs].
+  const bool tall = a.dim(0) >= a.dim(1);
+  const int64_t rows = tall ? a.dim(0) : a.dim(1);
+  const int64_t cols = tall ? a.dim(1) : a.dim(0);
   if (rows == 0 || cols == 0) return {};
+  const int64_t rs = tall ? cols : 1;
+  const int64_t cs = tall ? 1 : rows;
 
   // Column-major working copy for cache-friendly column rotations.
   std::vector<double> col(static_cast<size_t>(rows * cols));
   {
-    const auto d = m.data();
+    const auto d = a.data();
     for (int64_t i = 0; i < rows; ++i) {
       for (int64_t j = 0; j < cols; ++j) {
-        col[static_cast<size_t>(j * rows + i)] = d[static_cast<size_t>(i * cols + j)];
+        col[static_cast<size_t>(j * rows + i)] = d[static_cast<size_t>(i * rs + j * cs)];
       }
     }
   }

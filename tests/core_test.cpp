@@ -6,10 +6,12 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "autograd/functions.h"
@@ -280,17 +282,32 @@ ts::Tensor gemm_operand(ts::Generator& gen, const ts::Shape& shape) {
 
 }  // namespace
 
+namespace {
+
+// A 2-D transpose, copied element by element.
+ts::Tensor transposed(const ts::Tensor& a) {
+  ts::Tensor t{ts::Shape{a.dim(1), a.dim(0)}};
+  for (int64_t i = 0; i < a.dim(0); ++i) {
+    for (int64_t j = 0; j < a.dim(1); ++j) t.at({j, i}) = a.at({i, j});
+  }
+  return t;
+}
+
+}  // namespace
+
 TEST(SimdIdentity, MatmulBytesMatchScalarAcrossTiers) {
   ThreadGuard tguard;
   ts::Generator gen(41);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
   // 80^3 takes the packed path (above kSimpleGemmFlops) and 96x64x50 adds
   // ragged edge tiles to it; 37x1031x50 runs the packed edge over three
   // k-blocks with m ragged for every tier's tile, so the edge carries C from
-  // one k-block to the next. Every other shape reads B in place: m, n and k
-  // straddle each tier's tile (scalar 6x8, AVX2 5x16, AVX-512 8x32), so
-  // ragged n puts the edge tile on B's last row; 4x512x128 is decode's
-  // largest per-token GEMM, exactly at the threshold, and k > 512 reloads C
-  // between k-blocks in place.
+  // one k-block to the next. Every other shape runs on the caller's thread:
+  // m, n and k straddle each tier's tile (scalar 6x8, AVX2 5x16, AVX-512
+  // 8x32), so ragged n puts the edge tile on B's last row; 4x512x128 is
+  // decode's largest per-token GEMM, exactly at the threshold, and k > 512
+  // reloads C between k-blocks. A transposed B takes the serial packing
+  // there instead of the in-place read.
   std::vector<std::array<int64_t, 3>> shapes = {
       {80, 80, 80}, {96, 64, 50}, {37, 1031, 50}, {8, 8, 8},
       {4, 512, 128}, {1, 1031, 33}, {6, 600, 17}};
@@ -303,54 +320,125 @@ TEST(SimdIdentity, MatmulBytesMatchScalarAcrossTiers) {
     const int64_t m = s[0], k = s[1], n = s[2];
     const ts::Tensor a = gemm_operand(gen, ts::Shape{m, k});
     const ts::Tensor b = gemm_operand(gen, ts::Shape{k, n});
+    const ts::Tensor at = transposed(a);  // (k, m)
+    const ts::Tensor bt = transposed(b);  // (n, k)
     ts::Tensor want(ts::Shape{m, n});
     gemm_reference(a.data().data(), b.data().data(), want.data().data(), m, k,
                    n);
     const auto ref = tensor_bytes(want);
     for_each_supported_isa([&](core::SimdIsa isa) {
       IsaGuard guard(isa);
+      const auto& kt = ts::kernels::kernels_for_tier(static_cast<int>(isa));
       for (int threads : {1, 4}) {
         core::set_num_threads(threads);
-        EXPECT_EQ(tensor_bytes(ts::matmul2d(a, b)), ref)
-            << core::simd_isa_name(isa) << " t=" << threads << " " << m
-            << "x" << k << "x" << n;
+        const std::string what = std::string(core::simd_isa_name(isa)) +
+                                 " t=" + std::to_string(threads) + " " +
+                                 std::to_string(m) + "x" + std::to_string(k) +
+                                 "x" + std::to_string(n);
+        EXPECT_EQ(tensor_bytes(ts::matmul2d(a, b)), ref) << what;
         // gemm_into overwrites C: matmul2d hands it zeros, so a tile that
         // read C before its first k-block would pass above but not here.
-        ts::Tensor c(ts::Shape{m, n});
-        std::fill(c.data().begin(), c.data().end(),
-                  std::numeric_limits<float>::quiet_NaN());
-        ts::kernels::kernels_for_tier(static_cast<int>(isa))
-            .gemm_into(a.data().data(), b.data().data(), c.data().data(), m,
-                       k, n);
-        EXPECT_EQ(tensor_bytes(c), ref)
-            << core::simd_isa_name(isa) << " t=" << threads << " " << m
-            << "x" << k << "x" << n << " into NaN";
+        // Each operand is also read transposed through its strides.
+        struct Operands {
+          const char* label;
+          const float* a;
+          int64_t rsa, csa;
+          const float* b;
+          int64_t rsb, csb;
+        };
+        const Operands cases[] = {
+            {"into NaN", a.data().data(), k, 1, b.data().data(), n, 1},
+            {"A^T", at.data().data(), 1, m, b.data().data(), n, 1},
+            {"B^T", a.data().data(), k, 1, bt.data().data(), 1, k},
+            {"A^T B^T", at.data().data(), 1, m, bt.data().data(), 1, k}};
+        for (const Operands& op : cases) {
+          ts::Tensor c(ts::Shape{m, n});
+          std::fill(c.data().begin(), c.data().end(), nan);
+          kt.gemm_into(op.a, op.rsa, op.csa, op.b, op.rsb, op.csb,
+                       c.data().data(), n, m, k, n);
+          EXPECT_EQ(tensor_bytes(c), ref) << what << " " << op.label;
+        }
+        // C inside a wider buffer: rows ldc = n + 3 apart, the gaps stay NaN.
+        const int64_t ldc = n + 3;
+        std::vector<float> wide(static_cast<size_t>(m * ldc), nan);
+        kt.gemm_into(a.data().data(), k, 1, b.data().data(), n, 1, wide.data(),
+                     ldc, m, k, n);
+        ts::Tensor got(ts::Shape{m, n});
+        bool gaps_nan = true;
+        for (int64_t i = 0; i < m; ++i) {
+          std::copy_n(wide.data() + i * ldc, n, got.data().data() + i * n);
+          for (int64_t j = n; j < ldc; ++j) gaps_nan &= std::isnan(wide[i * ldc + j]);
+        }
+        EXPECT_EQ(tensor_bytes(got), ref) << what << " ldc=" << ldc;
+        EXPECT_TRUE(gaps_nan) << what << " wrote past n";
       }
     });
     core::set_num_threads(1);
   }
-  // Batched products (the attention shapes) parallelize over the batch and
-  // run each small matrix on the calling thread.
-  const std::vector<std::array<int64_t, 4>> batched = {{32, 64, 32, 64},
-                                                       {16, 1, 33, 32}};
-  for (const auto& s : batched) {
-    const int64_t nb = s[0], m = s[1], k = s[2], n = s[3];
-    const ts::Tensor a = gemm_operand(gen, ts::Shape{nb, m, k});
-    const ts::Tensor b = gemm_operand(gen, ts::Shape{nb, k, n});
-    ts::Tensor want(ts::Shape{nb, m, n});
-    for (int64_t i = 0; i < nb; ++i) {
-      gemm_reference(a.data().data() + i * m * k, b.data().data() + i * k * n,
-                     want.data().data() + i * m * n, m, k, n);
+  // The attention products, one head per column block of a wider matrix
+  // with row stride h = heads * dh. Scores (32 heads, 64x32x64): A is Q's
+  // column block and B is Kᵀ read from K's rows (strides 1, h). Context (16
+  // heads, 1x33x32): B is V's column block and C the output's, ldc = h.
+  struct Heads {
+    int64_t heads, m, k, n;
+    bool scores;
+  };
+  for (const Heads& hc : {Heads{32, 64, 32, 64, true}, Heads{16, 1, 33, 32, false}}) {
+    const int64_t heads = hc.heads, m = hc.m, k = hc.k, n = hc.n;
+    // scores: Q [m, heads*k], K [n, heads*k], S [heads, m, n].
+    // context: P [heads, m, k], V [k, heads*n], O [m, heads*n].
+    const ts::Tensor a = hc.scores ? gemm_operand(gen, ts::Shape{m, heads * k})
+                                   : gemm_operand(gen, ts::Shape{heads, m, k});
+    const ts::Tensor b = hc.scores ? gemm_operand(gen, ts::Shape{n, heads * k})
+                                   : gemm_operand(gen, ts::Shape{k, heads * n});
+    const int64_t h = hc.scores ? heads * k : heads * n;
+    ts::Tensor want(hc.scores ? ts::Shape{heads, m, n} : ts::Shape{m, heads * n});
+    for (int64_t g = 0; g < heads; ++g) {
+      ts::Tensor ag(ts::Shape{m, k}), bg(ts::Shape{k, n}), cg(ts::Shape{m, n});
+      for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < k; ++j) {
+          ag.at({i, j}) = hc.scores ? a.at({i, g * k + j}) : a.at({g, i, j});
+        }
+      }
+      for (int64_t i = 0; i < k; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+          bg.at({i, j}) = hc.scores ? b.at({j, g * k + i}) : b.at({i, g * n + j});
+        }
+      }
+      gemm_reference(ag.data().data(), bg.data().data(), cg.data().data(), m, k, n);
+      for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+          if (hc.scores) {
+            want.at({g, i, j}) = cg.at({i, j});
+          } else {
+            want.at({i, g * n + j}) = cg.at({i, j});
+          }
+        }
+      }
     }
     const auto ref = tensor_bytes(want);
     for_each_supported_isa([&](core::SimdIsa isa) {
       IsaGuard guard(isa);
+      const auto& kt = ts::kernels::kernels_for_tier(static_cast<int>(isa));
       for (int threads : {1, 4}) {
         core::set_num_threads(threads);
-        EXPECT_EQ(tensor_bytes(ts::matmul(a, b)), ref)
-            << core::simd_isa_name(isa) << " t=" << threads << " [" << nb
-            << "," << m << "," << k << "]x[" << nb << "," << k << "," << n
-            << "]";
+        ts::Tensor c(want.shape());
+        std::fill(c.data().begin(), c.data().end(), nan);
+        core::parallel_for(0, heads, 1, [&](int64_t g0, int64_t g1) {
+          for (int64_t g = g0; g < g1; ++g) {
+            if (hc.scores) {
+              kt.gemm_into(a.data().data() + g * k, h, 1, b.data().data() + g * k,
+                           1, h, c.data().data() + g * m * n, n, m, k, n);
+            } else {
+              kt.gemm_into(a.data().data() + g * m * k, k, 1,
+                           b.data().data() + g * n, h, 1,
+                           c.data().data() + g * n, h, m, k, n);
+            }
+          }
+        });
+        EXPECT_EQ(tensor_bytes(c), ref)
+            << core::simd_isa_name(isa) << " t=" << threads << " " << heads
+            << " heads of " << m << "x" << k << "x" << n;
       }
     });
     core::set_num_threads(1);

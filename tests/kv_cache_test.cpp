@@ -241,53 +241,70 @@ TEST(KvCache, StepTransactionIsEnforced) {
   EXPECT_THROW(cache.keys(2, 0), std::invalid_argument);
 }
 
-/// keys()/values() rows split into heads: [b, total, hidden] ->
-/// [b*heads, total, hidden/heads].
-Tensor split_rows(const Tensor& rows, int64_t heads) {
-  const int64_t b = rows.dim(0), total = rows.dim(1), dh = rows.dim(2) / heads;
-  return actcomp::tensor::permute(rows.reshape(actcomp::tensor::Shape{b, total, heads, dh}),
-                                  {0, 2, 1, 3})
-      .reshape(actcomp::tensor::Shape{b * heads, total, dh});
-}
-
 TEST(KvCache, HeadLayoutsMatchSplitKeysAndValues) {
-  // Two layers, batch 3, hidden 8. Capacity 2, so the 3-position first
-  // step regrows the storage; every read then skips the capacity's unused
-  // rows between sequences.
+  // storage() is what cached attention reads in place: head h's Kᵀ is rows
+  // h*dh .. (h+1)*dh - 1 of a sequence's [hidden, cap] key block, and its V
+  // a column block of the [cap, hidden] value rows. Every head split of
+  // keys()/values() must sit there. Two layers, batch 3, hidden 8, capacity
+  // 2, so the 3-position first step regrows the storage, and sequences sit
+  // a capacity apart with unused positions between them.
   const int64_t layers = 2, batch = 3, hidden = 8;
   KvCache cache(layers, batch, hidden, 2);
   Generator gen(59);
   auto check_layer = [&](int64_t layer, int64_t total) {
+    SCOPED_TRACE("layer " + std::to_string(layer) + ", total " +
+                 std::to_string(total));
+    const KvCache::Storage st = cache.storage(layer, total);
+    const int64_t cap = cache.capacity();
+    ASSERT_EQ(st.keys_t.shape(), (actcomp::tensor::Shape{batch, hidden, cap}));
+    ASSERT_EQ(st.values.shape(), (actcomp::tensor::Shape{batch, cap, hidden}));
+    const Tensor keys = cache.keys(layer, total);
+    const Tensor values = cache.values(layer, total);
     for (int64_t heads : {1, 2, 4, 8}) {
-      SCOPED_TRACE("layer " + std::to_string(layer) + ", total " +
-                   std::to_string(total) + ", heads " + std::to_string(heads));
-      expect_bytes_equal(
-          cache.keys_t_by_head(layer, total, heads),
-          actcomp::tensor::transpose_last2(split_rows(cache.keys(layer, total), heads)),
-          "keys by head");
-      expect_bytes_equal(cache.values_by_head(layer, total, heads),
-                         split_rows(cache.values(layer, total), heads),
-                         "values by head");
+      const int64_t dh = hidden / heads;
+      for (int64_t bi = 0; bi < batch; ++bi) {
+        for (int64_t h = 0; h < heads; ++h) {
+          const float* kt = st.keys_t.data().data() + (bi * hidden + h * dh) * cap;
+          const float* v = st.values.data().data() + bi * cap * hidden + h * dh;
+          for (int64_t p = 0; p < total; ++p) {
+            for (int64_t d = 0; d < dh; ++d) {
+              ASSERT_EQ(kt[d * cap + p], keys.at({bi, p, h * dh + d}))
+                  << "keys: heads " << heads << " seq " << bi << " pos " << p;
+              ASSERT_EQ(v[p * hidden + d], values.at({bi, p, h * dh + d}))
+                  << "values: heads " << heads << " seq " << bi << " pos " << p;
+            }
+          }
+        }
+      }
     }
   };
+  std::vector<Tensor> appended_k;
   for (int64_t n : {3, 1, 1}) {
     cache.begin_step(n);
     for (int64_t layer = 0; layer < layers; ++layer) {
-      cache.append(layer, gen.normal(actcomp::tensor::Shape{batch, n, hidden}),
-                   gen.normal(actcomp::tensor::Shape{batch, n, hidden}));
+      const Tensor k = gen.normal(actcomp::tensor::Shape{batch, n, hidden});
+      cache.append(layer, k, gen.normal(actcomp::tensor::Shape{batch, n, hidden}));
       // Inside the open step the rows just appended are visible.
       for (int64_t total : {int64_t{1}, cache.len() + n}) check_layer(layer, total);
-      EXPECT_EQ(cache.keys_t_by_head(layer, 0, 2).shape().str(),
-                (actcomp::tensor::Shape{batch * 2, hidden / 2, 0}).str());
-      EXPECT_EQ(cache.values_by_head(layer, 0, 2).shape().str(),
-                (actcomp::tensor::Shape{batch * 2, 0, hidden / 2}).str());
+      if (layer == 0) appended_k.push_back(k);
+      EXPECT_EQ(cache.storage(layer, 0).keys_t.dim(2), cache.capacity());
     }
     cache.commit();
   }
-  EXPECT_THROW(cache.keys_t_by_head(0, 1, 3), std::invalid_argument);  // 8 % 3
-  EXPECT_THROW(cache.values_by_head(0, 1, 0), std::invalid_argument);
-  EXPECT_THROW(cache.keys_t_by_head(0, cache.len() + 1, 2), std::invalid_argument);
-  EXPECT_THROW(cache.values_by_head(layers, 1, 2), std::invalid_argument);
+  // keys() reads back exactly what was appended, across the regrowth.
+  const Tensor keys = cache.keys(0, 5);
+  int64_t pos = 0;
+  for (const Tensor& k : appended_k) {
+    for (int64_t i = 0; i < k.dim(1); ++i, ++pos) {
+      for (int64_t bi = 0; bi < batch; ++bi) {
+        for (int64_t c = 0; c < hidden; ++c) {
+          ASSERT_EQ(keys.at({bi, pos, c}), k.at({bi, i, c}));
+        }
+      }
+    }
+  }
+  EXPECT_THROW(cache.storage(0, cache.len() + 1), std::invalid_argument);
+  EXPECT_THROW(cache.storage(layers, 1), std::invalid_argument);
 }
 
 TEST(KvCache, PositionsBeyondMaxSeqThrow) {

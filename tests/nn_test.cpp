@@ -2,9 +2,14 @@
 // and the compression hook points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "autograd/functions.h"
 #include "compress/autoencoder.h"
@@ -137,6 +142,64 @@ TEST(Attention, GradFlowsToAllProjections) {
   for (auto& [name, p] : attn.named_parameters()) {
     EXPECT_TRUE(p.has_grad()) << name;
   }
+}
+
+namespace {
+
+/// Central finite differences of the scalar loss sum(y * w), for a fixed
+/// random w, against the attention core's hand-written backward: every
+/// element of x and of every projection's weight and bias.
+void check_attention_gradients(
+    const nn::MultiHeadAttention& attn, ag::Variable x,
+    const std::function<ag::Variable(const ag::Variable&)>& forward) {
+  ts::Generator gw(17);
+  const int64_t n = x.value().numel();
+  const ag::Variable w = ag::Variable::leaf(gw.normal(ts::Shape{n, 1}));
+  const auto loss = [&] {
+    return ag::matmul(ag::reshape(forward(x), ts::Shape{1, n}), w);
+  };
+  loss().backward();
+  std::vector<std::pair<std::string, ag::Variable>> leaves = {{"x", x}};
+  for (const auto& np : attn.named_parameters()) leaves.push_back(np);
+  const float eps = 1e-3f, tol = 2e-2f;
+  for (auto& [name, leaf] : leaves) {
+    ASSERT_TRUE(leaf.has_grad()) << name;
+    const ts::Tensor analytic = leaf.grad().clone();
+    auto vals = leaf.mutable_value().data();
+    for (size_t i = 0; i < vals.size(); ++i) {
+      const float orig = vals[i];
+      vals[i] = orig + eps;
+      const float hi = loss().value().item();
+      vals[i] = orig - eps;
+      const float lo = loss().value().item();
+      vals[i] = orig;
+      const float fd = (hi - lo) / (2 * eps);
+      EXPECT_NEAR(analytic.data()[i], fd, tol * std::max(1.0f, std::fabs(fd)))
+          << name << " elem " << i;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(Attention, GradMatchesFiniteDifferencesWithPaddingMask) {
+  ts::Generator gen(31);
+  nn::MultiHeadAttention attn(8, 2, gen);
+  ag::Variable x = ag::Variable::leaf(gen.normal(ts::Shape{2, 4, 8}), true);
+  ts::Tensor mask{ts::Shape{2, 4}};
+  mask.at({1, 3}) = -1e4f;  // the second sequence is padded
+  check_attention_gradients(attn, x, [&](const ag::Variable& in) {
+    return attn.forward(in, mask);
+  });
+}
+
+TEST(Attention, CausalGradMatchesFiniteDifferences) {
+  ts::Generator gen(37);
+  nn::MultiHeadAttention attn(8, 2, gen);
+  ag::Variable x = ag::Variable::leaf(gen.normal(ts::Shape{2, 5, 8}), true);
+  check_attention_gradients(attn, x, [&](const ag::Variable& in) {
+    return attn.forward_causal(in);
+  });
 }
 
 // ---------- TransformerEncoderLayer / compression hooks ----------

@@ -5,9 +5,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <set>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 
 #include "core/threadpool.h"
@@ -55,6 +55,20 @@ TEST(Shape, ElementCountOverflowThrows) {
                std::invalid_argument);
   EXPECT_EQ(ts::Shape({int64_t{1} << 31, int64_t{1} << 31}).numel(),
             int64_t{1} << 62);
+}
+
+TEST(Shape, CheckFailureNamesFileFromRepositoryRoot) {
+  // Error text must not depend on where the repository is checked out: the
+  // build maps the root away from __FILE__.
+  try {
+    ts::Shape({2, -1});
+    FAIL() << "negative extent accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/tensor/shape.cpp:"), std::string::npos) << what;
+    EXPECT_EQ(what.find(" at /"), std::string::npos) << what;
+    EXPECT_EQ(what.find("/src/"), std::string::npos) << what;
+  }
 }
 
 TEST(Shape, DimOutOfRangeThrows) {
@@ -206,23 +220,6 @@ TEST(Ops, MatmulBatched3x2) {
       EXPECT_NEAR(c.at({2, i, j}), ref.at({i, j}), 1e-4f);
 }
 
-TEST(Ops, MatmulBatched3x3) {
-  ts::Generator gen(2);
-  ts::Tensor a = gen.normal(ts::Shape{2, 3, 4});
-  ts::Tensor b = gen.normal(ts::Shape{2, 4, 5});
-  const ts::Tensor c = ts::matmul(a, b);
-  ASSERT_EQ(c.shape(), (ts::Shape{2, 3, 5}));
-  for (int64_t batch = 0; batch < 2; ++batch) {
-    for (int64_t i = 0; i < 3; ++i) {
-      for (int64_t j = 0; j < 5; ++j) {
-        double acc = 0;
-        for (int64_t k = 0; k < 4; ++k) acc += a.at({batch, i, k}) * b.at({batch, k, j});
-        EXPECT_NEAR(c.at({batch, i, j}), acc, 1e-4f);
-      }
-    }
-  }
-}
-
 TEST(Ops, MatmulAssociativityWithIdentity) {
   ts::Generator gen(3);
   ts::Tensor a = gen.normal(ts::Shape{4, 4});
@@ -232,110 +229,35 @@ TEST(Ops, MatmulAssociativityWithIdentity) {
   EXPECT_TRUE(ts::allclose(ts::matmul2d(eye, a), a, 1e-5f, 1e-6f));
 }
 
-// ---------- permute / structure ----------
-
-TEST(Ops, TransposeLast2) {
-  ts::Tensor a(ts::Shape{2, 3}, {1, 2, 3, 4, 5, 6});
-  const ts::Tensor t = ts::transpose_last2(a);
-  ASSERT_EQ(t.shape(), (ts::Shape{3, 2}));
-  EXPECT_EQ(t.at({0, 1}), 4.0f);
-  EXPECT_EQ(t.at({2, 0}), 3.0f);
-}
-
-TEST(Ops, PermuteRoundTrip) {
-  ts::Generator gen(4);
-  ts::Tensor a = gen.normal(ts::Shape{2, 3, 4, 5});
-  const ts::Tensor p = ts::permute(a, {2, 0, 3, 1});
-  ASSERT_EQ(p.shape(), (ts::Shape{4, 2, 5, 3}));
-  const ts::Tensor back = ts::permute(p, {1, 3, 0, 2});
-  EXPECT_TRUE(ts::allclose(back, a));
-}
-
-TEST(Ops, PermuteInvalidAxesThrows) {
-  ts::Tensor a{ts::Shape{2, 3}};
-  EXPECT_THROW(ts::permute(a, {0, 0}), std::invalid_argument);
-  EXPECT_THROW(ts::permute(a, {0}), std::invalid_argument);
-}
-
 namespace {
 
-// Permute by decoding every output index with one div/mod per axis: the
-// obviously-correct walk the odometer copy in ts::permute must reproduce.
-ts::Tensor permute_oracle(const ts::Tensor& a, const std::vector<int>& axes) {
-  const size_t r = axes.size();
-  std::vector<int64_t> out_dims(r);
-  for (size_t i = 0; i < r; ++i) out_dims[i] = a.dim(axes[i]);
-  ts::Tensor out{ts::Shape(out_dims)};
-  const auto in_strides = a.shape().strides();
-  const auto out_strides = out.shape().strides();
-  const auto din = a.data();
-  auto dout = out.data();
-  for (int64_t flat = 0; flat < out.numel(); ++flat) {
-    int64_t rem = flat;
-    int64_t src = 0;
-    for (size_t i = 0; i < r; ++i) {
-      src += rem / out_strides[i] * in_strides[static_cast<size_t>(axes[i])];
-      rem %= out_strides[i];
-    }
-    dout[static_cast<size_t>(flat)] = din[static_cast<size_t>(src)];
+// A 2-D transpose, copied element by element.
+ts::Tensor transposed(const ts::Tensor& a) {
+  ts::Tensor t{ts::Shape{a.dim(1), a.dim(0)}};
+  for (int64_t i = 0; i < a.dim(0); ++i) {
+    for (int64_t j = 0; j < a.dim(1); ++j) t.at({j, i}) = a.at({i, j});
   }
-  return out;
-}
-
-std::vector<uint32_t> float_bits(const ts::Tensor& t) {
-  std::vector<uint32_t> bits(static_cast<size_t>(t.numel()));
-  if (!bits.empty()) std::memcpy(bits.data(), t.data().data(), bits.size() * 4);
-  return bits;
+  return t;
 }
 
 }  // namespace
 
-TEST(Permute, MatchesDivModOracle) {
-  const int saved_threads = actcomp::core::num_threads();
-  // Ranks 0-5 with zero, unit and odd extents. Shapes above 2 * 8192
-  // elements span several parallel chunks whose starts land mid-row, so the
-  // per-chunk coordinate decode and the carries across row ends are checked.
-  const std::vector<ts::Shape> shapes = {
-      ts::Shape{},           ts::Shape{0},           ts::Shape{1},
-      ts::Shape{20011},      ts::Shape{0, 5},        ts::Shape{1, 1},
-      ts::Shape{3, 7},       ts::Shape{131, 257},    ts::Shape{512, 512},
-      ts::Shape{1, 0, 3},    ts::Shape{5, 1, 9},     ts::Shape{33, 31, 17},
-      ts::Shape{2, 0, 3, 1}, ts::Shape{3, 5, 1, 7},  ts::Shape{9, 11, 13, 17},
-      ts::Shape{8, 64, 4, 32}, ts::Shape{1, 3, 1, 5, 1},
-      ts::Shape{3, 5, 7, 11, 13}};
-  for (const ts::Shape& shape : shapes) {
-    ts::Tensor a{shape};
-    auto d = a.data();
-    for (size_t i = 0; i < d.size(); ++i) d[i] = static_cast<float>(i) + 0.5f;
-    std::vector<int> axes(static_cast<size_t>(shape.rank()));
-    std::iota(axes.begin(), axes.end(), 0);
-    // Every permutation up to rank 4; identity, reversal and two rotations
-    // at rank 5.
-    std::vector<std::vector<int>> perms;
-    if (shape.rank() <= 4) {
-      do perms.push_back(axes);
-      while (std::next_permutation(axes.begin(), axes.end()));
-    } else {
-      perms = {{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {1, 2, 3, 4, 0}, {4, 0, 1, 2, 3}};
-    }
-    for (const std::vector<int>& perm : perms) {
-      const ts::Tensor oracle = permute_oracle(a, perm);
-      const auto want = float_bits(oracle);
-      for (const int threads : {1, 4}) {
-        actcomp::core::set_num_threads(threads);
-        const ts::Tensor got = ts::permute(a, perm);
-        ASSERT_EQ(got.shape(), oracle.shape());
-        std::ostringstream label;
-        label << shape.str() << " perm";
-        for (const int ax : perm) label << ' ' << ax;
-        EXPECT_EQ(float_bits(got), want) << label.str() << " t=" << threads;
-      }
-    }
-  }
-  actcomp::core::set_num_threads(saved_threads);
+TEST(Ops, MatmulReadsTransposedOperands) {
+  // A stored (k, m) and B stored (n, k), read in place, give the bytes of
+  // the product of explicit transposes.
+  ts::Generator gen(4);
+  const ts::Tensor at = gen.normal(ts::Shape{5, 3});  // A^T
+  const ts::Tensor bt = gen.normal(ts::Shape{2, 5});  // B^T
+  const ts::Tensor a = transposed(at);
+  const ts::Tensor b = transposed(bt);
+  const ts::Tensor want = ts::matmul2d(a, b);
+  EXPECT_EQ(ts::max_abs_diff(ts::matmul2d(at, b, true, false), want), 0.0f);
+  EXPECT_EQ(ts::max_abs_diff(ts::matmul2d(a, bt, false, true), want), 0.0f);
+  EXPECT_EQ(ts::max_abs_diff(ts::matmul2d(at, bt, true, true), want), 0.0f);
+  EXPECT_THROW(ts::matmul2d(at, b), std::invalid_argument);  // (5,3) x (5,2)
 }
 
-// ---------- reductions / softmax ----------
+// ---------- reductions / log-softmax ----------
 
 TEST(Ops, Reductions) {
   ts::Tensor a(ts::Shape{2, 3}, {1, 2, 3, 4, 5, 6});
@@ -353,13 +275,14 @@ TEST(Ops, ArgmaxLast) {
 }
 
 TEST(Ops, SoftmaxRowsSumToOne) {
+  // exp(log_softmax) is the softmax: every row is a distribution.
   ts::Generator gen(6);
   ts::Tensor a = gen.normal(ts::Shape{5, 7}, 0.0f, 3.0f);
-  const ts::Tensor s = ts::softmax_last(a);
+  const ts::Tensor ls = ts::log_softmax_last(a);
   for (int64_t r = 0; r < 5; ++r) {
     double sum = 0;
     for (int64_t c = 0; c < 7; ++c) {
-      const float v = s.at({r, c});
+      const float v = std::exp(ls.at({r, c}));
       EXPECT_GE(v, 0.0f);
       sum += v;
     }
@@ -369,16 +292,27 @@ TEST(Ops, SoftmaxRowsSumToOne) {
 
 TEST(Ops, SoftmaxNumericallyStableForLargeLogits) {
   ts::Tensor a(ts::Shape{1, 3}, {1000.0f, 1000.0f, 1000.0f});
-  const ts::Tensor s = ts::softmax_last(a);
-  for (int64_t c = 0; c < 3; ++c) EXPECT_NEAR(s.at({0, c}), 1.0f / 3, 1e-6f);
+  const ts::Tensor ls = ts::log_softmax_last(a);
+  // 1000 + log 3 rounds to float's spacing near 1000, 6.1e-5.
+  for (int64_t c = 0; c < 3; ++c) {
+    EXPECT_NEAR(ls.at({0, c}), -std::log(3.0f), 1e-4f);
+  }
 }
 
 TEST(Ops, LogSoftmaxConsistentWithSoftmax) {
   ts::Generator gen(7);
   ts::Tensor a = gen.normal(ts::Shape{4, 6});
   ts::Tensor ls = ts::log_softmax_last(a);
-  const ts::Tensor s = ts::softmax_last(a);
   for (float& v : ls.data()) v = std::exp(v);
+  // The textbook softmax, row by row in double.
+  ts::Tensor s{a.shape()};
+  for (int64_t r = 0; r < 4; ++r) {
+    double z = 0.0;
+    for (int64_t c = 0; c < 6; ++c) z += std::exp(static_cast<double>(a.at({r, c})));
+    for (int64_t c = 0; c < 6; ++c) {
+      s.at({r, c}) = static_cast<float>(std::exp(static_cast<double>(a.at({r, c}))) / z);
+    }
+  }
   EXPECT_TRUE(ts::allclose(ls, s, 1e-4f, 1e-5f));
 }
 
@@ -578,7 +512,7 @@ TEST(Svd, TransposeInvariant) {
   ts::Generator gen(9);
   ts::Tensor a = gen.normal(ts::Shape{15, 6});
   const auto sv1 = ts::singular_values(a);
-  const auto sv2 = ts::singular_values(ts::transpose_last2(a));
+  const auto sv2 = ts::singular_values(transposed(a));
   ASSERT_EQ(sv1.size(), sv2.size());
   for (size_t i = 0; i < sv1.size(); ++i) EXPECT_NEAR(sv1[i], sv2[i], 1e-3f);
 }

@@ -20,10 +20,12 @@ The current run must also carry the codec records of the serialize path:
 `topk(...)` and `randk(...)` encode/decode, and at least one `lossless(...)`
 record (the per-tier encode/decode GB/s of standard_lossless_codecs(), see
 WIRE_FORMATS.md §6); the `gemm_small_<tier>` records, the in-place GEMMs
-of decode and the attention products; and the `gemm_edge_<tier>` records,
-the packed GEMM whose ragged right edge runs on the edge block — their
-silent disappearance from kernels_bench would otherwise leave those kernels
-ungated.
+of decode and the attention products; the `gemm_edge_<tier>` records, the
+packed GEMM whose ragged right edge runs on the edge block; and the strided
+operands, `gemm_at_<tier>` and `gemm_bt_<tier>` (a Linear backward's
+transposed A and B) and `gemm_kcache_<tier>` (decode's score product over
+the KV cache's Kᵀ rows) — their silent disappearance from kernels_bench
+would otherwise leave those kernels ungated.
 
 Usage: check_kernel_perf.py BASELINE.json CURRENT.json [threshold_pct]
 """
@@ -33,7 +35,8 @@ import os
 import sys
 
 # Op families the current run must measure (op-name prefixes).
-REQUIRED_OPS = ("topk(", "randk(", "lossless(", "gemm_small_", "gemm_edge_")
+REQUIRED_OPS = ("topk(", "randk(", "lossless(", "gemm_small_", "gemm_edge_",
+                "gemm_at_", "gemm_bt_", "gemm_kcache_")
 
 
 def kernel_records(path):
