@@ -40,6 +40,13 @@
 
 namespace actcomp::tensor::kernels {
 
+// One Adam/AdamW step's scalars: the learning rate, the moment decays,
+// eps, the decoupled weight decay and the two bias corrections
+// 1 - beta^t.
+struct AdamStep {
+  float lr, beta1, beta2, eps, weight_decay, bc1, bc2;
+};
+
 struct KernelTable {
   // Tier this table implements ("scalar" | "avx2" | "avx512").
   const char* name;
@@ -105,6 +112,13 @@ struct KernelTable {
   // out[c] = lo + q[c] * scale.
   void (*quant_dequantize_row)(const uint8_t* q, int64_t cols, float lo,
                                float scale, float* out);
+
+  // ---- optimizer ----
+  // One Adam step on elements [lo, hi), each in this order:
+  // m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, then
+  // w -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*w).
+  void (*adam_update)(float* w, const float* g, float* m, float* v, int64_t lo,
+                      int64_t hi, AdamStep s);
 };
 
 /// The table for the currently active tier (core::simd_isa()).

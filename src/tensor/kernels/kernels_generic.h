@@ -208,6 +208,20 @@ static inline void quant_dequantize_row(const uint8_t* q, int64_t cols, float lo
   }
 }
 
+// ---- optimizer ----
+
+// std::sqrt vectorizes only because every kernel TU is -fno-math-errno.
+static inline void adam_update(float* w, const float* g, float* m, float* v,
+                               int64_t lo, int64_t hi, AdamStep s) {
+  for (int64_t i = lo; i < hi; ++i) {
+    m[i] = s.beta1 * m[i] + (1.0f - s.beta1) * g[i];
+    v[i] = s.beta2 * v[i] + (1.0f - s.beta2) * g[i] * g[i];
+    const float mhat = m[i] / s.bc1;
+    const float vhat = v[i] / s.bc2;
+    w[i] -= s.lr * (mhat / (std::sqrt(vhat) + s.eps) + s.weight_decay * w[i]);
+  }
+}
+
 // ---- the table ----
 
 // Every entry points at this TU's copy of the loops above; a SIMD tier
@@ -234,6 +248,7 @@ static inline KernelTable table(const char* name,
       .fp16_round_trip = fp16_round_trip,
       .quant_quantize_row = quant_quantize_row,
       .quant_dequantize_row = quant_dequantize_row,
+      .adam_update = adam_update,
   };
 }
 

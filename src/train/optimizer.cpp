@@ -2,9 +2,20 @@
 
 #include <cmath>
 
+#include "core/threadpool.h"
 #include "tensor/check.h"
+#include "tensor/kernels/kernel_table.h"
 
 namespace actcomp::train {
+
+namespace {
+
+// Elements per parallel_for chunk for the optimizer's elementwise passes.
+// Every element's arithmetic is independent of its chunk, so bytes do not
+// depend on the lane count.
+constexpr int64_t kOptimizerGrain = 1 << 14;
+
+}  // namespace
 
 Adam::Adam(const std::vector<autograd::Variable>& params, float lr, float beta1,
            float beta2, float eps, float weight_decay)
@@ -34,10 +45,13 @@ float Adam::clip_grad_norm(float max_norm) {
   const float norm = static_cast<float>(std::sqrt(total));
   if (norm > max_norm) {
     const float scale = max_norm / (norm + 1e-12f);
+    const auto ew_scale = tensor::kernels::active_kernels().ew_scale;
     for (auto& p : params_) {
       if (!p.has_grad()) continue;
       // grad() is const; scale through the node.
-      for (float& g : p.node()->grad.data()) g *= scale;
+      float* g = p.node()->grad.data().data();
+      core::parallel_for(0, p.grad().numel(), kOptimizerGrain,
+                         [&](int64_t lo, int64_t hi) { ew_scale(g, scale, lo, hi); });
     }
   }
   return norm;
@@ -49,8 +63,11 @@ void Adam::step() {
     v_.resize(params_.size());
   }
   ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const tensor::kernels::AdamStep s{
+      lr_, beta1_, beta2_, eps_, weight_decay_,
+      1.0f - std::pow(beta1_, static_cast<float>(t_)),
+      1.0f - std::pow(beta2_, static_cast<float>(t_))};
+  const auto adam_update = tensor::kernels::active_kernels().adam_update;
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];
     if (!p.has_grad()) continue;
@@ -58,17 +75,12 @@ void Adam::step() {
       m_[i] = tensor::Tensor::zeros(p.value().shape());
       v_[i] = tensor::Tensor::zeros(p.value().shape());
     }
-    auto w = p.mutable_value().data();
-    const auto g = p.grad().data();
-    auto m = m_[i].data();
-    auto v = v_[i].data();
-    for (size_t j = 0; j < w.size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
-      const float mhat = m[j] / bc1;
-      const float vhat = v[j] / bc2;
-      w[j] -= lr_ * (mhat / (std::sqrt(vhat) + eps_) + weight_decay_ * w[j]);
-    }
+    float* w = p.mutable_value().data().data();
+    const float* g = p.grad().data().data();
+    float* m = m_[i].data().data();
+    float* v = v_[i].data().data();
+    core::parallel_for(0, m_[i].numel(), kOptimizerGrain,
+                       [&](int64_t lo, int64_t hi) { adam_update(w, g, m, v, lo, hi, s); });
   }
 }
 

@@ -811,3 +811,67 @@ TEST(SimdIdentity, ElementwiseBytesMatchScalarAcrossTiers) {
     }
   });
 }
+
+// Adam's update through each tier's table, in parallel_for chunks at 1 and
+// 4 lanes, against the scalar loop Adam::step ran before the update became
+// a kernel entry, kept here verbatim as the oracle. The gradients carry ±0,
+// subnormals and magnitudes whose square overflows to +Inf, so v saturates
+// and the step divides by an infinite root.
+TEST(SimdIdentity, AdamUpdateMatchesScalarLoop) {
+  ThreadGuard tguard;
+  constexpr int64_t n = 40009;  // ragged for every vector width
+  constexpr float lr = 1e-3f, beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f, wd = 0.01f;
+  constexpr float kSpecial[] = {0.0f, -0.0f, std::numeric_limits<float>::denorm_min(),
+                                -1e-40f, 3e38f, -1e20f, 1e19f, -2.5e-39f};
+  ts::Generator gen(55);
+  const ts::Tensor w0 = gen.normal(ts::Shape{n});
+  std::vector<std::vector<float>> grads;
+  for (int step = 0; step < 3; ++step) {
+    const ts::Tensor t = gen.normal(ts::Shape{n}, 0.0f, 0.5f);
+    std::vector<float> g(t.data().begin(), t.data().end());
+    for (int64_t i = step; i < n; i += 13) g[static_cast<size_t>(i)] = kSpecial[(i / 13) % 8];
+    grads.push_back(std::move(g));
+  }
+  const auto bias_corrections = [&](int t) {
+    return std::pair{1.0f - std::pow(beta1, static_cast<float>(t)),
+                     1.0f - std::pow(beta2, static_cast<float>(t))};
+  };
+  // want[s] is {w, m, v} after step s + 1.
+  std::vector<std::array<std::vector<float>, 3>> want;
+  std::vector<float> w(w0.data().begin(), w0.data().end()), m(n, 0.0f), v(n, 0.0f);
+  for (int step = 0; step < 3; ++step) {
+    const auto [bc1, bc2] = bias_corrections(step + 1);
+    const std::vector<float>& g = grads[static_cast<size_t>(step)];
+    for (size_t j = 0; j < w.size(); ++j) {
+      m[j] = beta1 * m[j] + (1.0f - beta1) * g[j];
+      v[j] = beta2 * v[j] + (1.0f - beta2) * g[j] * g[j];
+      const float mhat = m[j] / bc1;
+      const float vhat = v[j] / bc2;
+      w[j] -= lr * (mhat / (std::sqrt(vhat) + eps) + wd * w[j]);
+    }
+    want.push_back({w, m, v});
+  }
+  ASSERT_TRUE(std::isinf(want[0][2][static_cast<size_t>(4 * 13)]));  // 3e38^2 saturates v
+
+  for_each_supported_isa([&](core::SimdIsa isa) {
+    const ts::kernels::KernelTable& kt = ts::kernels::kernels_for_tier(static_cast<int>(isa));
+    for (const int threads : {1, 4}) {
+      core::set_num_threads(threads);
+      std::vector<float> gw(w0.data().begin(), w0.data().end()), gm(n, 0.0f), gv(n, 0.0f);
+      for (int step = 0; step < 3; ++step) {
+        const auto [bc1, bc2] = bias_corrections(step + 1);
+        const ts::kernels::AdamStep s{lr, beta1, beta2, eps, wd, bc1, bc2};
+        const float* g = grads[static_cast<size_t>(step)].data();
+        core::parallel_for(0, n, 1000, [&](int64_t lo, int64_t hi) {
+          kt.adam_update(gw.data(), g, gm.data(), gv.data(), lo, hi, s);
+        });
+        const std::string what = std::string(kt.name) + " t=" + std::to_string(threads) +
+                                 " step " + std::to_string(step + 1);
+        const auto& [ww, wm, wv] = want[static_cast<size_t>(step)];
+        EXPECT_EQ(first_byte_mismatch(gw, ww), -1) << what << " w";
+        EXPECT_EQ(first_byte_mismatch(gm, wm), -1) << what << " m";
+        EXPECT_EQ(first_byte_mismatch(gv, wv), -1) << what << " v";
+      }
+    }
+  });
+}
