@@ -13,10 +13,12 @@ namespace {
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
 SimdIsa probe_host() {
-  // The AVX2 tier also uses F16C for the fp16 kernels, so both must be
-  // present before we leave scalar; AVX-512 additionally needs the
-  // foundation subset (the kernels use no BW/DQ/VL instructions).
-  if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("f16c")) {
+  // The AVX2 tier also uses F16C for the fp16 kernels and FMA for the
+  // GEMM tile, so all three must be present before we leave scalar;
+  // AVX-512 additionally needs the foundation subset (the kernels use no
+  // BW/DQ/VL instructions).
+  if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("f16c") ||
+      !__builtin_cpu_supports("fma")) {
     return SimdIsa::kScalar;
   }
   if (__builtin_cpu_supports("avx512f")) return SimdIsa::kAvx512;

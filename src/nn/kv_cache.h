@@ -18,9 +18,11 @@
 // the cache reproduces the full-sequence causal forward byte-for-byte at
 // every prefix length and at any thread count. This works because every
 // kernel on the path accumulates per output element as a left fold in
-// ascending reduction order regardless of tensor shape, and the causal mask
-// uses -inf (exp(-inf) == 0.0 exactly), so a query's softmax row and context
-// sum are unchanged by the trailing positions it cannot see.
+// ascending reduction order regardless of tensor shape (the GEMM with one
+// fused multiply-add per step, everything else mul-then-add), and the
+// causal mask uses -inf (exp(-inf) == 0.0 exactly), so a query's softmax
+// row and context sum are unchanged by the trailing positions it cannot
+// see.
 #pragma once
 
 #include <cstdint>

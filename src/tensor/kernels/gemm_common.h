@@ -3,11 +3,13 @@
 //
 // VecTile<W, MR> is the micro-tile: MR rows of C, each held in two GNU
 // vectors of W floats, so the tile is kNR = 2W columns wide. Each k step
-// adds s * b to both vectors of a row, with that row's A scalar splatted;
-// -ffp-contract=off keeps the multiply and the add apart. Each tier's TU
-// instantiates the tile at its own vector width under its own -m flags:
-// W = 4, MR = 6 (6x8) in the scalar TU (SSE2 xmm), W = 8, MR = 5 (5x16) in
-// the AVX2 TU (ymm), W = 16, MR = 8 (8x32) in the AVX-512 TU (zmm).
+// is one fused multiply-add, acc = fma(s, b, acc), into both vectors of a
+// row, with that row's A scalar s splatted: _mm512_fmadd_ps at W = 16,
+// _mm256_fmadd_ps at W = 8 and std::fma per lane in the scalar TU, which
+// has no -mfma. Each tier's TU instantiates the tile at its own vector
+// width under its own -m flags: W = 4, MR = 6 (6x8) in the scalar TU (SSE2
+// xmm), W = 8, MR = 5 (5x16) in the AVX2 TU (ymm), W = 16, MR = 8 (8x32) in
+// the AVX-512 TU (zmm).
 //
 // gemm_into_t owns everything else: the row / k-block / panel loop, B
 // packing and the right edge. Operands are BLIS-style general strides:
@@ -20,9 +22,9 @@
 // pool: each "panel" points straight into B (ldb = rsb) when B's columns
 // are contiguous (csb == 1), and otherwise B is packed serially first.
 // Determinism: every C element is owned by one row chunk, starts from +0,
-// and takes its mul-then-add steps in ascending k order whatever the tile
-// shape, so the three tiers are bit-identical to each other, to any thread
-// count and to the textbook i-k-j loop (no FMA).
+// and takes one correctly rounded fused multiply-add per k in ascending k
+// order whatever the tile shape, so the three tiers are bit-identical to
+// each other, to any thread count and to the i-k-j loop with std::fma.
 //
 // Linkage note: VecTile lives in this header's anonymous namespace, which
 // makes every template instantiated with it TU-local. That is deliberate —
@@ -34,8 +36,13 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
+
+#if defined(__FMA__) || defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 #include "core/threadpool.h"
 
@@ -60,6 +67,22 @@ struct VecTile {
   typedef float vec_u
       __attribute__((vector_size(4 * W), aligned(4), may_alias));
 
+  // s * b + c in every lane, rounded once: the tier's FMA instruction, or
+  // std::fma per lane where the TU has none (the scalar tier). V is always
+  // vec; GCC drops a dependent vector_size from a member's signature, so
+  // the type is deduced instead.
+  template <class V>
+  static V fmadd(float s, V b, V c) {
+#if defined(__AVX512F__)
+    if constexpr (W == 16) return _mm512_fmadd_ps(_mm512_set1_ps(s), b, c);
+#endif
+#if defined(__FMA__)
+    if constexpr (W == 8) return _mm256_fmadd_ps(_mm256_set1_ps(s), b, c);
+#endif
+    for (int l = 0; l < W; ++l) c[l] = std::fma(s, b[l], c[l]);
+    return c;
+  }
+
   // c[0, R) x [0, kNR) from a (R x kc, strides rsa / csa) times b (kc x
   // kNR, rows ldb apart), starting from +0 when FIRST and from c otherwise.
   template <int R, bool FIRST>
@@ -81,8 +104,8 @@ struct VecTile {
       const float* ak = a + kk * csa;
       for (int r = 0; r < R; ++r) {
         const float s = ak[r * rsa];
-        acc[r][0] = acc[r][0] + s * b0;
-        acc[r][1] = acc[r][1] + s * b1;
+        acc[r][0] = fmadd(s, b0, acc[r][0]);
+        acc[r][1] = fmadd(s, b1, acc[r][1]);
       }
     }
     for (int r = 0; r < R; ++r) {
@@ -118,9 +141,10 @@ void pack_b_panels(const float* b, int64_t rsb, int64_t csb, int64_t k,
   }
 }
 
-// Right edge read in place, when n % NR != 0: the same k order over only
-// the w live columns, so no read runs past B's last row or C's row end.
-// Scalar is fine here — the edge covers at most NR-1 of n columns.
+// Right edge read in place, when n % NR != 0: the same k order and the
+// same fused step over only the w live columns, so no read runs past B's
+// last row or C's row end. Scalar is fine here — the edge covers at most
+// NR-1 of n columns.
 template <class P, int MR>
 void gemm_micro_edge(const float* a, int64_t rsa, int64_t csa, const float* b,
                      int64_t ldb, float* c, int64_t ldc, int64_t kc, int64_t w,
@@ -134,7 +158,9 @@ void gemm_micro_edge(const float* a, int64_t rsa, int64_t csa, const float* b,
     const float* ak = a + kk * csa;
     for (int r = 0; r < MR; ++r) {
       const float av = ak[r * rsa];
-      for (int64_t j = 0; j < w; ++j) acc[r][j] += av * bk[j];
+      for (int64_t j = 0; j < w; ++j) {
+        acc[r][j] = std::fma(av, bk[j], acc[r][j]);
+      }
     }
   }
   for (int r = 0; r < MR; ++r) {

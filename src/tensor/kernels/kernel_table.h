@@ -8,8 +8,8 @@
 // at runtime — release builds no longer depend on the build host's ISA.
 // The table holds only what the library's ops call: the GEMM, the bias
 // and mask arithmetic, softmax's scale and shift, GELU, the layernorm
-// passes, fp16 and the quantizer. An entry only tests reach is deleted
-// with its op, since every tier compiles and vets each one.
+// passes, fp16, the quantizer and Adam's update. An entry only tests reach
+// is deleted with its op, since every tier compiles and vets each one.
 //
 // Every tier's table starts as `generic::table()` (kernels_generic.h): the
 // portable loops, compiled in that tier's TU under its own -m flags, so the
@@ -22,9 +22,12 @@
 //
 // Identity contract: every entry produces bytes identical to the scalar
 // tier. The mechanics:
-//   * No FMA anywhere (all kernel TUs are -ffp-contract=off, and the
-//     intrinsic kernels spell mul-then-add explicitly), so per-element
-//     rounding matches the documented scalar order.
+//   * The GEMM fuses and nothing else does. Each k step of the GEMM is one
+//     correctly rounded fused multiply-add on every tier: the FMA
+//     instruction on AVX2 and AVX-512, std::fma on the scalar tier. Every
+//     other kernel keeps its documented mul-then-add order: all kernel TUs
+//     are -ffp-contract=off, and the intrinsic kernels spell mul-then-add
+//     explicitly.
 //   * Accumulations keep the scalar order (GEMM walks k ascending per C
 //     element; moments accumulate columns ascending with one row per SIMD
 //     lane), which is lane-count independent.
@@ -53,13 +56,13 @@ struct KernelTable {
 
   // ---- GEMM ----
   // c (m x n) = a (m x k) * b (k x n) through the tier's register tile,
-  // walking k ascending per C element. A and B take general strides:
-  // element (i, j) of A is a[i * rsa + j * csa] and of B b[i * rsb +
-  // j * csb], so a transposed operand, or one head's column block of a
-  // wider matrix, is read in place. C's rows are ldc >= n apart, and
-  // columns [n, ldc) are never touched. For k >= 1 every C element is
-  // written from +0 and c's prior contents are never read; for k == 0 c is
-  // left untouched. Above kSimpleGemmFlops it packs B into panels and
+  // one fused multiply-add per k, walking k ascending per C element. A and
+  // B take general strides: element (i, j) of A is a[i * rsa + j * csa]
+  // and of B b[i * rsb + j * csb], so a transposed operand, or one head's
+  // column block of a wider matrix, is read in place. C's rows are
+  // ldc >= n apart, and columns [n, ldc) are never touched. For k >= 1
+  // every C element is written from +0 and c's prior contents are never
+  // read; for k == 0 c is left untouched. Above kSimpleGemmFlops it packs B into panels and
   // parallelizes rows. At or below it runs on the caller's thread and never
   // enters the pool, so callers may run it inside their own parallel_for:
   // it reads B in place when csb == 1 and packs B serially otherwise.

@@ -1,12 +1,13 @@
-// AVX2 kernel tier. Compiled with -mavx2 -mf16c -O3 -ffp-contract=off;
-// selected at runtime only when cpuid reports both features (core/simd.cpp),
-// so the EVEX-free 256-bit code here never executes on a narrower host.
-// Its GEMM is gemm_common.h's VecTile at 8-float (ymm) vectors, 5x16: 10
+// AVX2 kernel tier. Compiled with -mavx2 -mf16c -mfma -O3
+// -ffp-contract=off; selected at runtime only when cpuid reports all three
+// features (core/simd.cpp), so the EVEX-free 256-bit code here never
+// executes on a narrower host. Its GEMM is gemm_common.h's VecTile at
+// 8-float (ymm) vectors, 5x16, one _mm256_fmadd_ps per k step: 10
 // accumulators, 2 B columns and 1 broadcast stay inside the 16-register
 // file.
 #include "tensor/kernels/tiers.h"
 
-#if defined(__AVX2__) && defined(__F16C__)
+#if defined(__AVX2__) && defined(__F16C__) && defined(__FMA__)
 
 #include "tensor/kernels/gemm_common.h"
 #include "tensor/kernels/kernels_avx2_inl.h"

@@ -13,7 +13,8 @@
 // host.
 //
 // Identity rules applied throughout (see kernel_table.h):
-//   * mul-then-add spelled explicitly, no FMA intrinsics;
+//   * mul-then-add spelled explicitly, no FMA intrinsics (only the GEMM
+//     tile fuses);
 //   * remainders run the generic loop (or its exact expression);
 //   * semantic gaps (NaN payloads through F16C, ±0 ties through
 //     min/max_ps, non-finite quantizer inputs) are detected per block and

@@ -1,14 +1,16 @@
-// AVX-512 kernel tier. Compiled with -mavx512f -mavx2 -mf16c -O3
+// AVX-512 kernel tier. Compiled with -mavx512f -mavx2 -mf16c -mfma -O3
 // -ffp-contract=off; selected at runtime only when cpuid reports AVX-512F
-// (core/simd.cpp). Foundation instructions only — no BW/DQ/VL — so the
-// 16-bit lane work (fp16 NaN screening, quantizer byte packing) stays on
-// the 128/256-bit units via the shared avx2 implementations, which this TU
-// compiles as its own internal copies. Its GEMM is gemm_common.h's VecTile
-// at 16-float (zmm) vectors, 8x32: 16 accumulators, 2 B columns and 1
-// broadcast use 19 of the 32 zmm registers.
+// on top of the AVX2 tier's features (core/simd.cpp). Foundation
+// instructions only — no BW/DQ/VL — so the 16-bit lane work (fp16 NaN
+// screening, quantizer byte packing) stays on the 128/256-bit units via the
+// shared avx2 implementations, which this TU compiles as its own internal
+// copies. Its GEMM is gemm_common.h's VecTile
+// at 16-float (zmm) vectors, 8x32, one _mm512_fmadd_ps per k step: 16
+// accumulators, 2 B columns and 1 broadcast use 19 of the 32 zmm registers.
 #include "tensor/kernels/tiers.h"
 
-#if defined(__AVX512F__) && defined(__AVX2__) && defined(__F16C__)
+#if defined(__AVX512F__) && defined(__AVX2__) && defined(__F16C__) && \
+    defined(__FMA__)
 
 #include <immintrin.h>
 

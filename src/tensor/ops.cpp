@@ -127,8 +127,8 @@ Tensor gelu_grad(const Tensor& a) {
 // The GEMM driver and per-ISA micro-tiles live in tensor/kernels
 // (gemm_common.h + the per-tier TUs); matmul dispatches through the active
 // kernel table. Every tier walks k in ascending order per C element with
-// mul-then-add, so results are bit-identical across tiers, thread counts
-// and shapes on either side of kSimpleGemmFlops.
+// one fused multiply-add per step, so results are bit-identical across
+// tiers, thread counts and shapes on either side of kSimpleGemmFlops.
 
 Tensor matmul2d(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   ACTCOMP_CHECK(a.rank() == 2 && b.rank() == 2,

@@ -51,7 +51,9 @@ float Adam::clip_grad_norm(float max_norm) {
       // grad() is const; scale through the node.
       float* g = p.node()->grad.data().data();
       core::parallel_for(0, p.grad().numel(), kOptimizerGrain,
-                         [&](int64_t lo, int64_t hi) { ew_scale(g, scale, lo, hi); });
+                         [&](int64_t lo, int64_t hi) {
+                           ew_scale(g, scale, lo, hi);
+                         });
     }
   }
   return norm;
@@ -80,7 +82,9 @@ void Adam::step() {
     float* m = m_[i].data().data();
     float* v = v_[i].data().data();
     core::parallel_for(0, m_[i].numel(), kOptimizerGrain,
-                       [&](int64_t lo, int64_t hi) { adam_update(w, g, m, v, lo, hi, s); });
+                       [&](int64_t lo, int64_t hi) {
+                         adam_update(w, g, m, v, lo, hi, s);
+                       });
   }
 }
 

@@ -254,8 +254,8 @@ TEST(SimdDispatch, TierNamesAreStable) {
 namespace {
 
 // The definition every tier's GEMM must reproduce byte for byte: the
-// streaming i-k-j loop the small shapes once ran, kept verbatim. Each C
-// element starts from +0 and adds a*b in ascending k, mul-then-add.
+// streaming i-k-j loop. Each C element starts from +0 and takes one fused
+// multiply-add per k, in ascending k.
 void gemm_reference(const float* a, const float* b, float* c, int64_t m,
                     int64_t k, int64_t n) {
   for (int64_t i = 0; i < m; ++i) {
@@ -264,8 +264,31 @@ void gemm_reference(const float* a, const float* b, float* c, int64_t m,
     for (int64_t kk = 0; kk < k; ++kk) {
       const float av = a_row[kk];
       const float* b_row = b + kk * n;
-      for (int64_t j = 0; j < n; ++j) c_row[j] += av * b_row[j];
+      for (int64_t j = 0; j < n; ++j) c_row[j] = std::fma(av, b_row[j], c_row[j]);
     }
+  }
+}
+
+// Plants, for k >= 2, an operand pair whose fused and unfused sums differ:
+// B's columns 0 and n - 1 are zero except at k = 0, where they hold
+// 1 + 2^-11, and at k - 1, where they hold 1 + 2^-12; A's rows 0 and m - 1
+// hold -1 and 1 + 2^-12 there. Each of C's corners then sums -(1 + 2^-11)
+// and (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24, which is 2^-24 fused and +0 with
+// the product rounded first. Column 0 lies in a full tile once n is a tile
+// wide and column n - 1 in the edge when n is ragged, so the pair reaches
+// the tile and the edge, in place and packed.
+void plant_fused_pair(ts::Tensor& a, ts::Tensor& b) {
+  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  if (k < 2) return;
+  const float p11 = 1.0f + std::ldexp(1.0f, -11), p12 = 1.0f + std::ldexp(1.0f, -12);
+  for (const int64_t j : {int64_t{0}, n - 1}) {
+    for (int64_t kk = 0; kk < k; ++kk) b.at({kk, j}) = 0.0f;
+    b.at({0, j}) = p11;
+    b.at({k - 1, j}) = p12;
+  }
+  for (const int64_t i : {int64_t{0}, m - 1}) {
+    a.at({i, 0}) = -1.0f;
+    a.at({i, k - 1}) = p12;
   }
 }
 
@@ -318,13 +341,18 @@ TEST(SimdIdentity, MatmulBytesMatchScalarAcrossTiers) {
   }
   for (const auto& s : shapes) {
     const int64_t m = s[0], k = s[1], n = s[2];
-    const ts::Tensor a = gemm_operand(gen, ts::Shape{m, k});
-    const ts::Tensor b = gemm_operand(gen, ts::Shape{k, n});
+    ts::Tensor a = gemm_operand(gen, ts::Shape{m, k});
+    ts::Tensor b = gemm_operand(gen, ts::Shape{k, n});
+    plant_fused_pair(a, b);
     const ts::Tensor at = transposed(a);  // (k, m)
     const ts::Tensor bt = transposed(b);  // (n, k)
     ts::Tensor want(ts::Shape{m, n});
     gemm_reference(a.data().data(), b.data().data(), want.data().data(), m, k,
                    n);
+    if (k >= 2) {
+      ASSERT_EQ(want.at({0, 0}), std::ldexp(1.0f, -24));
+      ASSERT_EQ(want.at({m - 1, n - 1}), std::ldexp(1.0f, -24));
+    }
     const auto ref = tensor_bytes(want);
     for_each_supported_isa([&](core::SimdIsa isa) {
       IsaGuard guard(isa);
