@@ -283,7 +283,9 @@ void bench_gelu_tiers() {
 // buffers so the loop itself is timed, not the op's allocation or
 // parallel_for: ew_add same-shape and with a [128] bias broadcast at
 // decode's [4·128] and pretrain's [512·128] activations, the layernorm pair
-// at [512, 128], the fp16 round trip over a [512·1024] wire tensor
+// at [512, 128], row_max over softmax-length rows (4096 rows of 96, decode's
+// longest score rows), row_minmax over the quantizer's [512, 1024] rows,
+// the fp16 round trip over a [512·1024] wire tensor
 // (memory-bound), and fp16 encode and decode over one 8192-element chunk,
 // the unit the wire path's fp16 streams convert in (cache-resident). Each
 // rep runs the entry over ~4M elements; a tier whose loop stops vectorizing
@@ -331,6 +333,16 @@ void bench_table_tiers() {
     record("ln_xhat", "512x128", 4.0 * static_cast<double>(2 * n + 2 * 512),
            time_entry(n, [&] {
              k.ln_xhat(a, mean.data(), rstd.data(), out.data(), 0, 512, 128);
+           }));
+    record("row_max", "4096x96", 4.0 * (4096 * 96 + 4096),
+           time_entry(4096 * 96, [&] {
+             for (int64_t r = 0; r < 4096; ++r) out.data()[r] = k.row_max(a + r * 96, 96);
+           }));
+    record("row_minmax", "512x1024", 4.0 * (512 * 1024 + 2 * 512),
+           time_entry(512 * 1024, [&] {
+             for (int64_t r = 0; r < 512; ++r) {
+               k.row_minmax(a + r * 1024, 1024, mean.data() + r, rstd.data() + r);
+             }
            }));
     record("fp16_round_trip", "512x1024", 8.0 * static_cast<double>(x.numel()),
            time_entry(x.numel(), [&] {

@@ -16,12 +16,8 @@ using detail::Node;
 
 namespace {
 
-// Chunking for parallel backward kernels; mirrors the grains in tensor/ops.
-constexpr int64_t kEwGrain = 1 << 13;
-
-int64_t row_grain(int64_t cols) {
-  return std::max<int64_t>(1, kEwGrain / std::max<int64_t>(1, cols));
-}
+using core::kEwGrain;
+using core::row_grain;
 
 // Sum `g` (shaped like the broadcast output) down to `target` (the smaller,
 // right-aligned operand shape): g viewed as [rows, numel(target)], summed

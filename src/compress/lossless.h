@@ -165,8 +165,6 @@ class StackedCompressor : public Compressor {
   bool allreduce_compatible() const override { return false; }
   std::vector<autograd::Variable> parameters() override;
 
-  Compressor& inner() { return *inner_; }
-
  protected:
   CompressedMessage do_encode(const tensor::Tensor& x) override;
   tensor::Tensor do_decode(const CompressedMessage& msg) const override;

@@ -21,12 +21,7 @@ std::pair<int64_t, int64_t> rows_cols(const tensor::Shape& s) {
   return {cols == 0 ? 0 : s.numel() / cols, cols};
 }
 
-// Rows per parallel chunk for the per-row quantize kernels.
-constexpr int64_t kRowGrainElems = int64_t{1} << 13;
-
-int64_t row_grain(int64_t cols) {
-  return std::max<int64_t>(1, kRowGrainElems / std::max<int64_t>(1, cols));
-}
+using core::row_grain;
 }  // namespace
 
 QuantizeCompressor::QuantizeCompressor(int bits)

@@ -15,10 +15,7 @@
 
 namespace actcomp::compress {
 
-namespace {
-// Elements per parallel chunk for the gather/scatter loops.
-constexpr int64_t kEwGrain = int64_t{1} << 13;
-}  // namespace
+using core::kEwGrain;
 
 RandomKCompressor::RandomKCompressor(double fraction, uint64_t seed)
     : fraction_(fraction), gen_(seed) {

@@ -22,8 +22,7 @@ namespace {
 // chunk, so the selected set is identical for any ACTCOMP_THREADS.
 constexpr int64_t kSelectGrain = int64_t{1} << 15;
 
-// Elements per parallel chunk for the gather/scatter loops.
-constexpr int64_t kEwGrain = int64_t{1} << 13;
+using core::kEwGrain;
 
 /// The selection key of x: the bit pattern of |x|. For non-NaN floats the
 /// unsigned key order is the magnitude order (±0 tie, subnormals and ±Inf

@@ -5,11 +5,7 @@
 
 namespace actcomp::compress::wire {
 
-namespace {
-// Elements per parallel chunk for the fp16 streams, the index check and the
-// scatter.
-constexpr int64_t kEwGrain = int64_t{1} << 13;
-}  // namespace
+using core::kEwGrain;
 
 void append_fp16(std::vector<std::byte>& buf, const tensor::Tensor& t) {
   const int64_t n = t.numel();

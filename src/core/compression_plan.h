@@ -32,7 +32,6 @@ struct CompressionPlan {
     return setting != compress::Setting::kBaseline && layer >= first_layer &&
            layer < first_layer + count;
   }
-  int64_t last_layer() const { return first_layer + count - 1; }
 };
 
 }  // namespace actcomp::core

@@ -25,10 +25,22 @@
 // on the calling thread once the job has drained.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 
 namespace actcomp::core {
+
+/// Elements per parallel_for chunk for elementwise and gather/scatter
+/// kernels: large enough that a chunk outweighs the dispatch cost, small
+/// enough to split the biggest activations across the pool.
+inline constexpr int64_t kEwGrain = int64_t{1} << 13;
+
+/// Rows per parallel_for chunk for row-independent kernels over rows of
+/// `cols` elements: about kEwGrain elements per chunk, at least one row.
+inline int64_t row_grain(int64_t cols) {
+  return std::max<int64_t>(1, kEwGrain / std::max<int64_t>(1, cols));
+}
 
 /// Total parallel lanes (workers + caller) the global pool runs with, >= 1.
 int num_threads();

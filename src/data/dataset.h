@@ -25,7 +25,6 @@ class TaskDataset {
 
   int64_t size() const { return static_cast<int64_t>(examples_.size()); }
   TaskId task() const { return task_; }
-  int64_t max_seq() const { return max_seq_; }
 
   /// Pack examples [begin, end) (clamped) into one padded batch.
   LabeledBatch batch(int64_t begin, int64_t end) const;
@@ -33,8 +32,6 @@ class TaskDataset {
   /// All batches of `batch_size`, optionally shuffling example order first.
   std::vector<LabeledBatch> epoch_batches(int64_t batch_size,
                                           tensor::Generator* shuffle_gen) const;
-
-  const Example& example(int64_t i) const { return examples_[static_cast<size_t>(i)]; }
 
  private:
   TaskId task_;

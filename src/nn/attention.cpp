@@ -81,7 +81,7 @@ ag::Variable attend(const ag::Variable& q, const ag::Variable& k,
                  v.value().numel() / b, kt_rs, keys_transposed ? 1 : h};
   const int64_t groups = b * heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(L.dh));
-  const int64_t row_grain = std::max<int64_t>(1, (1 << 13) / total);
+  const int64_t row_grain = core::row_grain(total);
   const ts::kernels::KernelTable& kt = ts::kernels::active_kernels();
 
   ts::Tensor p{ts::Shape{groups, n, total}};  // scores, then probabilities

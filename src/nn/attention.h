@@ -34,7 +34,6 @@ class MultiHeadAttention final : public Module {
   std::vector<NamedParam> named_parameters() const override;
 
   int64_t hidden() const { return hidden_; }
-  int64_t num_heads() const { return heads_; }
 
  private:
   int64_t hidden_;

@@ -148,12 +148,17 @@ ag::Variable BertModel::forward_cached(const std::vector<int64_t>& token_ids,
   ag::Variable x = embed_causal(token_ids, batch, cache.len());
   const int64_t n = x.value().dim(1);
   cache.begin_step(n);
-  for (int64_t i = 0; i < num_layers(); ++i) {
-    x = layers_[static_cast<size_t>(i)]->forward_cached(x, cache, i);
-    const auto it = boundary_comp_.find(i);
-    if (it != boundary_comp_.end()) x = it->second->apply(x);
+  try {
+    for (int64_t i = 0; i < num_layers(); ++i) {
+      x = layers_[static_cast<size_t>(i)]->forward_cached(x, cache, i);
+      const auto it = boundary_comp_.find(i);
+      if (it != boundary_comp_.end()) x = it->second->apply(x);
+    }
+    cache.commit();
+  } catch (...) {
+    cache.abort_step();
+    throw;
   }
-  cache.commit();
   return x;
 }
 

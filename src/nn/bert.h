@@ -65,9 +65,11 @@ class BertModel final : public Module {
 
   /// Incremental inference forward: embeds the n new tokens per sequence at
   /// positions [cache.len(), cache.len()+n), runs every layer over the
-  /// cache, and commits the step. Bit-identical to forward_causal over the
-  /// concatenated token stream at every prefix (tests/kv_cache_test.cpp);
-  /// n == prompt length is the prefill phase, n == 1 the decode phase.
+  /// cache, and commits the step; if anything throws, the step is aborted
+  /// and the cache keeps its committed prefix. Bit-identical to
+  /// forward_causal over the concatenated token stream at every prefix
+  /// (tests/kv_cache_test.cpp); n == prompt length is the prefill phase,
+  /// n == 1 the decode phase.
   autograd::Variable forward_cached(const std::vector<int64_t>& token_ids,
                                     int64_t batch, KvCache& cache) const;
 
@@ -111,7 +113,6 @@ class ClassificationHead final : public Module {
   /// seq_out: [b, s, h] -> logits [b, num_classes].
   autograd::Variable forward(const autograd::Variable& seq_out) const;
   std::vector<NamedParam> named_parameters() const override;
-  int64_t num_classes() const { return classifier_.out_features(); }
 
  private:
   Linear pooler_;

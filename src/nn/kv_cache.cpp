@@ -97,6 +97,11 @@ void KvCache::commit() {
   step_open_ = false;
 }
 
+void KvCache::abort_step() {
+  step_n_ = 0;
+  step_open_ = false;
+}
+
 const KvCache::Slot& KvCache::readable(int64_t layer, int64_t total) const {
   ACTCOMP_CHECK(layer >= 0 && layer < num_layers(),
                 "KvCache: layer " << layer << " out of range [0, " << num_layers()

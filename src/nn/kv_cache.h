@@ -7,12 +7,14 @@
 // cached attention's score GEMM reads in place. Values are stored as
 // [batch, capacity, hidden], so head h's V is a column block with row
 // stride hidden. Attention reads both where they lie: no per-head copy is
-// made, and a step writes only its n new columns and rows. A decode step is a transaction: begin_step(n) reserves n
-// positions (growing storage if needed), each layer append()s its k/v rows as
-// its attention runs, and commit() advances the shared length — so a throw
-// mid-forward leaves the committed prefix intact and the step can simply be
-// retried. The committed length only grows: a new sequence takes a new
-// cache.
+// made, and a step writes only its n new columns and rows. A decode step is
+// a transaction: begin_step(n) reserves n positions (growing storage if
+// needed), each layer append()s its k/v rows as its attention runs, and
+// commit() advances the shared length, or abort_step() drops the step.
+// BertModel::forward_cached aborts its step when anything between
+// begin_step and commit throws, so the cache keeps its committed prefix
+// with no step open, and the step can simply be retried. The committed
+// length only grows: a new sequence takes a new cache.
 //
 // Contract pinned by tests/kv_cache_test.cpp: decoding token-by-token through
 // the cache reproduces the full-sequence causal forward byte-for-byte at
@@ -45,8 +47,6 @@ class KvCache {
   /// Committed positions (== the next position to be written).
   int64_t len() const { return len_; }
   int64_t capacity() const { return cap_; }
-  /// Positions reserved by an open step (0 when no step is open).
-  int64_t pending() const { return step_open_ ? step_n_ : 0; }
 
   /// Opens a step of `n` new positions, growing storage if len()+n exceeds
   /// capacity (growth preserves all committed rows).
@@ -56,6 +56,9 @@ class KvCache {
   void append(int64_t layer, const tensor::Tensor& k, const tensor::Tensor& v);
   /// Commits the open step: every layer must have appended.
   void commit();
+  /// Drops the open step, if any: the committed prefix stays, and the rows
+  /// the step appended are left to the next step to overwrite.
+  void abort_step();
 
   /// Layer `layer`'s storage, which cached attention reads in place, after
   /// checking that its first `total` positions are cached: `keys_t` is

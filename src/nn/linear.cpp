@@ -6,14 +6,15 @@
 namespace actcomp::nn {
 
 Linear::Linear(int64_t in_features, int64_t out_features, tensor::Generator& gen)
-    : in_(in_features), out_(out_features) {
+    : in_(in_features) {
   ACTCOMP_CHECK(in_features > 0 && out_features > 0,
                 "linear dims must be positive: " << in_features << " x "
                                                  << out_features);
   weight_ = autograd::Variable::leaf(
-      tensor::xavier_uniform(gen, tensor::Shape{in_, out_}, in_, out_),
+      tensor::xavier_uniform(gen, tensor::Shape{in_features, out_features},
+                             in_features, out_features),
       /*requires_grad=*/true);
-  bias_ = autograd::Variable::leaf(tensor::Tensor::zeros(tensor::Shape{out_}),
+  bias_ = autograd::Variable::leaf(tensor::Tensor::zeros(tensor::Shape{out_features}),
                                    /*requires_grad=*/true);
 }
 

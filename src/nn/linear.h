@@ -19,13 +19,8 @@ class Linear final : public Module {
 
   std::vector<NamedParam> named_parameters() const override;
 
-  int64_t in_features() const { return in_; }
-  int64_t out_features() const { return out_; }
-  const autograd::Variable& weight() const { return weight_; }
-
  private:
   int64_t in_;
-  int64_t out_;
   autograd::Variable weight_;  // [in, out]
   autograd::Variable bias_;    // [out]
 };

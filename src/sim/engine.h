@@ -74,16 +74,6 @@ class Engine {
   int num_resources() const { return static_cast<int>(resources_.size()); }
   int num_deps() const { return static_cast<int>(dep_edges_.size()); }
 
-  /// Introspection for accounting and property tests (realized times come
-  /// from run()). Throw std::out_of_range on bad ids.
-  int op_resource(int op) const { return ops_.at(static_cast<size_t>(op)).resource; }
-  double op_duration_ms(int op) const {
-    return ops_.at(static_cast<size_t>(op)).duration_ms;
-  }
-  int resource_capacity(int resource) const {
-    return resources_.at(static_cast<size_t>(resource)).capacity;
-  }
-
   /// Executes the DAG to completion and returns per-op realized times.
   /// Throws std::logic_error if the graph cannot make progress (a dependency
   /// cycle, or a kProgramOrder resource whose next op waits on a later one).

@@ -103,7 +103,6 @@ class FaultInjector {
   explicit FaultInjector(const FaultProfile& profile);
 
   bool enabled() const { return enabled_; }
-  const FaultProfile& profile() const { return profile_; }
 
   /// Multiplier for the next compute op on `stage`; consumes one RNG draw
   /// when jitter is active. Exactly 1.0 when faults are disabled.

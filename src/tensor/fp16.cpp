@@ -5,11 +5,8 @@
 
 namespace actcomp::tensor {
 
-namespace {
-// Elements per parallel chunk, as for every elementwise op (tensor/ops.cpp).
 // The conversion is per element, so the bytes are the same for any chunking.
-constexpr int64_t kEwGrain = int64_t{1} << 13;
-}  // namespace
+using core::kEwGrain;
 
 Tensor fp16_round(const Tensor& t) {
   Tensor out(t.shape());

@@ -16,9 +16,8 @@
 // compiler vectorizes them at the tier's width. Its GEMM is gemm_common.h's
 // one register tile and driver, instantiated at the tier's vector width for
 // every shape. The scalar tier is exactly that table. A SIMD tier then
-// assigns only the entries it hand-writes with intrinsics: `row_max`/
-// `row_minmax`, the F16C fp16 trio, the quantizer pair, and on AVX-512 the
-// lane-per-row `rows_moments`.
+// assigns only the entries it hand-writes with intrinsics: the F16C fp16
+// trio and the quantizer pair.
 //
 // Identity contract: every entry produces bytes identical to the scalar
 // tier. The mechanics:
@@ -29,11 +28,14 @@
 //     are -ffp-contract=off, and the intrinsic kernels spell mul-then-add
 //     explicitly.
 //   * Accumulations keep the scalar order (GEMM walks k ascending per C
-//     element; moments accumulate columns ascending with one row per SIMD
-//     lane), which is lane-count independent.
+//     element; moments accumulate each row's columns ascending), which is
+//     lane-count independent. The min/max scans' lanes keep the serial
+//     scan's rules, and a zero result, whose sign the lanes may not
+//     reproduce, is rescanned serially.
 //   * Where an ISA genuinely cannot match scalar semantics bit-for-bit —
-//     F16C on NaN payloads, min/max ties against ±0 — the SIMD kernel
-//     detects the case and falls back to the generic loop for that block.
+//     F16C on NaN payloads, quantize values that overflow cvtps2dq — the
+//     SIMD kernel detects the case and falls back to the generic loop for
+//     that block.
 // Kernels that take a [lo, hi) range operate on the caller's parallel_for
 // chunk, so chunk boundaries (and thus 1-vs-N-thread identity) are owned
 // by the caller exactly as before.

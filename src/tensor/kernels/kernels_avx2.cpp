@@ -4,7 +4,8 @@
 // executes on a narrower host. Its GEMM is gemm_common.h's VecTile at
 // 8-float (ymm) vectors, 5x16, one _mm256_fmadd_ps per k step: 10
 // accumulators, 2 B columns and 1 broadcast stay inside the 16-register
-// file.
+// file. Its only hand-written entries are kernels_avx2_inl.h's F16C fp16
+// trio and quantizer pair.
 #include "tensor/kernels/tiers.h"
 
 #if defined(__AVX2__) && defined(__F16C__) && defined(__FMA__)
@@ -16,14 +17,11 @@
 namespace actcomp::tensor::kernels {
 
 const KernelTable* avx2_kernels() {
-  // The elementwise family and ln_xhat stay generic: this TU's copies
-  // vectorize at 256 bits with the same bytes. rows_moments stays generic
-  // too (its in-order double sums do not vectorize); the AVX-512 tier has
-  // the lane-per-row variant.
+  // Everything but the fp16 trio and the quantizer pair stays generic: this
+  // TU's copies of the elementwise loops and the min/max scans run at 256
+  // bits with the same bytes.
   static const KernelTable table = [] {
     KernelTable t = generic::table("avx2", gemm_into_t<VecTile<8, 5>>);
-    t.row_max = avx2i::row_max;
-    t.row_minmax = avx2i::row_minmax;
     t.fp16_encode = avx2i::fp16_encode;
     t.fp16_decode = avx2i::fp16_decode;
     t.fp16_round_trip = avx2i::fp16_round_trip;

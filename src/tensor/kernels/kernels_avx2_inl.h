@@ -1,10 +1,10 @@
 // 256-bit AVX2 + F16C kernels: the entries the avx2 tier hand-writes on top
-// of generic::table() — the row_max/row_minmax scans, the fp16 trio and the
-// quantizer pair. The avx512 TU includes this header too and keeps the
-// scans, the quantizer pair, the fp16 round trip and the fp16 remainders at
-// 256 bits. The GEMM tile, the elementwise family and ln_xhat have no
-// intrinsic version: gemm_common.h's VecTile and the generic loops compile
-// under each tier's -m flags at that tier's width with the same bytes.
+// of generic::table() — the fp16 trio and the quantizer pair. The avx512 TU
+// includes this header too and keeps the quantizer pair, the fp16 round trip
+// and the fp16 remainders at 256 bits. Everything else has no intrinsic
+// version: gemm_common.h's VecTile, the generic loops and the generic row
+// reductions compile under each tier's -m flags at that tier's width with
+// the same bytes.
 //
 // Only include from a TU compiled with -mavx2 -mf16c (or wider). Everything
 // here is `static`: these functions exist in TUs compiled under *different*
@@ -16,89 +16,18 @@
 //   * mul-then-add spelled explicitly, no FMA intrinsics (only the GEMM
 //     tile fuses);
 //   * remainders run the generic loop (or its exact expression);
-//   * semantic gaps (NaN payloads through F16C, ±0 ties through
-//     min/max_ps, non-finite quantizer inputs) are detected per block and
-//     routed to the generic code.
+//   * semantic gaps (NaN payloads through F16C, non-finite quantizer
+//     inputs) are detected per block and routed to the generic code.
 #pragma once
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstdint>
 
 #include "tensor/fp16.h"
 #include "tensor/kernels/kernels_generic.h"
 
 namespace actcomp::tensor::kernels::avx2i {
-
-// ---- row reductions ----
-//
-// Scalar max/min keep the FIRST operand on ties and skip NaN inputs
-// entirely (std::max(m, x) takes x only when m < x). max_ps/min_ps return
-// the SECOND operand on ties and propagate a NaN second operand. Equal
-// floats are bit-identical except ±0, so the vector scan diverges only when
-// (a) any scanned lane was NaN, or (b) the winning value is a zero. Both
-// are detected and rescanned with the generic code.
-
-static inline float row_max(const float* x, int64_t n) {
-  if (n < 16) return generic::row_max(x, n);
-  __m256 acc = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
-  __m256 nanm = _mm256_setzero_ps();
-  int64_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    const __m256 v = _mm256_loadu_ps(x + c);
-    nanm = _mm256_or_ps(nanm, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-    acc = _mm256_max_ps(acc, v);
-  }
-  if (_mm256_movemask_ps(nanm) != 0) return generic::row_max(x, n);
-  alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, acc);
-  float m = lanes[0];
-  for (int i = 1; i < 8; ++i) m = std::max(m, lanes[i]);
-  for (; c < n; ++c) m = std::max(m, x[c]);  // std::max skips tail NaNs too
-  if (m == 0.0f) return generic::row_max(x, n);  // ±0 tie: first-wins rescan
-  return m;
-}
-
-static inline void row_minmax(const float* x, int64_t n, float* lo_out,
-                              float* hi_out) {
-  if (n < 16) {
-    generic::row_minmax(x, n, lo_out, hi_out);
-    return;
-  }
-  __m256 vlo = _mm256_loadu_ps(x);
-  __m256 vhi = vlo;
-  __m256 nanm = _mm256_cmp_ps(vlo, vlo, _CMP_UNORD_Q);
-  int64_t c = 8;
-  for (; c + 8 <= n; c += 8) {
-    const __m256 v = _mm256_loadu_ps(x + c);
-    nanm = _mm256_or_ps(nanm, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-    vlo = _mm256_min_ps(vlo, v);
-    vhi = _mm256_max_ps(vhi, v);
-  }
-  if (_mm256_movemask_ps(nanm) != 0) {
-    generic::row_minmax(x, n, lo_out, hi_out);
-    return;
-  }
-  alignas(32) float llo[8], lhi[8];
-  _mm256_store_ps(llo, vlo);
-  _mm256_store_ps(lhi, vhi);
-  float lo = llo[0], hi = lhi[0];
-  for (int i = 1; i < 8; ++i) {
-    lo = std::min(lo, llo[i]);
-    hi = std::max(hi, lhi[i]);
-  }
-  for (; c < n; ++c) {
-    lo = std::min(lo, x[c]);
-    hi = std::max(hi, x[c]);
-  }
-  if (lo == 0.0f || hi == 0.0f) {  // ±0 tie: rescan with first-wins order
-    generic::row_minmax(x, n, lo_out, hi_out);
-    return;
-  }
-  *lo_out = lo;
-  *hi_out = hi;
-}
 
 // ---- fp16 via F16C ----
 //

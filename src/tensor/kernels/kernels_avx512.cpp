@@ -1,12 +1,16 @@
 // AVX-512 kernel tier. Compiled with -mavx512f -mavx2 -mf16c -mfma -O3
 // -ffp-contract=off; selected at runtime only when cpuid reports AVX-512F
 // on top of the AVX2 tier's features (core/simd.cpp). Foundation
-// instructions only — no BW/DQ/VL — so the 16-bit lane work (fp16 NaN
-// screening, quantizer byte packing) stays on the 128/256-bit units via the
-// shared avx2 implementations, which this TU compiles as its own internal
-// copies. Its GEMM is gemm_common.h's VecTile
-// at 16-float (zmm) vectors, 8x32, one _mm512_fmadd_ps per k step: 16
-// accumulators, 2 B columns and 1 broadcast use 19 of the 32 zmm registers.
+// instructions only — no BW/DQ/VL. It hand-writes only fp16 encode and
+// decode at zmm width; the 16-bit lane work (the fp16 round trip's NaN
+// screening, the quantizer's byte packing) stays on the 128/256-bit units
+// via the shared avx2 implementations, which this TU compiles as its own
+// internal copies. Its GEMM is gemm_common.h's VecTile at 16-float (zmm)
+// vectors, 8x32, one _mm512_fmadd_ps per k step: 16 accumulators, 2 B
+// columns and 1 broadcast use 19 of the 32 zmm registers. The row
+// reductions are the generic ones: 8-lane min/max scans and layernorm
+// statistics over four interleaved rows, which ran faster here than the
+// gather kernel that gave each row a zmm lane.
 #include "tensor/kernels/tiers.h"
 
 #if defined(__AVX512F__) && defined(__AVX2__) && defined(__F16C__) && \
@@ -20,52 +24,6 @@
 
 namespace actcomp::tensor::kernels {
 namespace avx512i {
-
-// ---- row reductions ----
-
-// Lane-per-row layernorm statistics: 8 rows per block, one double lane per
-// row, columns gathered ascending. Each row's accumulation order is exactly
-// the scalar loop's (ascending c, double precision, mul-then-add for the
-// variance), so the statistics are bit-identical; div_pd/sqrt_pd and the
-// final cvtpd->ps are IEEE-exact single operations.
-static inline void rows_moments(const float* x, int64_t r0, int64_t r1,
-                                int64_t cols, float eps, float* mean,
-                                float* rstd) {
-  // Gather offsets are 32-bit lane indices; bail out (unreachably large
-  // rows) rather than overflow.
-  if (cols <= 0 || cols > (int64_t{1} << 27)) {
-    generic::rows_moments(x, r0, r1, cols, eps, mean, rstd);
-    return;
-  }
-  const int c32 = static_cast<int>(cols);
-  const __m256i vidx = _mm256_setr_epi32(0, c32, 2 * c32, 3 * c32, 4 * c32,
-                                         5 * c32, 6 * c32, 7 * c32);
-  const __m512d vcols = _mm512_set1_pd(static_cast<double>(cols));
-  const __m512d veps = _mm512_set1_pd(static_cast<double>(eps));
-  const __m512d vone = _mm512_set1_pd(1.0);
-  int64_t r = r0;
-  for (; r + 8 <= r1; r += 8) {
-    const float* base = x + r * cols;
-    __m512d s = _mm512_setzero_pd();
-    for (int64_t c = 0; c < cols; ++c) {
-      const __m256 g = _mm256_i32gather_ps(base + c, vidx, 4);
-      s = _mm512_add_pd(s, _mm512_cvtps_pd(g));
-    }
-    const __m512d m = _mm512_div_pd(s, vcols);
-    __m512d var = _mm512_setzero_pd();
-    for (int64_t c = 0; c < cols; ++c) {
-      const __m256 g = _mm256_i32gather_ps(base + c, vidx, 4);
-      const __m512d d = _mm512_sub_pd(_mm512_cvtps_pd(g), m);
-      var = _mm512_add_pd(var, _mm512_mul_pd(d, d));
-    }
-    var = _mm512_div_pd(var, vcols);
-    const __m512d rs =
-        _mm512_div_pd(vone, _mm512_sqrt_pd(_mm512_add_pd(var, veps)));
-    _mm256_storeu_ps(mean + r, _mm512_cvtpd_ps(m));
-    _mm256_storeu_ps(rstd + r, _mm512_cvtpd_ps(rs));
-  }
-  if (r < r1) generic::rows_moments(x, r, r1, cols, eps, mean, rstd);
-}
 
 // ---- fp16 (zmm-width F16C; same NaN screening as the avx2 tier) ----
 
@@ -104,18 +62,15 @@ static inline void fp16_decode(const uint16_t* in, float* out, int64_t n) {
 }  // namespace avx512i
 
 const KernelTable* avx512_kernels() {
-  // The elementwise family and ln_xhat stay generic: this TU's copies
-  // vectorize at 512 bits with the same bytes. The min/max scans and the
-  // quantizer's byte packing keep their 256-bit kernels, which the NaN/±0
-  // screening and the byte shuffles already bound. So does the fp16 round
-  // trip: 16 lanes beat 8 by under 10% at any size, while encode and decode
-  // run 1.3-1.7x faster on the wire path's 8192-element chunks (DESIGN.md
-  // §15).
+  // Everything but the fp16 trio and the quantizer pair stays generic: this
+  // TU's copies of the elementwise loops vectorize at 512 bits with the same
+  // bytes, and its min/max scans run 8 lanes wide. The quantizer's byte
+  // packing keeps its 256-bit kernels, which the byte shuffles already
+  // bound. So does the fp16 round trip: 16 lanes beat 8 by under 10% at any
+  // size, while encode and decode run 1.3-1.7x faster on the wire path's
+  // 8192-element chunks (DESIGN.md §15).
   static const KernelTable table = [] {
     KernelTable t = generic::table("avx512", gemm_into_t<VecTile<16, 8>>);
-    t.row_max = avx2i::row_max;
-    t.row_minmax = avx2i::row_minmax;
-    t.rows_moments = avx512i::rows_moments;
     t.fp16_encode = avx512i::fp16_encode;
     t.fp16_decode = avx512i::fp16_decode;
     t.fp16_round_trip = avx2i::fp16_round_trip;

@@ -2,9 +2,13 @@
 // (DESIGN.md §15). Each loop is one IEEE operation (or one fixed sequence)
 // per element in source order and every kernel TU is -ffp-contract=off, so
 // a tier's TU that compiles them under its own -m flags vectorizes them at
-// its width with the scalar tier's bytes. Everything here is `static
-// inline`, so each per-ISA TU keeps its own copy; the hand-written kernels
-// use the same loops for remainders and fallbacks (NaN lanes, ±0 ties).
+// its width with the scalar tier's bytes. The row reductions are written
+// for that too: the min/max scans as GNU vectors whose lanes keep the
+// serial scan's rules, and the layernorm statistics as the serial loops
+// over four interleaved rows. Everything here is `static inline` (or a
+// `static` template), so each per-ISA TU keeps its own copy; the
+// hand-written fp16 and quantizer kernels use the same loops for
+// remainders and fallbacks (NaN lanes, out-of-range values).
 #pragma once
 
 #include <algorithm>
@@ -129,15 +133,37 @@ static inline void ew_gelu_grad(const float* a, float* out, int64_t lo, int64_t 
 }
 
 // ---- row reductions ----
+//
+// The serial scans define row_max and row_minmax. The table's entries run
+// kScanLanes accumulators over the row's full blocks, then fold the lanes
+// and the tail in the serial order. Each lane keeps std::max's (std::min's)
+// rule, acc < v ? v : acc, so a NaN never enters an accumulator that is not
+// NaN already, and of equal values the first is kept. Equal floats are
+// bit-identical except ±0, so the lanes can differ from the serial scan only
+// in the sign of a zero result, and a zero result is rescanned serially.
 
-static inline float row_max(const float* x, int64_t n) {
+// 8 lanes in the AVX2 and AVX-512 TUs (16 ran 1.4-2.2x slower on softmax's
+// 33-47-float decode rows), 4 in the scalar TU. Internal linkage: the value
+// differs per TU.
+#if defined(__AVX2__)
+constexpr int kScanLanes = 8;
+#else
+constexpr int kScanLanes = 4;
+#endif
+typedef float scan_vec __attribute__((vector_size(4 * kScanLanes)));
+// The same vector at float alignment, free to alias floats: rows start at
+// any float offset.
+typedef float scan_vec_u
+    __attribute__((vector_size(4 * kScanLanes), aligned(4), may_alias));
+
+static inline float row_max_serial(const float* x, int64_t n) {
   float m = -std::numeric_limits<float>::infinity();
   for (int64_t c = 0; c < n; ++c) m = std::max(m, x[c]);
   return m;
 }
 
-static inline void row_minmax(const float* x, int64_t n, float* lo_out,
-                       float* hi_out) {
+static inline void row_minmax_serial(const float* x, int64_t n, float* lo_out,
+                                     float* hi_out) {
   float lo = x[0], hi = x[0];
   for (int64_t c = 1; c < n; ++c) {
     lo = std::min(lo, x[c]);
@@ -147,22 +173,85 @@ static inline void row_minmax(const float* x, int64_t n, float* lo_out,
   *hi_out = hi;
 }
 
+// Folds x[0, n) into hi by std::max's rule and, when MIN, into lo by
+// std::min's. Every lane starts from the incoming value, so an incoming NaN
+// stays the result, as it does in the serial scan.
+template <bool MIN>
+static inline void minmax_scan(const float* x, int64_t n, float& lo, float& hi) {
+  scan_vec vlo{}, vhi{};
+  for (int l = 0; l < kScanLanes; ++l) {
+    vlo[l] = lo;
+    vhi[l] = hi;
+  }
+  int64_t c = 0;
+  // Two blocks per loop branch: on 64-96-float rows this ran 10-25% faster
+  // than one, whose short loop also slowed wherever its branch straddled a
+  // 32-byte boundary.
+#pragma GCC unroll 2
+  for (; c + kScanLanes <= n; c += kScanLanes) {
+    const scan_vec v = *reinterpret_cast<const scan_vec_u*>(x + c);
+    if constexpr (MIN) vlo = v < vlo ? v : vlo;
+    vhi = vhi < v ? v : vhi;
+  }
+  for (int l = 0; l < kScanLanes; ++l) {
+    if constexpr (MIN) lo = std::min(lo, vlo[l]);
+    hi = std::max(hi, vhi[l]);
+  }
+  for (; c < n; ++c) {
+    if constexpr (MIN) lo = std::min(lo, x[c]);
+    hi = std::max(hi, x[c]);
+  }
+}
+
+static inline float row_max(const float* x, int64_t n) {
+  float lo = 0.0f, hi = -std::numeric_limits<float>::infinity();
+  minmax_scan<false>(x, n, lo, hi);
+  return hi == 0.0f ? row_max_serial(x, n) : hi;
+}
+
+static inline void row_minmax(const float* x, int64_t n, float* lo_out,
+                              float* hi_out) {
+  float lo = x[0], hi = x[0];
+  minmax_scan<true>(x, n, lo, hi);
+  if (lo == 0.0f || hi == 0.0f) {
+    row_minmax_serial(x, n, lo_out, hi_out);
+    return;
+  }
+  *lo_out = lo;
+  *hi_out = hi;
+}
+
+// Layernorm statistics of R consecutive rows from r: the serial double
+// loops with the rows interleaved, so each row keeps its ascending-column
+// order and its bytes while R chains of adds overlap.
+template <int R>
+static inline void moments_block(const float* x, int64_t r, int64_t cols,
+                                 float eps, float* mean, float* rstd) {
+  const float* row = x + r * cols;
+  double s[R] = {};
+  for (int64_t c = 0; c < cols; ++c) {
+    for (int i = 0; i < R; ++i) s[i] += row[i * cols + c];
+  }
+  double m[R], var[R] = {};
+  for (int i = 0; i < R; ++i) m[i] = s[i] / static_cast<double>(cols);
+  for (int64_t c = 0; c < cols; ++c) {
+    for (int i = 0; i < R; ++i) {
+      const double d = row[i * cols + c] - m[i];
+      var[i] += d * d;
+    }
+  }
+  for (int i = 0; i < R; ++i) {
+    const double v = var[i] / static_cast<double>(cols);
+    mean[r + i] = static_cast<float>(m[i]);
+    rstd[r + i] = static_cast<float>(1.0 / std::sqrt(v + eps));
+  }
+}
+
 static inline void rows_moments(const float* x, int64_t r0, int64_t r1, int64_t cols,
                          float eps, float* mean, float* rstd) {
-  for (int64_t r = r0; r < r1; ++r) {
-    const float* row = x + r * cols;
-    double s = 0.0;
-    for (int64_t c = 0; c < cols; ++c) s += row[c];
-    const double m = s / static_cast<double>(cols);
-    double var = 0.0;
-    for (int64_t c = 0; c < cols; ++c) {
-      const double d = row[c] - m;
-      var += d * d;
-    }
-    var /= static_cast<double>(cols);
-    mean[r] = static_cast<float>(m);
-    rstd[r] = static_cast<float>(1.0 / std::sqrt(var + eps));
-  }
+  int64_t r = r0;
+  for (; r + 4 <= r1; r += 4) moments_block<4>(x, r, cols, eps, mean, rstd);
+  for (; r < r1; ++r) moments_block<1>(x, r, cols, eps, mean, rstd);
 }
 
 static inline void ln_xhat(const float* x, const float* mean, const float* rstd,
@@ -225,7 +314,8 @@ static inline void adam_update(float* w, const float* g, float* m, float* v,
 // ---- the table ----
 
 // Every entry points at this TU's copy of the loops above; a SIMD tier
-// starts from this table and assigns only its hand-written entries.
+// starts from this table and assigns only its hand-written fp16 and
+// quantizer entries.
 static inline KernelTable table(const char* name,
                                 decltype(KernelTable::gemm_into) gemm_into) {
   return KernelTable{

@@ -14,14 +14,8 @@ namespace actcomp::tensor {
 
 namespace {
 
-// Elements per parallel_for chunk for elementwise kernels: large enough
-// that a chunk outweighs the dispatch cost, small enough to split the
-// biggest activations across the pool.
-constexpr int64_t kEwGrain = 1 << 13;
-
-// Rows per chunk for row-independent kernels (softmax, moments, ...):
-// aim for ~kEwGrain elements per chunk, at least one row.
-int64_t row_grain(int64_t cols) { return std::max<int64_t>(1, kEwGrain / std::max<int64_t>(1, cols)); }
+using core::kEwGrain;
+using core::row_grain;
 
 // True if `small` right-aligns with `big` (i.e. small's dims equal big's
 // trailing dims). Identical shapes qualify trivially.
@@ -155,23 +149,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const int64_t B = a.dim(0), m = a.dim(1), k = a.dim(2);
   Tensor flat = a.reshape(Shape{B * m, k});
   return matmul2d(flat, b).reshape(Shape{B, m, b.dim(1)});
-}
-
-float sum_all(const Tensor& a) {
-  double s = 0.0;
-  for (float v : a.data()) s += v;
-  return static_cast<float>(s);
-}
-
-float mean_all(const Tensor& a) {
-  ACTCOMP_CHECK(a.numel() > 0, "mean_all of empty tensor");
-  return sum_all(a) / static_cast<float>(a.numel());
-}
-
-float max_all(const Tensor& a) {
-  ACTCOMP_CHECK(a.numel() > 0, "max_all of empty tensor");
-  return kernels::active_kernels().row_max(a.data().data(),
-                                           static_cast<int64_t>(a.numel()));
 }
 
 namespace {

@@ -47,9 +47,6 @@ Tensor matmul2d(const Tensor& a, const Tensor& b, bool trans_a = false,
 Tensor matmul(const Tensor& a, const Tensor& b);
 
 // ---- reductions ----
-float sum_all(const Tensor& a);
-float mean_all(const Tensor& a);
-float max_all(const Tensor& a);
 /// Sum over all dimensions except the last: [..., n] -> [n] (bias gradients).
 Tensor sum_to_last(const Tensor& a);
 /// Index of the max element along the last dimension, as floats: [..., n] -> [...].

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -902,4 +903,149 @@ TEST(SimdIdentity, AdamUpdateMatchesScalarLoop) {
       }
     }
   });
+}
+
+namespace {
+
+// The serial loops that define the row reductions: std::max/std::min scans
+// (the first of equal values kept, a NaN skipped unless it comes first) and
+// each row's double sums over ascending columns.
+float serial_row_max(const float* x, int64_t n) {
+  float m = -std::numeric_limits<float>::infinity();
+  for (int64_t c = 0; c < n; ++c) m = std::max(m, x[c]);
+  return m;
+}
+
+void serial_row_minmax(const float* x, int64_t n, float* lo, float* hi) {
+  *lo = *hi = x[0];
+  for (int64_t c = 1; c < n; ++c) {
+    *lo = std::min(*lo, x[c]);
+    *hi = std::max(*hi, x[c]);
+  }
+}
+
+void serial_moments(const float* row, int64_t cols, float eps, float* mean,
+                    float* rstd) {
+  double s = 0.0;
+  for (int64_t c = 0; c < cols; ++c) s += row[c];
+  const double m = s / static_cast<double>(cols);
+  double var = 0.0;
+  for (int64_t c = 0; c < cols; ++c) {
+    const double d = row[c] - m;
+    var += d * d;
+  }
+  var /= static_cast<double>(cols);
+  *mean = static_cast<float>(m);
+  *rstd = static_cast<float>(1.0 / std::sqrt(var + eps));
+}
+
+// Rows of n floats, back to back: NaN first, mid-row and everywhere; a zero
+// extreme reached as +0 before -0 and as -0 before +0, the later zero in a
+// lower lane of a later block; ±Inf; duplicated extremes; all zeros; then
+// 64 rows with ±0, ±Inf, NaN and a repeated ±3 scattered over normals.
+std::vector<float> reduction_rows(int64_t n, ts::Generator& gen) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto at = [n](int64_t i) { return static_cast<size_t>(std::clamp<int64_t>(i, 0, n - 1)); };
+  const auto row = [&](float sign) {  // sign 0: mixed signs, else no zeros
+    std::vector<float> r(static_cast<size_t>(n));
+    for (float& v : r) {
+      v = gen.rand_normal();
+      if (sign != 0.0f) v = sign * (0.5f + std::fabs(v));
+    }
+    return r;
+  };
+  std::vector<std::vector<float>> rows;
+  for (const int64_t i : {int64_t{0}, n / 2}) {
+    rows.push_back(row(0.0f));
+    rows.back()[at(i)] = nan;
+  }
+  rows.emplace_back(static_cast<size_t>(n), nan);
+  for (const float sign : {-1.0f, 1.0f}) {  // zero maximum, then zero minimum
+    for (const float first : {0.0f, -0.0f}) {
+      rows.push_back(row(sign));
+      rows.back()[at(1)] = first;
+      rows.back()[at(8)] = -first;
+    }
+  }
+  rows.push_back(row(0.0f));
+  rows.back()[at(n / 3)] = inf;
+  rows.back()[at(n - 2)] = -inf;
+  rows.push_back(row(0.0f));
+  rows.back()[at(2)] = rows.back()[at(n - 1)] = 7.0f;
+  rows.back()[at(3)] = rows.back()[at(n - 2)] = -7.0f;
+  rows.emplace_back(static_cast<size_t>(n), 0.0f);
+  for (int64_t i = 0; i < n; i += 2) rows.back()[static_cast<size_t>(i)] = -0.0f;
+  constexpr float kSpecial[] = {0.0f, -0.0f, inf, -inf, nan, 3.0f, -3.0f};
+  for (int k = 0; k < 64; ++k) {
+    rows.push_back(row(0.0f));
+    for (float& v : rows.back()) {
+      if (gen.randint(0, 3) == 0) v = kSpecial[gen.randint(0, 6)];
+    }
+  }
+  std::vector<float> flat;
+  for (const auto& r : rows) flat.insert(flat.end(), r.begin(), r.end());
+  return flat;
+}
+
+uint32_t float_bits(float f) { return std::bit_cast<uint32_t>(f); }
+
+}  // namespace
+
+// row_max, row_minmax and rows_moments through each tier's table against
+// the serial loops above, the oracle now that every tier, scalar included,
+// runs the same lane-parallel source. Row lengths 1-25 and 67 straddle the
+// 4- and 8-lane scans' blocks and tails. rows_moments runs row ranges that
+// start off and end off its 4-row blocks, and must leave every row outside
+// the range untouched. The scans must match bit for bit, NaN payloads and
+// the sign of a zero extreme included; the moments too, except that any NaN
+// matches any NaN (Inf - Inf and a NaN input meet in either operand order).
+TEST(SimdIdentity, RowReductionsMatchSerialLoops) {
+  constexpr float eps = 1e-5f, sentinel = -12345.0f;
+  ts::Generator gen(57);
+  std::vector<int64_t> lengths;
+  for (int64_t n = 1; n <= 25; ++n) lengths.push_back(n);
+  lengths.push_back(67);
+  for (const int64_t n : lengths) {
+    const std::vector<float> x = reduction_rows(n, gen);
+    const int64_t rows = static_cast<int64_t>(x.size()) / n;
+    for_each_supported_isa([&](core::SimdIsa isa) {
+      const ts::kernels::KernelTable& kt =
+          ts::kernels::kernels_for_tier(static_cast<int>(isa));
+      int64_t bad = 0;
+      std::string first;
+      const auto expect = [&](bool ok, const char* entry, int64_t r) {
+        if (!ok && bad++ == 0) first = std::string(entry) + " row " + std::to_string(r);
+      };
+      for (int64_t r = 0; r < rows; ++r) {
+        const float* row = x.data() + r * n;
+        expect(float_bits(kt.row_max(row, n)) == float_bits(serial_row_max(row, n)),
+               "row_max", r);
+        float lo = 0.0f, hi = 0.0f, want_lo = 0.0f, want_hi = 0.0f;
+        kt.row_minmax(row, n, &lo, &hi);
+        serial_row_minmax(row, n, &want_lo, &want_hi);
+        expect(float_bits(lo) == float_bits(want_lo) &&
+                   float_bits(hi) == float_bits(want_hi),
+               "row_minmax", r);
+      }
+      for (const auto& [r0, r1] : {std::pair{int64_t{0}, rows}, std::pair{int64_t{1}, rows - 2},
+                                   std::pair{int64_t{3}, int64_t{10}},
+                                   std::pair{int64_t{5}, int64_t{6}}}) {
+        std::vector<float> mean(static_cast<size_t>(rows), sentinel);
+        std::vector<float> rstd(static_cast<size_t>(rows), sentinel);
+        kt.rows_moments(x.data(), r0, r1, n, eps, mean.data(), rstd.data());
+        for (int64_t r = 0; r < rows; ++r) {
+          float want_mean = sentinel, want_rstd = sentinel;
+          if (r >= r0 && r < r1) serial_moments(x.data() + r * n, n, eps, &want_mean, &want_rstd);
+          const auto same = [](float got, float want) {
+            return float_bits(got) == float_bits(want) || (std::isnan(got) && std::isnan(want));
+          };
+          expect(same(mean[static_cast<size_t>(r)], want_mean) &&
+                     same(rstd[static_cast<size_t>(r)], want_rstd),
+                 "rows_moments", r);
+        }
+      }
+      EXPECT_EQ(bad, 0) << kt.name << " n=" << n << ": first mismatch at " << first;
+    });
+  }
 }

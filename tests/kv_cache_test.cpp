@@ -5,10 +5,12 @@
 // edge cases and the generate() loop's degenerate inputs.
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "compress/compressor.h"
 #include "compress/settings.h"
 #include "core/threadpool.h"
 #include "nn/bert.h"
@@ -239,6 +241,58 @@ TEST(KvCache, StepTransactionIsEnforced) {
   EXPECT_EQ(cache.len(), 1);
   EXPECT_THROW(cache.keys(0, 2), std::invalid_argument);
   EXPECT_THROW(cache.keys(2, 0), std::invalid_argument);
+}
+
+// Passes activations through unchanged, or throws while armed: a failure
+// between a cached step's begin_step and commit.
+class TripwireCompressor final : public actcomp::compress::Compressor {
+ public:
+  bool armed = false;
+  std::string name() const override { return "tripwire"; }
+  Variable apply(const Variable& x) override {
+    if (armed) throw std::runtime_error("tripwire");
+    return x;
+  }
+  actcomp::compress::WireFormat wire_size(const actcomp::tensor::Shape&) const override {
+    return {};
+  }
+  bool allreduce_compatible() const override { return true; }
+
+ protected:
+  actcomp::compress::CompressedMessage do_encode(const Tensor&) override { return {}; }
+  Tensor do_decode(const actcomp::compress::CompressedMessage&) const override {
+    return {};
+  }
+};
+
+TEST(KvCache, FailedStepRetriesToUninterruptedBytes) {
+  // The tripwire sits on layer 1's MLP output, so each failed step throws
+  // after layers 0 and 1 appended their rows and before layer 2 did. The
+  // cache must keep its committed prefix with no step open, and the retry
+  // must reproduce the uninterrupted decode's bytes, at every step.
+  const BertConfig cfg = small_config();
+  Generator gen(61);
+  BertModel model(cfg, gen);
+  TripwireCompressor trip;
+  model.set_layer_compression(1, nullptr, &trip);
+  const std::vector<int64_t> toks = token_stream(cfg, 1, 7, 8);
+  const std::vector<int64_t> prompt(toks.begin(), toks.begin() + 3);
+  KvCache ref = model.make_cache(1);
+  KvCache cache = model.make_cache(1);
+  model.forward_cached(prompt, 1, ref);
+  model.forward_cached(prompt, 1, cache);
+  for (size_t t = prompt.size(); t < toks.size(); ++t) {
+    SCOPED_TRACE("token " + std::to_string(t));
+    const Variable want = model.forward_cached({toks[t]}, 1, ref);
+    trip.armed = true;
+    EXPECT_THROW(model.forward_cached({toks[t]}, 1, cache), std::runtime_error);
+    EXPECT_EQ(cache.len(), static_cast<int64_t>(t));
+    trip.armed = false;
+    const Variable got = model.forward_cached({toks[t]}, 1, cache);
+    expect_bytes_equal(got.value(), want.value(), "retried step");
+  }
+  EXPECT_EQ(cache.len(), ref.len());
+  model.clear_compression();
 }
 
 TEST(KvCache, HeadLayoutsMatchSplitKeysAndValues) {

@@ -3,11 +3,10 @@
 
 Compares a fresh `kernels_bench --quick` RunReport against the committed
 baseline (bench/baselines/BENCH_kernels.json) and fails when any shared
-(op, shape, threads) record regresses by more than the threshold (30%
-when neither argv nor ACTCOMP_KERNEL_PERF_PCT sets it; ./ci.sh bench
-passes 50% — wide enough to absorb shared-runner noise, tight enough to
-catch the dispatch landing in the wrong SIMD tier or a kernel falling off
-its fast path).
+(op, shape, threads) record regresses by more than the threshold. The
+threshold is the third argument; ./ci.sh bench sets it (50% — wide enough
+to absorb shared-runner noise, tight enough to catch the dispatch landing
+in the wrong SIMD tier or a kernel falling off its fast path).
 
 Rate metric per record: gflops when present, else gb_s, else 1e9/ns_op
 (finetune_step reports no bandwidth). matmul2d_seed is skipped — it is the
@@ -24,19 +23,22 @@ of decode and the attention products; the `gemm_edge_<tier>` records, the
 packed GEMM whose ragged right edge runs on the edge block; and the strided
 operands, `gemm_at_<tier>` and `gemm_bt_<tier>` (a Linear backward's
 transposed A and B) and `gemm_kcache_<tier>` (decode's score product over
-the KV cache's Kᵀ rows) — their silent disappearance from kernels_bench
-would otherwise leave those kernels ungated.
+the KV cache's Kᵀ rows); and the row scans, `row_max_<tier>` (softmax's
+row max) and `row_minmax_<tier>` (the quantizer's row range), portable
+loops that only vectorize as long as the compiler keeps doing so — their
+silent disappearance from kernels_bench would otherwise leave those
+kernels ungated.
 
-Usage: check_kernel_perf.py BASELINE.json CURRENT.json [threshold_pct]
+Usage: check_kernel_perf.py BASELINE.json CURRENT.json THRESHOLD_PCT
 """
 
 import json
-import os
 import sys
 
 # Op families the current run must measure (op-name prefixes).
 REQUIRED_OPS = ("topk(", "randk(", "lossless(", "gemm_small_", "gemm_edge_",
-                "gemm_at_", "gemm_bt_", "gemm_kcache_")
+                "gemm_at_", "gemm_bt_", "gemm_kcache_", "row_max_",
+                "row_minmax_")
 
 
 def kernel_records(path):
@@ -64,14 +66,11 @@ def rate(rec):
 
 
 def main(argv):
-    if len(argv) < 3:
+    if len(argv) != 4:
         raise SystemExit(__doc__)
     base = kernel_records(argv[1])
     cur = kernel_records(argv[2])
-    if len(argv) > 3:
-        threshold_pct = float(argv[3])
-    else:
-        threshold_pct = float(os.environ.get("ACTCOMP_KERNEL_PERF_PCT", "30"))
+    threshold_pct = float(argv[3])
 
     compared = 0
     failed = skipped = 0
