@@ -578,6 +578,8 @@ int main(int argc, char** argv) {
     bench_compressor("randk(0.1)", randk, xq);
     cp::QuantizeCompressor quant(4);
     bench_compressor("quant(4b)", quant, xq);
+    cp::QuantizeCompressor quant2(2);  // Q1's width
+    bench_compressor("quant(2b)", quant2, xq);
     std::printf("\n");
     bench_lossless(xq);
     if (!quick) {

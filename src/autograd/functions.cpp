@@ -158,17 +158,16 @@ Variable layernorm(const Variable& x, const Variable& gamma, const Variable& bet
         if (gn->requires_grad) {
           ts::Tensor ggamma{ts::Shape{h}};
           auto d = ggamma.data();
-          // Column-parallel with the row walk kept ascending per column, so
-          // each gamma element sees the exact same addition order as the
-          // old row-major loop nest.
+          // Column-parallel; each chunk walks its columns row by row (the
+          // sums start from the zeroed output), so every gamma element adds
+          // its terms from +0 in ascending row order, as the old row-major
+          // loop nest did, while the loads stay contiguous.
           core::parallel_for(0, h, row_grain(rows), [&](int64_t c0, int64_t c1) {
-            for (int64_t c = c0; c < c1; ++c) {
-              float s = 0.0f;
-              for (int64_t r = 0; r < rows; ++r) {
-                const size_t i = static_cast<size_t>(r * h + c);
-                s += dg[i] * dh[i];
-              }
-              d[static_cast<size_t>(c)] = s;
+            float* s = d.data();
+            for (int64_t r = 0; r < rows; ++r) {
+              const float* g = dg.data() + r * h;
+              const float* xh = dh.data() + r * h;
+              for (int64_t c = c0; c < c1; ++c) s[c] += g[c] * xh[c];
             }
           });
           gn->accumulate(ggamma);

@@ -3,7 +3,6 @@
 #include "autograd/functions.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
-#include "tensor/check.h"
 
 namespace actcomp::compress {
 
@@ -44,24 +43,10 @@ tensor::Tensor Compressor::round_trip(const tensor::Tensor& x) {
 }
 
 autograd::Variable Compressor::apply(const autograd::Variable& x) {
-  tensor::Tensor out = round_trip(x.value());
-  // NOTE: the closure captures `this`; the compressor must outlive the tape
-  // (the Trainer owns compressors for the whole training run).
   return autograd::custom_unary(
-      x, std::move(out),
-      [this](const tensor::Tensor& g, const tensor::Tensor& in) {
-        return vjp(g, in);
-      },
+      x, round_trip(x.value()),
+      [](const tensor::Tensor& g, const tensor::Tensor&) { return g; },
       "compress:" + name());
-}
-
-tensor::Tensor Compressor::vjp(const tensor::Tensor& grad_out,
-                               const tensor::Tensor& input) const {
-  ACTCOMP_ASSERT(grad_out.shape() == input.shape(),
-                 "compressor vjp shape mismatch");
-  // Straight-through estimator: the paper's PyTorch integration backpropagates
-  // through the decompressed float tensor as if compression were identity.
-  return grad_out;
 }
 
 }  // namespace actcomp::compress

@@ -68,8 +68,11 @@ class Compressor {
   virtual tensor::Tensor round_trip(const tensor::Tensor& x);
 
   /// Differentiable lossy round-trip for the training tape. Defaults to a
-  /// custom op whose backward is the subclass's vjp(); the autoencoder
-  /// overrides with a fully differentiable graph instead.
+  /// custom op whose backward is straight-through (identity): the paper's
+  /// PyTorch integration backpropagates through the decompressed tensor as
+  /// if compression were identity. The sparsifiers override it to mask the
+  /// gradient with the forward's own selection; the autoencoder, with a
+  /// fully differentiable graph.
   virtual autograd::Variable apply(const autograd::Variable& x);
 
   /// Closed-form message size for an input of `shape`. Must equal the body
@@ -89,11 +92,6 @@ class Compressor {
   /// so byte accounting can never be bypassed.
   virtual CompressedMessage do_encode(const tensor::Tensor& x) = 0;
   virtual tensor::Tensor do_decode(const CompressedMessage& msg) const = 0;
-
-  /// Gradient of round_trip w.r.t. its input, given upstream grad. Default:
-  /// straight-through (identity). Sparsifiers override with their mask.
-  virtual tensor::Tensor vjp(const tensor::Tensor& grad_out,
-                             const tensor::Tensor& input) const;
 };
 
 using CompressorPtr = std::unique_ptr<Compressor>;

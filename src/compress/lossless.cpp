@@ -1,8 +1,8 @@
 #include "compress/lossless.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <optional>
 #include <sstream>
 
 #include "compress/wire.h"
@@ -27,8 +27,8 @@ constexpr int64_t kPlanePrefixBytes = 9;
 /// on adversarial distributions) fall back to the raw plane encoding.
 constexpr int kMaxCodeLen = 32;
 /// Huffman decode-table width: one lookup resolves any code this long or
-/// shorter.
-constexpr int kTableBits = 11;
+/// shorter, or two codes whose lengths sum to at most this.
+constexpr int kTableBits = 12;
 /// Decoder sanity bound: PackBits expands at most 64x (2 encoded bytes ->
 /// up to 128 raw) and Huffman at most 8x (>= 1 bit per symbol), so no valid
 /// container's raw payload exceeds 512x its encoded size plus small headers.
@@ -66,72 +66,106 @@ struct ByteReader {
 //   control 128             : reserved, rejected on decode
 // ---------------------------------------------------------------------------
 
-void rle_flush_literals(std::vector<std::byte>& out, const std::byte* p,
-                        int64_t begin, int64_t end) {
-  while (begin < end) {
-    const int64_t len = std::min<int64_t>(128, end - begin);
-    out.push_back(static_cast<std::byte>(len - 1));
-    out.insert(out.end(), p + begin, p + begin + len);
-    begin += len;
-  }
+/// Most bytes rle_encode writes for n input bytes: every run of >= 3 bytes
+/// shrinks to 2, and literals add one control byte per 128, plus one.
+int64_t rle_bound(int64_t n) { return n + n / 128 + 2; }
+
+uint64_t load_u64(const std::byte* p) {
+  uint64_t v = 0;
+  std::memcpy(&v, p, 8);
+  return v;
 }
 
-std::vector<std::byte> rle_encode(const std::byte* p, int64_t n) {
-  std::vector<std::byte> out;
-  out.reserve(static_cast<size_t>(n / 2 + 16));
+/// First j >= i where p[j] == p[j+1] == p[j+2], or n if there is none. Eight
+/// candidate positions per step: a zero byte t in (w0 ^ w1) | (w1 ^ w2)
+/// marks a triple at j + t, and the lowest byte the zero-byte test flags is
+/// always a true zero.
+int64_t next_triple(const std::byte* p, int64_t i, int64_t n) {
+  constexpr uint64_t kOnes = 0x0101010101010101ull;
+  constexpr uint64_t kHighs = 0x8080808080808080ull;
+  int64_t j = i;
+  for (; j + 10 <= n; j += 8) {
+    const uint64_t w1 = load_u64(p + j + 1);
+    const uint64_t x = (load_u64(p + j) ^ w1) | (w1 ^ load_u64(p + j + 2));
+    const uint64_t zero = (x - kOnes) & ~x & kHighs;
+    if (zero != 0) return j + std::countr_zero(zero) / 8;
+  }
+  for (; j + 2 < n; ++j) {
+    if (p[j] == p[j + 1] && p[j + 1] == p[j + 2]) return j;
+  }
+  return n;
+}
+
+/// PackBits of p[0, n) into dst (rle_bound(n) bytes); returns the length.
+/// Runs of >= 3 equal bytes (at most 128 per control) repeat; everything
+/// between them is literal, 128 bytes per control. Like rle_decode, a
+/// literal copies a whole 128 bytes where both sides have room.
+int64_t rle_encode(const std::byte* p, int64_t n, std::byte* dst) {
+  std::byte* o = dst;
+  std::byte* const limit = dst + rle_bound(n);
   int64_t i = 0;
-  auto run_at = [&](int64_t j) {
-    int64_t run = 1;
-    while (j + run < n && run < 128 && p[j + run] == p[j]) ++run;
-    return run;
-  };
   while (i < n) {
-    int64_t run = run_at(i);
+    int64_t run = 1;
+    while (i + run < n && run < 128 && p[i + run] == p[i]) ++run;
     if (run >= 3) {
-      out.push_back(static_cast<std::byte>(257 - run));
-      out.push_back(p[i]);
+      *o++ = static_cast<std::byte>(257 - run);
+      *o++ = p[i];
       i += run;
       continue;
     }
-    const int64_t lit = i;
-    while (i < n) {
-      run = run_at(i);
-      if (run >= 3) break;
-      i += run;
+    const int64_t end = next_triple(p, i, n);
+    for (; i < end; i += 128) {
+      const int64_t len = std::min<int64_t>(128, end - i);
+      *o++ = static_cast<std::byte>(len - 1);
+      if (i + 128 <= n && o + 128 <= limit) {
+        std::memcpy(o, p + i, 128);
+      } else {
+        std::memcpy(o, p + i, static_cast<size_t>(len));
+      }
+      o += len;
     }
-    rle_flush_literals(out, p, lit, i);
+    i = end;
   }
-  return out;
+  return o - dst;
 }
 
-/// Decodes exactly `expected` bytes; anything else is malformed.
-std::vector<std::byte> rle_decode(const std::byte* p, int64_t n,
-                                  int64_t expected) {
-  std::vector<std::byte> out;
-  out.reserve(static_cast<size_t>(expected));
-  int64_t i = 0;
+/// Decodes exactly `expected` bytes into dst; anything else is malformed.
+/// Where both sides have room, a run copies or fills a whole 128 bytes (a
+/// fixed-size copy, which compiles to a few vector moves); the bytes past
+/// the run are rewritten by the runs after it.
+void rle_decode(const std::byte* p, int64_t n, int64_t expected, std::byte* dst) {
+  int64_t i = 0, o = 0;
   while (i < n) {
     const auto c = static_cast<uint8_t>(p[i++]);
     if (c <= 127) {
       const int64_t len = c + 1;
       ACTCOMP_CHECK(i + len <= n, "truncated RLE literal run on wire");
-      ACTCOMP_CHECK(static_cast<int64_t>(out.size()) + len <= expected,
+      ACTCOMP_CHECK(o + len <= expected,
                     "RLE stream overruns its declared plane size");
-      out.insert(out.end(), p + i, p + i + len);
+      if (i + 128 <= n && o + 128 <= expected) {
+        std::memcpy(dst + o, p + i, 128);
+      } else {
+        std::memcpy(dst + o, p + i, static_cast<size_t>(len));
+      }
       i += len;
+      o += len;
     } else {
       ACTCOMP_CHECK(c != 128, "reserved RLE control byte 128 on wire");
       ACTCOMP_CHECK(i < n, "truncated RLE repeat run on wire");
       const int64_t len = 257 - c;
-      ACTCOMP_CHECK(static_cast<int64_t>(out.size()) + len <= expected,
+      ACTCOMP_CHECK(o + len <= expected,
                     "RLE stream overruns its declared plane size");
-      out.insert(out.end(), static_cast<size_t>(len), p[i++]);
+      const auto v = static_cast<int>(p[i++]);
+      if (o + 128 <= expected) {
+        std::memset(dst + o, v, 128);
+      } else {
+        std::memset(dst + o, v, static_cast<size_t>(len));
+      }
+      o += len;
     }
   }
-  ACTCOMP_CHECK(static_cast<int64_t>(out.size()) == expected,
-                "RLE stream decodes to " << out.size() << " bytes, expected "
-                                         << expected);
-  return out;
+  ACTCOMP_CHECK(o == expected,
+                "RLE stream decodes to " << o << " bytes, expected " << expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -245,52 +279,58 @@ uint32_t reverse_code(uint32_t code, int len) {
   return rev;
 }
 
-std::optional<std::vector<std::byte>> huffman_encode(const std::byte* p,
-                                                     int64_t n) {
-  int64_t counts[256] = {};
-  for (int64_t i = 0; i < n; ++i) ++counts[static_cast<uint8_t>(p[i])];
+/// A plane's canonical code: lengths, bit-reversed codes (the stream is
+/// LSB-first, so a code's first bit goes out first), and the coded size
+/// Σ count × length, known before anything is emitted.
+struct HuffmanCode {
   uint8_t lens[256];
-  if (!huffman_lengths(counts, lens)) return std::nullopt;
-  uint32_t codes[256] = {};
-  if (!canonical_codes(lens, codes)) return std::nullopt;
-
-  // Bit-reverse each code once so emission is a single shift-or per symbol.
   uint32_t rev[256];
-  uint64_t total_bits = 0;
-  for (int s = 0; s < 256; ++s) {
-    rev[s] = reverse_code(codes[s], lens[s]);
-    total_bits += static_cast<uint64_t>(counts[s]) * lens[s];
+  uint64_t bits = 0;
+
+  /// Stream bytes: the length table, then the codes.
+  int64_t stream_bytes() const { return 256 + static_cast<int64_t>((bits + 7) / 8); }
+};
+
+/// False when the tree exceeds kMaxCodeLen (the plane then goes raw).
+bool huffman_code(const int64_t counts[256], HuffmanCode& hc) {
+  uint32_t codes[256] = {};
+  if (!huffman_lengths(counts, hc.lens) || !canonical_codes(hc.lens, codes)) {
+    return false;
   }
-  std::vector<std::byte> out(static_cast<size_t>(256 + (total_bits + 7) / 8));
   for (int s = 0; s < 256; ++s) {
-    out[static_cast<size_t>(s)] = static_cast<std::byte>(lens[s]);
+    hc.rev[s] = reverse_code(codes[s], hc.lens[s]);
+    hc.bits += static_cast<uint64_t>(counts[s]) * hc.lens[s];
   }
-  // A 64-bit accumulator flushed a little-endian 32-bit word at a time: it
-  // holds < 32 bits before each code and codes are <= 32 bits, so it never
-  // overflows, and each stored word is four whole stream bytes.
-  std::byte* dst = out.data() + 256;
+  return true;
+}
+
+/// Writes the stream for p[0, n) to dst, which has stream_bytes() + 8 bytes
+/// of room. After each code the accumulator's whole bytes go out in one
+/// unaligned 8-byte store (the last may spill into the slack) and at most 7
+/// bits stay behind, so a code of up to 32 bits always fits: no branch per
+/// code.
+void huffman_emit(const std::byte* p, int64_t n, const HuffmanCode& hc,
+                  std::byte* dst) {
+  for (int s = 0; s < 256; ++s) dst[s] = static_cast<std::byte>(hc.lens[s]);
+  std::byte* o = dst + 256;
   uint64_t acc = 0;
   int nbits = 0;
   for (int64_t i = 0; i < n; ++i) {
     const auto s = static_cast<uint8_t>(p[i]);
-    acc |= static_cast<uint64_t>(rev[s]) << nbits;
-    nbits += lens[s];
-    if (nbits >= 32) {
-      const auto word = static_cast<uint32_t>(acc);
-      std::memcpy(dst, &word, 4);
-      dst += 4;
-      acc >>= 32;
-      nbits -= 32;
-    }
+    acc |= static_cast<uint64_t>(hc.rev[s]) << nbits;
+    nbits += hc.lens[s];
+    std::memcpy(o, &acc, 8);
+    o += nbits >> 3;
+    acc >>= nbits & ~7;
+    nbits &= 7;
   }
-  for (; nbits > 0; nbits -= 8, acc >>= 8) *dst++ = static_cast<std::byte>(acc & 0xFFu);
-  return out;
+  if (nbits > 0) *o = static_cast<std::byte>(acc & 0xFFu);
 }
 
-/// Decodes exactly `expected` symbols and requires the stream to be exactly
-/// consumed (headers + ceil(bits/8) bytes).
-std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
-                                      int64_t expected) {
+/// Decodes exactly `expected` symbols into dst and requires the stream to
+/// be exactly consumed (headers + ceil(bits/8) bytes).
+void huffman_decode(const std::byte* p, int64_t n, int64_t expected,
+                    std::byte* dst) {
   ACTCOMP_CHECK(n >= 256, "truncated Huffman length table on wire");
   uint8_t lens[256];
   for (int s = 0; s < 256; ++s) {
@@ -331,16 +371,32 @@ std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
   // Lookup table over the next kTableBits stream bits. The stream is
   // LSB-first, so a code starts at the index's lowest bit: each code of at
   // most kTableBits bits fills, bit-reversed, every entry it is a prefix of.
-  // An entry packs length << 8 | symbol; 0 marks a pattern that starts no
-  // such code (a longer code, or none at all).
-  uint16_t table[1 << kTableBits] = {};
+  // An entry packs bits used << 24 | symbols << 16 | second << 8 | first;
+  // 0 marks a pattern that starts no such code (a longer code, or none).
+  // Where the bits after the first code hold a whole second code, the entry
+  // takes it too: one lookup, two symbols.
+  constexpr uint32_t kMask = (1u << kTableBits) - 1;
+  std::vector<uint32_t> table(size_t{1} << kTableBits);
   for (int l = 1; l <= kTableBits; ++l) {
     for (uint32_t c = 0; c < count[l]; ++c) {
       const uint32_t rev = reverse_code(first[l] + c, l);
-      const auto entry = static_cast<uint16_t>(l << 8 | syms[offset[l] + c]);
+      const auto entry =
+          static_cast<uint32_t>(l << 24 | 1 << 16 | syms[offset[l] + c]);
       for (uint32_t pad = 0; pad < (1u << (kTableBits - l)); ++pad) {
         table[rev | pad << l] = entry;
       }
+    }
+  }
+  for (uint32_t idx = 0; idx <= kMask; ++idx) {
+    const uint32_t one = table[idx];
+    const uint32_t len = one >> 24;
+    if (one == 0 || len == kTableBits) continue;
+    // The index's bits past the first code, zero above: a second entry
+    // whose code fits in them names the code that follows.
+    const uint32_t two = table[idx >> len];
+    if (two != 0 && (two >> 24) <= kTableBits - len && (two >> 16 & 0xFF) == 1) {
+      table[idx] = (len + (two >> 24)) << 24 | 2 << 16 | (two & 0xFF) << 8 |
+                   (one & 0xFF);
     }
   }
 
@@ -367,120 +423,171 @@ std::vector<std::byte> huffman_decode(const std::byte* p, int64_t n,
       }
     }
   };
-  std::vector<std::byte> out(static_cast<size_t>(expected));
+  // While 8 whole bytes remain, one load holds >= 57 unread bits: room for
+  // four lookups, and up to two more while a whole table index is left
+  // (codes of up to 11 bits get at least five, 9 bits or less six). Each
+  // lookup writes two bytes and keeps one or both; a miss keeps none and
+  // consumes nothing, so the lookups after it repeat it and the bitwise
+  // decoder takes over.
+  constexpr int kWordBits = 57;
+  constexpr int64_t kMaxPerLoad = 2 * 6;
   int64_t i = 0;
   while (i < expected) {
-    // While 8 whole bytes remain, one load holds >= 57 unread bits: room for
-    // five table hits of <= 11 bits each.
     int used = 0;
-    if ((bitpos >> 3) + 8 <= nbytes) {
-      uint64_t word = 0;
-      std::memcpy(&word, bits + (bitpos >> 3), 8);
-      word >>= bitpos & 7;
-      for (int hit = 0; hit < 5 && i < expected; ++hit) {
-        const uint16_t entry = table[(word >> used) & ((1u << kTableBits) - 1)];
-        if (entry == 0) break;
-        out[static_cast<size_t>(i++)] = static_cast<std::byte>(entry & 0xFF);
-        used += entry >> 8;
-      }
+    if ((bitpos >> 3) + 8 <= nbytes && i + kMaxPerLoad <= expected) {
+      uint64_t word = load_u64(bits + (bitpos >> 3)) >> (bitpos & 7);
+      const auto lookup = [&] {
+        const uint32_t entry = table[word & kMask];
+        std::memcpy(dst + i, &entry, 2);
+        i += entry >> 16 & 0xFF;
+        used += static_cast<int>(entry >> 24);
+        word >>= entry >> 24;
+      };
+      for (int h = 0; h < 4; ++h) lookup();
+      for (int h = 0; h < 2 && used <= kWordBits - kTableBits; ++h) lookup();
       bitpos += used;
     }
-    if (used == 0) out[static_cast<size_t>(i++)] = decode_bitwise();
+    if (used == 0) dst[i++] = decode_bitwise();
   }
   ACTCOMP_CHECK((bitpos + 7) / 8 == nbytes,
                 "Huffman bitstream has trailing bytes on wire");
-  return out;
 }
 
 // ---------------------------------------------------------------------------
-// Plane split / merge.
+// Planes, chunks and containers.
 // ---------------------------------------------------------------------------
 
 int64_t plane_raw_len(int64_t chunk_len, int stride, int plane) {
   return chunk_len / stride + (plane < chunk_len % stride ? 1 : 0);
 }
 
-std::vector<std::byte> gather_plane(const std::byte* p, int64_t n, int stride,
-                                    int plane) {
-  std::vector<std::byte> out(static_cast<size_t>(plane_raw_len(n, stride, plane)));
-  size_t j = 0;
-  for (int64_t i = plane; i < n; i += stride) out[j++] = p[i];
-  return out;
+/// Splits p[0, n) into its `Stride` byte planes in one pass: plane j
+/// (every Stride-th byte from j) lands at planes[j], back to back.
+template <int Stride>
+void split_planes(const std::byte* p, int64_t n, std::byte* planes) {
+  std::byte* dst[Stride];
+  std::byte* at = planes;
+  for (int j = 0; j < Stride; ++j) {
+    dst[j] = at;
+    at += plane_raw_len(n, Stride, j);
+  }
+  const int64_t rows = n / Stride;
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int j = 0; j < Stride; ++j) dst[j][i] = p[i * Stride + j];
+  }
+  for (int j = 0; j < n % Stride; ++j) dst[j][rows] = p[rows * Stride + j];
 }
 
-/// Encodes one plane under the container's requested algo, falling back to
-/// raw whenever coding would not shrink it. Returns (plane algo used, bytes).
-std::pair<LosslessAlgo, std::vector<std::byte>> encode_plane(
-    const std::byte* p, int64_t n, LosslessAlgo algo) {
-  std::optional<std::vector<std::byte>> coded;
-  switch (algo) {
-    case LosslessAlgo::kRaw:
-      break;
-    case LosslessAlgo::kRle:
-      coded = rle_encode(p, n);
-      break;
-    case LosslessAlgo::kHuffman:
-      coded = huffman_encode(p, n);
-      break;
-    case LosslessAlgo::kRleHuffman: {
-      const std::vector<std::byte> rle = rle_encode(p, n);
-      if (auto h = huffman_encode(rle.data(), static_cast<int64_t>(rle.size()))) {
-        std::vector<std::byte> stream;
-        stream.reserve(8 + h->size());
-        wire::append_pod<uint64_t>(stream, static_cast<uint64_t>(rle.size()));
-        stream.insert(stream.end(), h->begin(), h->end());
-        coded = std::move(stream);
-      }
-      break;
+/// The inverse of split_planes, reading plane j from src[j].
+template <int Stride>
+void merge_planes(const std::byte* const* src, int64_t n, std::byte* out) {
+  const int64_t rows = n / Stride;
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int j = 0; j < Stride; ++j) out[i * Stride + j] = src[j][i];
+  }
+  for (int j = 0; j < n % Stride; ++j) out[rows * Stride + j] = src[j][rows];
+}
+
+/// Appends one plane (u8 plane algo, u64 size, bytes) under the container's
+/// algo, falling back to raw whenever coding would not shrink it. The
+/// Huffman stream is sized from its counts first, so a plane headed for
+/// the raw fallback is never emitted. `scratch` holds the PackBits stream.
+void encode_plane(const std::byte* p, int64_t n, LosslessAlgo algo,
+                  std::vector<std::byte>& scratch, std::vector<std::byte>& out) {
+  const auto append_plane = [&](LosslessAlgo used, const std::byte* bytes,
+                                int64_t len) {
+    wire::append_pod<uint8_t>(out, static_cast<uint8_t>(used));
+    wire::append_pod<uint64_t>(out, static_cast<uint64_t>(len));
+    out.insert(out.end(), bytes, bytes + len);
+  };
+  const std::byte* src = p;
+  int64_t len = n;
+  if (algo == LosslessAlgo::kRle || algo == LosslessAlgo::kRleHuffman) {
+    scratch.resize(static_cast<size_t>(rle_bound(n)));
+    len = rle_encode(p, n, scratch.data());
+    src = scratch.data();
+    if (algo == LosslessAlgo::kRle && len < n) {
+      append_plane(algo, src, len);
+      return;
     }
   }
-  if (coded && static_cast<int64_t>(coded->size()) < n) {
-    return {algo, std::move(*coded)};
+  if (algo == LosslessAlgo::kHuffman || algo == LosslessAlgo::kRleHuffman) {
+    int64_t counts[256] = {};
+    for (int64_t i = 0; i < len; ++i) ++counts[static_cast<uint8_t>(src[i])];
+    HuffmanCode hc;
+    const int64_t prefix = algo == LosslessAlgo::kRleHuffman ? 8 : 0;
+    if (huffman_code(counts, hc) && prefix + hc.stream_bytes() < n) {
+      wire::append_pod<uint8_t>(out, static_cast<uint8_t>(algo));
+      wire::append_pod<uint64_t>(out,
+                                 static_cast<uint64_t>(prefix + hc.stream_bytes()));
+      if (prefix > 0) wire::append_pod<uint64_t>(out, static_cast<uint64_t>(len));
+      const size_t at = out.size();
+      out.resize(at + static_cast<size_t>(hc.stream_bytes()) + 8);
+      huffman_emit(src, len, hc, out.data() + at);
+      out.resize(at + static_cast<size_t>(hc.stream_bytes()));
+      return;
+    }
   }
-  return {LosslessAlgo::kRaw, std::vector<std::byte>(p, p + n)};
+  append_plane(LosslessAlgo::kRaw, p, n);
 }
 
-std::vector<std::byte> decode_plane(LosslessAlgo algo, const std::byte* p,
-                                    int64_t n, int64_t expected) {
+/// Decodes one plane's `n` coded bytes into exactly `expected` bytes at dst.
+void decode_plane(LosslessAlgo algo, const std::byte* p, int64_t n,
+                  int64_t expected, std::byte* dst) {
   switch (algo) {
     case LosslessAlgo::kRaw:
       ACTCOMP_CHECK(n == expected, "raw plane size mismatch on wire");
-      return std::vector<std::byte>(p, p + n);
+      if (n > 0) std::memcpy(dst, p, static_cast<size_t>(n));  // dst may be null
+      return;
     case LosslessAlgo::kRle:
-      return rle_decode(p, n, expected);
+      rle_decode(p, n, expected, dst);
+      return;
     case LosslessAlgo::kHuffman:
-      return huffman_decode(p, n, expected);
+      huffman_decode(p, n, expected, dst);
+      return;
     case LosslessAlgo::kRleHuffman: {
       ByteReader r{p, n};
       const auto rle_len = static_cast<int64_t>(r.get<uint64_t>());
       ACTCOMP_CHECK(rle_len >= 0 && rle_len <= kMaxExpansion * (n - r.off) + 8,
                     "implausible RLE stream size on wire");
-      const std::vector<std::byte> rle =
-          huffman_decode(p + r.off, n - r.off, rle_len);
-      return rle_decode(rle.data(), static_cast<int64_t>(rle.size()), expected);
+      std::vector<std::byte> rle(static_cast<size_t>(rle_len));
+      huffman_decode(p + r.off, n - r.off, rle_len, rle.data());
+      rle_decode(rle.data(), rle_len, expected, dst);
+      return;
     }
   }
   ACTCOMP_CHECK(false, "unknown plane algo id on wire");
 }
 
 void encode_chunk(const std::byte* p, int64_t n, LosslessAlgo algo, int stride,
-                  std::vector<std::byte>& out) {
-  for (int plane = 0; plane < stride; ++plane) {
-    std::vector<std::byte> plane_bytes = gather_plane(p, n, stride, plane);
-    auto [used, coded] = encode_plane(
-        plane_bytes.data(), static_cast<int64_t>(plane_bytes.size()), algo);
-    wire::append_pod<uint8_t>(out, static_cast<uint8_t>(used));
-    wire::append_pod<uint64_t>(out, static_cast<uint64_t>(coded.size()));
-    out.insert(out.end(), coded.begin(), coded.end());
+                  std::vector<std::byte>& scratch, std::vector<std::byte>& out) {
+  if (stride == 1) {
+    encode_plane(p, n, algo, scratch, out);
+    return;
+  }
+  std::vector<std::byte> planes(static_cast<size_t>(n));
+  if (stride == 2) {
+    split_planes<2>(p, n, planes.data());
+  } else {
+    split_planes<4>(p, n, planes.data());
+  }
+  const std::byte* plane = planes.data();
+  for (int j = 0; j < stride; ++j) {
+    const int64_t len = plane_raw_len(n, stride, j);
+    encode_plane(plane, len, algo, scratch, out);
+    plane += len;
   }
 }
 
+/// Decodes one chunk of `expected_raw` bytes into out. Planes decode one
+/// after another (raw ones are read in place), then one pass interleaves
+/// them.
 void decode_chunk(const std::byte* p, int64_t n, int64_t expected_raw,
-                  LosslessAlgo container_algo, int stride,
-                  std::vector<std::byte>& out) {
+                  LosslessAlgo container_algo, int stride, std::byte* out) {
   ByteReader r{p, n};
-  const size_t base = out.size();
-  out.resize(base + static_cast<size_t>(expected_raw));
+  std::vector<std::byte> planes(stride == 1 ? 0 : static_cast<size_t>(expected_raw));
+  const std::byte* src[4] = {};
+  int64_t at = 0;
   for (int plane = 0; plane < stride; ++plane) {
     const auto algo_id = r.get<uint8_t>();
     ACTCOMP_CHECK(algo_id == static_cast<uint8_t>(LosslessAlgo::kRaw) ||
@@ -492,14 +599,102 @@ void decode_chunk(const std::byte* p, int64_t n, int64_t expected_raw,
     const int64_t expected = plane_raw_len(expected_raw, stride, plane);
     ACTCOMP_CHECK(expected <= kMaxExpansion * coded_len + 8,
                   "implausible plane expansion on wire");
-    const std::vector<std::byte> raw = decode_plane(
-        static_cast<LosslessAlgo>(algo_id), coded, coded_len, expected);
-    size_t j = 0;
-    for (int64_t i = plane; i < expected_raw; i += stride) {
-      out[base + static_cast<size_t>(i)] = raw[j++];
+    const auto algo = static_cast<LosslessAlgo>(algo_id);
+    if (stride == 1) {
+      decode_plane(algo, coded, coded_len, expected, out);
+    } else if (algo == LosslessAlgo::kRaw) {
+      ACTCOMP_CHECK(coded_len == expected, "raw plane size mismatch on wire");
+      src[plane] = coded;
+    } else {
+      decode_plane(algo, coded, coded_len, expected, planes.data() + at);
+      src[plane] = planes.data() + at;
     }
+    at += expected;
   }
   ACTCOMP_CHECK(r.off == n, "trailing bytes after the chunk's last plane");
+  if (stride == 2) merge_planes<2>(src, expected_raw, out);
+  if (stride == 4) merge_planes<4>(src, expected_raw, out);
+}
+
+/// Appends the container for data[0, n) to out.
+void encode_container(const LosslessCodec& codec, const std::byte* data,
+                      int64_t n, std::vector<std::byte>& out) {
+  ACTCOMP_CHECK(n >= 0, "negative payload size");
+  ACTCOMP_CHECK(n == 0 || data != nullptr, "null payload");
+  const int chunks = codec.num_chunks(n);
+  const int64_t chunk_raw = chunks == 1 ? n : codec.chunk_bytes;
+  const int stride = plane_count(codec.split);
+  // The raw fallback bounds every plane, so nothing below reallocates
+  // (the 8 spare bytes are the Huffman emitter's slack).
+  out.reserve(out.size() + static_cast<size_t>(codec.max_encoded_bytes(n)) + 8);
+  wire::append_pod<uint8_t>(out, kMagic);
+  wire::append_pod<uint8_t>(out, kVersion);
+  wire::append_pod<uint8_t>(out, static_cast<uint8_t>(codec.algo));
+  wire::append_pod<uint8_t>(out, static_cast<uint8_t>(codec.split));
+  wire::append_pod<uint64_t>(out, static_cast<uint64_t>(n));
+  wire::append_pod<uint32_t>(out, static_cast<uint32_t>(chunks));
+  wire::append_pod<uint64_t>(out, static_cast<uint64_t>(chunk_raw));
+  const size_t table = out.size();
+  out.resize(table + 8 * static_cast<size_t>(chunks));
+  std::vector<std::byte> scratch;
+  for (int c = 0; c < chunks; ++c) {
+    const int64_t begin = static_cast<int64_t>(c) * chunk_raw;
+    const size_t start = out.size();
+    encode_chunk(data + begin, std::min(chunk_raw, n - begin), codec.algo, stride,
+                 scratch, out);
+    const auto size = static_cast<uint64_t>(out.size() - start);
+    std::memcpy(out.data() + table + 8 * static_cast<size_t>(c), &size, 8);
+  }
+}
+
+/// Decodes the container buf[0, n) and appends its payload to out.
+void decode_container(const std::byte* buf, int64_t n, std::vector<std::byte>& out) {
+  ByteReader r{buf, n};
+  ACTCOMP_CHECK(r.get<uint8_t>() == kMagic, "bad lossless container magic");
+  ACTCOMP_CHECK(r.get<uint8_t>() == kVersion,
+                "unsupported lossless container version");
+  const auto algo_id = r.get<uint8_t>();
+  ACTCOMP_CHECK(algo_id <= static_cast<uint8_t>(LosslessAlgo::kRleHuffman),
+                "unknown lossless algo id " << int{algo_id});
+  const auto split_id = r.get<uint8_t>();
+  ACTCOMP_CHECK(split_id <= static_cast<uint8_t>(PlaneSplit::kStride4),
+                "unknown plane split id " << int{split_id});
+  const auto raw = static_cast<int64_t>(r.get<uint64_t>());
+  ACTCOMP_CHECK(raw >= 0 && raw <= kMaxExpansion * n,
+                "implausible raw payload size on wire");
+  const auto chunks = static_cast<int64_t>(r.get<uint32_t>());
+  ACTCOMP_CHECK(chunks >= 1, "lossless container needs >= 1 chunk");
+  const auto chunk_raw = static_cast<int64_t>(r.get<uint64_t>());
+  if (chunks == 1) {
+    ACTCOMP_CHECK(chunk_raw == raw,
+                  "single-chunk container must have chunk_raw == raw_bytes");
+  } else {
+    ACTCOMP_CHECK(chunk_raw >= 1, "multi-chunk container needs chunk_raw >= 1");
+    ACTCOMP_CHECK(chunk_raw * (chunks - 1) < raw && raw <= chunk_raw * chunks,
+                  "chunk table inconsistent with raw_bytes");
+  }
+  std::vector<int64_t> sizes(static_cast<size_t>(chunks));
+  int64_t total = 0;
+  for (auto& s : sizes) {
+    s = static_cast<int64_t>(r.get<uint64_t>());
+    ACTCOMP_CHECK(s >= 0 && s <= n, "chunk size out of range on wire");
+    total += s;
+  }
+  ACTCOMP_CHECK(r.off + total == n,
+                "container size does not match its chunk table (truncated or "
+                "trailing bytes)");
+
+  const size_t base = out.size();
+  out.resize(base + static_cast<size_t>(raw));
+  const auto algo = static_cast<LosslessAlgo>(algo_id);
+  const int stride = plane_count(static_cast<PlaneSplit>(split_id));
+  for (int64_t c = 0; c < chunks; ++c) {
+    const int64_t expected =
+        c + 1 == chunks ? raw - chunk_raw * (chunks - 1) : chunk_raw;
+    const std::byte* p = r.take(sizes[static_cast<size_t>(c)]);
+    decode_chunk(p, sizes[static_cast<size_t>(c)], expected, algo, stride,
+                 out.data() + base + static_cast<size_t>(c * chunk_raw));
+  }
 }
 
 }  // namespace
@@ -570,34 +765,8 @@ int64_t LosslessCodec::max_encoded_bytes(int64_t raw_bytes) const {
 
 std::vector<std::byte> LosslessCodec::encode(const std::byte* data,
                                              int64_t n) const {
-  ACTCOMP_CHECK(n >= 0, "negative payload size");
-  ACTCOMP_CHECK(n == 0 || data != nullptr, "null payload");
-  const int chunks = num_chunks(n);
-  const int64_t chunk_raw = chunks == 1 ? n : chunk_bytes;
-  const int stride = plane_count(split);
-
-  std::vector<std::vector<std::byte>> chunk_streams(
-      static_cast<size_t>(chunks));
-  for (int c = 0; c < chunks; ++c) {
-    const int64_t begin = static_cast<int64_t>(c) * chunk_raw;
-    const int64_t len = std::min(chunk_raw, n - begin);
-    encode_chunk(data + begin, len, algo, stride,
-                 chunk_streams[static_cast<size_t>(c)]);
-  }
-
   std::vector<std::byte> out;
-  out.reserve(static_cast<size_t>(kHeaderBytes + 8 * chunks));
-  wire::append_pod<uint8_t>(out, kMagic);
-  wire::append_pod<uint8_t>(out, kVersion);
-  wire::append_pod<uint8_t>(out, static_cast<uint8_t>(algo));
-  wire::append_pod<uint8_t>(out, static_cast<uint8_t>(split));
-  wire::append_pod<uint64_t>(out, static_cast<uint64_t>(n));
-  wire::append_pod<uint32_t>(out, static_cast<uint32_t>(chunks));
-  wire::append_pod<uint64_t>(out, static_cast<uint64_t>(chunk_raw));
-  for (const auto& cs : chunk_streams) {
-    wire::append_pod<uint64_t>(out, static_cast<uint64_t>(cs.size()));
-  }
-  for (const auto& cs : chunk_streams) out.insert(out.end(), cs.begin(), cs.end());
+  encode_container(*this, data, n, out);
   return out;
 }
 
@@ -608,53 +777,8 @@ std::vector<std::byte> LosslessCodec::encode(
 
 std::vector<std::byte> LosslessCodec::decode(
     const std::vector<std::byte>& buf) const {
-  ByteReader r{buf.data(), static_cast<int64_t>(buf.size())};
-  ACTCOMP_CHECK(r.get<uint8_t>() == kMagic, "bad lossless container magic");
-  ACTCOMP_CHECK(r.get<uint8_t>() == kVersion,
-                "unsupported lossless container version");
-  const auto algo_id = r.get<uint8_t>();
-  ACTCOMP_CHECK(algo_id <= static_cast<uint8_t>(LosslessAlgo::kRleHuffman),
-                "unknown lossless algo id " << int{algo_id});
-  const auto split_id = r.get<uint8_t>();
-  ACTCOMP_CHECK(split_id <= static_cast<uint8_t>(PlaneSplit::kStride4),
-                "unknown plane split id " << int{split_id});
-  const auto raw = static_cast<int64_t>(r.get<uint64_t>());
-  ACTCOMP_CHECK(raw >= 0 &&
-                    raw <= kMaxExpansion * static_cast<int64_t>(buf.size()),
-                "implausible raw payload size on wire");
-  const auto chunks = static_cast<int64_t>(r.get<uint32_t>());
-  ACTCOMP_CHECK(chunks >= 1, "lossless container needs >= 1 chunk");
-  const auto chunk_raw = static_cast<int64_t>(r.get<uint64_t>());
-  if (chunks == 1) {
-    ACTCOMP_CHECK(chunk_raw == raw,
-                  "single-chunk container must have chunk_raw == raw_bytes");
-  } else {
-    ACTCOMP_CHECK(chunk_raw >= 1, "multi-chunk container needs chunk_raw >= 1");
-    ACTCOMP_CHECK(chunk_raw * (chunks - 1) < raw && raw <= chunk_raw * chunks,
-                  "chunk table inconsistent with raw_bytes");
-  }
-  std::vector<int64_t> sizes(static_cast<size_t>(chunks));
-  int64_t total = 0;
-  for (auto& s : sizes) {
-    s = static_cast<int64_t>(r.get<uint64_t>());
-    ACTCOMP_CHECK(s >= 0 && s <= static_cast<int64_t>(buf.size()),
-                  "chunk size out of range on wire");
-    total += s;
-  }
-  ACTCOMP_CHECK(r.off + total == static_cast<int64_t>(buf.size()),
-                "container size does not match its chunk table (truncated or "
-                "trailing bytes)");
-
   std::vector<std::byte> out;
-  out.reserve(static_cast<size_t>(raw));
-  const auto algo = static_cast<LosslessAlgo>(algo_id);
-  const int stride = plane_count(static_cast<PlaneSplit>(split_id));
-  for (int64_t c = 0; c < chunks; ++c) {
-    const int64_t expected =
-        c + 1 == chunks ? raw - chunk_raw * (chunks - 1) : chunk_raw;
-    const std::byte* p = r.take(sizes[static_cast<size_t>(c)]);
-    decode_chunk(p, sizes[static_cast<size_t>(c)], expected, algo, stride, out);
-  }
+  decode_container(buf.data(), static_cast<int64_t>(buf.size()), out);
   return out;
 }
 
@@ -774,17 +898,15 @@ CompressedMessage StackedCompressor::do_encode(const tensor::Tensor& x) {
   CompressedMessage msg;
   msg.shape_dims = x.shape().dims();
   wire::append_pod<uint32_t>(msg.body, static_cast<uint32_t>(segs.size()));
-  std::vector<std::vector<std::byte>> containers;
-  containers.reserve(segs.size());
-  for (const BodySegment& s : segs) {
+  const size_t table = msg.body.size();
+  msg.body.resize(table + 8 * segs.size());
+  for (size_t i = 0; i < segs.size(); ++i) {
     LosslessCodec c = codec_;
-    c.split = s.split;
-    containers.push_back(c.encode(inner.body.data() + s.offset, s.bytes));
-    wire::append_pod<uint64_t>(msg.body,
-                               static_cast<uint64_t>(containers.back().size()));
-  }
-  for (const auto& c : containers) {
-    msg.body.insert(msg.body.end(), c.begin(), c.end());
+    c.split = segs[i].split;
+    const size_t start = msg.body.size();
+    encode_container(c, inner.body.data() + segs[i].offset, segs[i].bytes, msg.body);
+    const auto size = static_cast<uint64_t>(msg.body.size() - start);
+    std::memcpy(msg.body.data() + table + 8 * i, &size, 8);
   }
   return msg;
 }
@@ -801,14 +923,10 @@ tensor::Tensor StackedCompressor::do_decode(const CompressedMessage& msg) const 
   inner.shape_dims = msg.shape_dims;
   for (int64_t i = 0; i < nseg; ++i) {
     const int64_t len = sizes[static_cast<size_t>(i)];
-    ACTCOMP_CHECK(off + static_cast<size_t>(len) <= msg.body.size(),
+    ACTCOMP_CHECK(len >= 0 && static_cast<uint64_t>(len) <= msg.body.size() - off,
                   "truncated stacked segment on wire");
     // The container header carries its own split, so decode needs no layout.
-    const std::vector<std::byte> container(
-        msg.body.begin() + static_cast<int64_t>(off),
-        msg.body.begin() + static_cast<int64_t>(off) + len);
-    const std::vector<std::byte> raw = codec_.decode(container);
-    inner.body.insert(inner.body.end(), raw.begin(), raw.end());
+    decode_container(msg.body.data() + off, len, inner.body);
     off += static_cast<size_t>(len);
   }
   ACTCOMP_CHECK(off == msg.body.size(),

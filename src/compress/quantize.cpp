@@ -21,7 +21,103 @@ std::pair<int64_t, int64_t> rows_cols(const tensor::Shape& s) {
   return {cols == 0 ? 0 : s.numel() / cols, cols};
 }
 
+using core::kEwGrain;
 using core::row_grain;
+static_assert(kEwGrain % 8 == 0, "code chunks must hold whole groups");
+
+// The payload is the flattened code stream packed LSB-first (WIRE_FORMATS.md
+// §3.4), so every 8 codes of B bits fill exactly B bytes: code j of a group
+// is bits [jB, jB + B) of the group's little-endian B-byte word. Each group
+// packs and unpacks on its own, whatever row it falls in, so the codecs
+// below run one parallel path for every width and row length.
+
+/// The `width`-bit pattern `v` repeated across a 64-bit word.
+constexpr uint64_t splat(uint64_t v, int width) {
+  uint64_t r = 0;
+  for (int i = 0; i < 64; i += width) r |= v << i;
+  return r;
+}
+
+/// Within each `Lane`-bit lane, the value at the upper half's start moves
+/// down to sit right above the lower half's value (each holds B·Lane/16
+/// bits). Three merges turn 8 byte-wide codes into one 8B-bit group.
+template <int B, int Lane>
+uint64_t merge_halves(uint64_t v) {
+  constexpr int kHave = B * Lane / 16;
+  constexpr uint64_t kLow = splat((uint64_t{1} << kHave) - 1, Lane);
+  return (v & kLow) | ((v >> (Lane / 2 - kHave)) & (kLow << kHave));
+}
+
+/// The inverse of merge_halves.
+template <int B, int Lane>
+uint64_t split_halves(uint64_t v) {
+  constexpr int kHave = B * Lane / 16;
+  constexpr uint64_t kLow = splat((uint64_t{1} << kHave) - 1, Lane);
+  return (v & kLow) | ((v & (kLow << kHave)) << (Lane / 2 - kHave));
+}
+
+/// Packs codes [0, n), each below 2^B, into ceil(n·B/8) bytes at dst.
+template <int B>
+void pack_codes(const uint8_t* q, int64_t n, std::byte* dst) {
+  const auto pack = [](uint64_t v) {
+    return merge_halves<B, 64>(merge_halves<B, 32>(merge_halves<B, 16>(v)));
+  };
+  int64_t g = 0;
+  for (; 8 * g + 8 <= n; ++g) {
+    uint64_t v = 0;
+    std::memcpy(&v, q + 8 * g, 8);
+    v = pack(v);
+    std::memcpy(dst + B * g, &v, B);
+  }
+  if (const int64_t rest = n - 8 * g; rest > 0) {
+    uint64_t v = 0;  // missing codes pack as zero bits: the padding
+    std::memcpy(&v, q + 8 * g, static_cast<size_t>(rest));
+    v = pack(v);
+    std::memcpy(dst + B * g, &v, static_cast<size_t>((rest * B + 7) / 8));
+  }
+}
+
+/// Unpacks codes [0, n) from the ceil(n·B/8) bytes at src.
+template <int B>
+void unpack_codes(const std::byte* src, int64_t n, uint8_t* q) {
+  const auto unpack = [](uint64_t v) {
+    return split_halves<B, 16>(split_halves<B, 32>(split_halves<B, 64>(v)));
+  };
+  int64_t g = 0;
+  for (; 8 * g + 8 <= n; ++g) {
+    uint64_t v = 0;
+    std::memcpy(&v, src + B * g, B);
+    v = unpack(v);
+    std::memcpy(q + 8 * g, &v, 8);
+  }
+  if (const int64_t rest = n - 8 * g; rest > 0) {
+    uint64_t v = 0;
+    std::memcpy(&v, src + B * g, static_cast<size_t>((rest * B + 7) / 8));
+    v = unpack(v);
+    std::memcpy(q + 8 * g, &v, static_cast<size_t>(rest));
+  }
+}
+
+using PackFn = void (*)(const uint8_t*, int64_t, std::byte*);
+using UnpackFn = void (*)(const std::byte*, int64_t, uint8_t*);
+constexpr PackFn kPack[] = {nullptr,        pack_codes<1>, pack_codes<2>,
+                            pack_codes<3>, pack_codes<4>, pack_codes<5>,
+                            pack_codes<6>, pack_codes<7>, pack_codes<8>};
+constexpr UnpackFn kUnpack[] = {nullptr,          unpack_codes<1>, unpack_codes<2>,
+                                unpack_codes<3>, unpack_codes<4>, unpack_codes<5>,
+                                unpack_codes<6>, unpack_codes<7>, unpack_codes<8>};
+
+/// Calls fn(first, count, row) for each row's share of elements [e0, e1)
+/// of a row-major tensor with `cols` columns.
+template <typename Fn>
+void for_row_spans(int64_t e0, int64_t e1, int64_t cols, Fn&& fn) {
+  for (int64_t e = e0; e < e1;) {
+    const int64_t r = e / cols;
+    const int64_t end = std::min(e1, (r + 1) * cols);
+    fn(e, end - e, r);
+    e = end;
+  }
+}
 }  // namespace
 
 QuantizeCompressor::QuantizeCompressor(int bits)
@@ -50,90 +146,44 @@ QuantizeCompressor::RowParams QuantizeCompressor::row_params(const float* row,
 
 CompressedMessage QuantizeCompressor::do_encode(const tensor::Tensor& x) {
   const auto [rows, cols] = rows_cols(x.shape());
+  const int64_t numel = x.numel();
   CompressedMessage msg;
   msg.shape_dims = x.shape().dims();
-  const int64_t payload = (x.numel() * bits_ + 7) / 8;
   const int64_t header = rows * 4;
+  msg.body.resize(static_cast<size_t>(header + (numel * bits_ + 7) / 8));
+  const float* d = x.data().data();
 
-  const auto d = x.data();
-  // Per-row (lo, scale): the min/max scan dominates encode cost.
+  // Per-row (lo, scale), fp16 on the wire: the min/max scan dominates
+  // encode cost.
   std::vector<RowParams> params(static_cast<size_t>(rows));
   core::parallel_for(0, rows, row_grain(cols), [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
-      params[static_cast<size_t>(r)] = row_params(d.data() + r * cols, cols);
+      const RowParams p = row_params(d + r * cols, cols);
+      params[static_cast<size_t>(r)] = p;
+      const uint16_t half[2] = {tensor::fp32_to_fp16_bits(p.lo),
+                                tensor::fp32_to_fp16_bits(p.scale)};
+      std::memcpy(msg.body.data() + r * 4, half, 4);
     }
   });
-  for (int64_t r = 0; r < rows; ++r) {
-    wire::append_pod<uint16_t>(
-        msg.body, tensor::fp32_to_fp16_bits(params[static_cast<size_t>(r)].lo));
-    wire::append_pod<uint16_t>(
-        msg.body, tensor::fp32_to_fp16_bits(params[static_cast<size_t>(r)].scale));
-  }
 
-  // Payload: bit-packed codes, little-endian within each byte. Quantization
-  // is two-phase — the SIMD kernel fills a per-row code buffer, then an
-  // integer pass packs it — which produces the same bytes as the old fused
-  // per-element loop (the codes are identical; packing is pure bit logic).
+  // Codes, kEwGrain at a time (whole groups, so each chunk owns its bytes):
+  // the SIMD kernel quantizes each row's span into a code buffer, then
+  // the chunk packs it group by group.
   const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
-  const auto quantize_row = [&](const RowParams& p, int64_t r, uint8_t* qbuf) {
-    if (p.scale > 0.0f) {
-      kt.quant_quantize_row(d.data() + r * cols, cols, p.lo, p.scale, levels_,
-                            qbuf);
-    } else {
-      std::fill(qbuf, qbuf + cols, uint8_t{0});
-    }
-  };
-  const int64_t row_bits = cols * bits_;
-  if (row_bits % 8 == 0) {
-    // Rows start on byte boundaries, so every row owns a disjoint byte
-    // range of the payload and packs independently — byte-identical to the
-    // serial pass below.
-    const int64_t row_bytes = row_bits / 8;
-    msg.body.resize(static_cast<size_t>(header + payload));
-    std::byte* base = msg.body.data() + header;
-    core::parallel_for(0, rows, row_grain(cols), [&](int64_t r0, int64_t r1) {
-      std::vector<uint8_t> qbuf(static_cast<size_t>(cols));
-      for (int64_t r = r0; r < r1; ++r) {
-        quantize_row(params[static_cast<size_t>(r)], r, qbuf.data());
-        std::byte* dst = base + r * row_bytes;
-        if (bits_ == 8) {
-          std::memcpy(dst, qbuf.data(), static_cast<size_t>(cols));
-          continue;
-        }
-        uint32_t acc = 0;
-        int acc_bits = 0;
-        for (int64_t c = 0; c < cols; ++c) {
-          acc |= static_cast<uint32_t>(qbuf[static_cast<size_t>(c)]) << acc_bits;
-          acc_bits += bits_;
-          while (acc_bits >= 8) {
-            *dst++ = static_cast<std::byte>(acc & 0xFFu);
-            acc >>= 8;
-            acc_bits -= 8;
-          }
-        }
+  std::byte* payload = msg.body.data() + header;
+  const PackFn pack = kPack[bits_];
+  core::parallel_for(0, numel, kEwGrain, [&](int64_t e0, int64_t e1) {
+    uint8_t q[kEwGrain];
+    for_row_spans(e0, e1, cols, [&](int64_t e, int64_t len, int64_t r) {
+      const RowParams& p = params[static_cast<size_t>(r)];
+      if (p.scale > 0.0f) {
+        kt.quant_quantize_row(d + e, len, p.lo, p.scale, levels_, q + (e - e0));
+      } else {
+        std::fill_n(q + (e - e0), len, uint8_t{0});
       }
     });
-    return msg;
-  }
-
-  // Rows straddle byte boundaries: the accumulator threads through the whole
-  // tensor, so the pack stays serial (the quantize kernel still runs per row).
-  std::vector<uint8_t> qbuf(static_cast<size_t>(cols));
-  uint32_t acc = 0;
-  int acc_bits = 0;
-  for (int64_t r = 0; r < rows; ++r) {
-    quantize_row(params[static_cast<size_t>(r)], r, qbuf.data());
-    for (int64_t c = 0; c < cols; ++c) {
-      acc |= static_cast<uint32_t>(qbuf[static_cast<size_t>(c)]) << acc_bits;
-      acc_bits += bits_;
-      while (acc_bits >= 8) {
-        wire::append_pod<uint8_t>(msg.body, static_cast<uint8_t>(acc & 0xFFu));
-        acc >>= 8;
-        acc_bits -= 8;
-      }
-    }
-  }
-  if (acc_bits > 0) wire::append_pod<uint8_t>(msg.body, static_cast<uint8_t>(acc & 0xFFu));
+    pack(q, e1 - e0, payload + e0 / 8 * bits_);
+  });
   return msg;
 }
 
@@ -154,7 +204,7 @@ tensor::Tensor QuantizeCompressor::do_decode(const CompressedMessage& msg) const
                 "quantize wire message has " << body << " body bytes for shape "
                                              << shape.str());
   tensor::Tensor out{shape};
-  auto d = out.data();
+  float* d = out.data().data();
   size_t off = 0;
   std::vector<RowParams> params(static_cast<size_t>(rows));
   for (int64_t r = 0; r < rows; ++r) {
@@ -162,61 +212,20 @@ tensor::Tensor QuantizeCompressor::do_decode(const CompressedMessage& msg) const
     const float scale = tensor::fp16_bits_to_fp32(wire::read_pod<uint16_t>(msg.body, off));
     params[static_cast<size_t>(r)] = {lo, scale};
   }
-  const uint32_t mask = static_cast<uint32_t>(levels_ - 1);
-  const int64_t row_bits = cols * bits_;
-  // Decode mirrors encode's two phases: unpack codes into a per-row byte
-  // buffer, then the SIMD kernel applies the affine map (same mul-then-add
-  // expression as the old fused loop, so the floats are bit-identical).
+  // Decode mirrors encode: unpack a chunk's groups into a code buffer, then
+  // the SIMD kernel applies each row's affine map to its span (same
+  // mul-then-add expression per element, so the floats are bit-identical).
   const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
-  if (row_bits % 8 == 0) {
-    const int64_t row_bytes = row_bits / 8;
-    const std::byte* base = msg.body.data() + off;
-    core::parallel_for(0, rows, row_grain(cols), [&](int64_t r0, int64_t r1) {
-      std::vector<uint8_t> qbuf(static_cast<size_t>(cols));
-      for (int64_t r = r0; r < r1; ++r) {
-        const RowParams& p = params[static_cast<size_t>(r)];
-        const std::byte* src = base + r * row_bytes;
-        if (bits_ == 8) {
-          kt.quant_dequantize_row(reinterpret_cast<const uint8_t*>(src), cols,
-                                  p.lo, p.scale,
-                                  d.data() + r * cols);
-          continue;
-        }
-        uint32_t acc = 0;
-        int acc_bits = 0;
-        for (int64_t c = 0; c < cols; ++c) {
-          while (acc_bits < bits_) {
-            acc |= static_cast<uint32_t>(static_cast<uint8_t>(*src++)) << acc_bits;
-            acc_bits += 8;
-          }
-          qbuf[static_cast<size_t>(c)] = static_cast<uint8_t>(acc & mask);
-          acc >>= bits_;
-          acc_bits -= bits_;
-        }
-        kt.quant_dequantize_row(qbuf.data(), cols, p.lo, p.scale,
-                                d.data() + r * cols);
-      }
+  const std::byte* payload = msg.body.data() + off;
+  const UnpackFn unpack = kUnpack[bits_];
+  core::parallel_for(0, shape.numel(), kEwGrain, [&](int64_t e0, int64_t e1) {
+    uint8_t q[kEwGrain];
+    unpack(payload + e0 / 8 * bits_, e1 - e0, q);
+    for_row_spans(e0, e1, cols, [&](int64_t e, int64_t len, int64_t r) {
+      const RowParams& p = params[static_cast<size_t>(r)];
+      kt.quant_dequantize_row(q + (e - e0), len, p.lo, p.scale, d + e);
     });
-    return out;
-  }
-
-  std::vector<uint8_t> qbuf(static_cast<size_t>(cols));
-  uint32_t acc = 0;
-  int acc_bits = 0;
-  for (int64_t r = 0; r < rows; ++r) {
-    const RowParams& p = params[static_cast<size_t>(r)];
-    for (int64_t c = 0; c < cols; ++c) {
-      while (acc_bits < bits_) {
-        acc |= static_cast<uint32_t>(wire::read_pod<uint8_t>(msg.body, off)) << acc_bits;
-        acc_bits += 8;
-      }
-      qbuf[static_cast<size_t>(c)] = static_cast<uint8_t>(acc & mask);
-      acc >>= bits_;
-      acc_bits -= bits_;
-    }
-    kt.quant_dequantize_row(qbuf.data(), cols, p.lo, p.scale,
-                            d.data() + r * cols);
-  }
+  });
   return out;
 }
 

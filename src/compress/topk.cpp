@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "autograd/functions.h"
 #include "compress/settings.h"
 #include "compress/wire.h"
 #include "core/threadpool.h"
@@ -31,6 +32,31 @@ inline uint32_t magnitude_key(float v) {
   uint32_t bits = 0;
   std::memcpy(&bits, &v, sizeof bits);
   return bits & 0x7FFFFFFFu;
+}
+
+/// Indices per compaction block: the block's indices go to a stack buffer
+/// whose cursor advances by each element's keep flag, then one copy moves
+/// the kept ones out. No per-element branch, and no write lands past the
+/// chunk's own output slots.
+constexpr int64_t kCompactBlock = 256;
+
+/// Appends to `out`, in ascending order, every i in [lo, hi) with
+/// keep(i) != 0, where keep returns 0 or 1.
+template <typename Keep>
+int64_t* compact(int64_t lo, int64_t hi, int64_t* out, Keep&& keep) {
+  int64_t buf[kCompactBlock];
+  for (int64_t b = lo; b < hi; b += kCompactBlock) {
+    const int64_t e = std::min(hi, b + kCompactBlock);
+    int64_t n = 0;
+#pragma GCC unroll 4
+    for (int64_t i = b; i < e; ++i) {
+      buf[n] = i;
+      n += keep(i);
+    }
+    std::memcpy(out, buf, static_cast<size_t>(n) * sizeof(int64_t));
+    out += n;
+  }
+  return out;
 }
 
 }  // namespace
@@ -87,10 +113,8 @@ std::vector<int64_t> TopKCompressor::select(const tensor::Tensor& x) const {
   std::vector<int64_t> members(static_cast<size_t>(member_end.back()));
   core::parallel_for(0, n, kSelectGrain, [&](int64_t lo, int64_t hi) {
     const size_t c = chunk_of(lo);
-    int64_t* out = members.data() + member_end[c] - hist[c][top];
-    for (int64_t i = lo; i < hi; ++i) {
-      if (magnitude_key(d[i]) >> 20 == top) *out++ = i;
-    }
+    compact(lo, hi, members.data() + member_end[c] - hist[c][top],
+            [&](int64_t i) { return int64_t{magnitude_key(d[i]) >> 20 == top}; });
   });
   uint32_t threshold = top;
   for (const auto& [shift, width] : {std::pair{9, 11}, std::pair{0, 9}}) {
@@ -109,36 +133,38 @@ std::vector<int64_t> TopKCompressor::select(const tensor::Tensor& x) const {
   // the top k under (|x| descending, index ascending). Each chunk's count
   // above T (its buckets above `top`, plus its members above T) and its
   // share of the ties fix its output offset, so one ascending pass writes
-  // the indices straight into wire order.
-  std::vector<int64_t> offset(nchunks), ties(nchunks);
+  // the indices straight into wire order. The kept ties are the chunk's
+  // lowest-index ones, so up to the last of them (`tie_end`) the pass keeps
+  // keys >= T, and keys > T after it: one comparison per element.
+  std::vector<int64_t> offset(nchunks), tie_end(nchunks);
   int64_t pos = 0;
   for (size_t c = 0; c < nchunks; ++c) {
+    const int64_t first = member_end[c] - hist[c][top];
     int64_t above = 0, eq = 0;
     for (uint32_t v = top + 1; v < 2048; ++v) above += hist[c][v];
-    for (int64_t m = member_end[c] - hist[c][top]; m < member_end[c]; ++m) {
+    for (int64_t m = first; m < member_end[c]; ++m) {
       const uint32_t key = magnitude_key(d[members[static_cast<size_t>(m)]]);
       above += key > threshold;
       eq += key == threshold;
     }
-    ties[c] = std::min(eq, need);
-    need -= ties[c];
+    const int64_t ties = std::min(eq, need);
+    need -= ties;
     offset[c] = pos;
-    pos += above + ties[c];
+    pos += above + ties;
+    tie_end[c] = static_cast<int64_t>(c) * kSelectGrain;
+    for (int64_t m = first, left = ties; left > 0; ++m) {
+      const int64_t i = members[static_cast<size_t>(m)];
+      if (magnitude_key(d[i]) == threshold && --left == 0) tie_end[c] = i + 1;
+    }
   }
   std::vector<int64_t> kept(static_cast<size_t>(k));
   core::parallel_for(0, n, kSelectGrain, [&](int64_t lo, int64_t hi) {
     const size_t c = chunk_of(lo);
-    int64_t* out = kept.data() + offset[c];
-    int64_t tie_quota = ties[c];
-    for (int64_t i = lo; i < hi; ++i) {
-      const uint32_t key = magnitude_key(d[i]);
-      if (key > threshold) {
-        *out++ = i;
-      } else if (key == threshold && tie_quota > 0) {
-        *out++ = i;
-        --tie_quota;
-      }
-    }
+    int64_t* out = compact(lo, tie_end[c], kept.data() + offset[c], [&](int64_t i) {
+      return int64_t{magnitude_key(d[i]) >= threshold};
+    });
+    compact(tie_end[c], hi, out,
+            [&](int64_t i) { return int64_t{magnitude_key(d[i]) > threshold}; });
   });
   return kept;
 }
@@ -177,10 +203,36 @@ tensor::Tensor TopKCompressor::do_decode(const CompressedMessage& msg) const {
 }
 
 tensor::Tensor TopKCompressor::round_trip(const tensor::Tensor& x) {
+  return keep_values(x, select(x));
+}
+
+autograd::Variable TopKCompressor::apply(const autograd::Variable& x) {
+  // The backward masks the gradient with the forward's own selection.
+  std::vector<int64_t> kept = select(x.value());
+  tensor::Tensor out = keep_values(x.value(), kept);
+  return autograd::custom_unary(
+      x, std::move(out),
+      [kept = std::move(kept)](const tensor::Tensor& g, const tensor::Tensor&) {
+        tensor::Tensor masked{g.shape()};
+        const auto dg = g.data();
+        auto dm = masked.data();
+        core::parallel_for(0, static_cast<int64_t>(kept.size()), kEwGrain,
+                           [&](int64_t b, int64_t e) {
+                             for (int64_t i = b; i < e; ++i) {
+                               const auto j = static_cast<size_t>(kept[static_cast<size_t>(i)]);
+                               dm[j] = dg[j];
+                             }
+                           });
+        return masked;
+      },
+      "compress:" + name());
+}
+
+tensor::Tensor TopKCompressor::keep_values(const tensor::Tensor& x,
+                                           const std::vector<int64_t>& kept) {
   tensor::Tensor out{x.shape()};
   const auto din = x.data();
   auto dout = out.data();
-  const std::vector<int64_t> kept = select(x);
   // fp16 on the wire, so round kept values through fp16 too (gather,
   // batch round-trip through the SIMD kernel, scatter back).
   const tensor::kernels::KernelTable& kt = tensor::kernels::active_kernels();
@@ -204,22 +256,6 @@ tensor::Tensor TopKCompressor::round_trip(const tensor::Tensor& x) {
 WireFormat TopKCompressor::wire_size(const tensor::Shape& shape) const {
   const int64_t k = k_for(shape.numel());
   return WireFormat{.payload_bytes = k * 2, .metadata_bytes = k * 4};
-}
-
-tensor::Tensor TopKCompressor::vjp(const tensor::Tensor& grad_out,
-                                   const tensor::Tensor& input) const {
-  tensor::Tensor g{grad_out.shape()};
-  const auto dg = grad_out.data();
-  auto dout = g.data();
-  const std::vector<int64_t> kept = select(input);
-  core::parallel_for(
-      0, static_cast<int64_t>(kept.size()), kEwGrain, [&](int64_t b, int64_t e) {
-        for (int64_t i = b; i < e; ++i) {
-          const size_t j = static_cast<size_t>(kept[static_cast<size_t>(i)]);
-          dout[j] = dg[j];
-        }
-      });
-  return g;
 }
 
 }  // namespace actcomp::compress

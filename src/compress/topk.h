@@ -21,6 +21,8 @@ class TopKCompressor final : public Compressor {
   CompressedMessage do_encode(const tensor::Tensor& x) override;
   tensor::Tensor do_decode(const CompressedMessage& msg) const override;
   tensor::Tensor round_trip(const tensor::Tensor& x) override;
+  /// Masks the backward with the forward's own selection (no second select).
+  autograd::Variable apply(const autograd::Variable& x) override;
   WireFormat wire_size(const tensor::Shape& shape) const override;
   bool allreduce_compatible() const override { return false; }
 
@@ -28,13 +30,12 @@ class TopKCompressor final : public Compressor {
   /// Number of elements kept for a tensor with `numel` elements (>= 1).
   int64_t k_for(int64_t numel) const;
 
- protected:
-  tensor::Tensor vjp(const tensor::Tensor& grad_out,
-                     const tensor::Tensor& input) const override;
-
  private:
   /// Indices of the k largest-|x| elements (ties broken by lower index).
   std::vector<int64_t> select(const tensor::Tensor& x) const;
+  /// x's kept elements, fp16-rounded, in an otherwise zero tensor.
+  static tensor::Tensor keep_values(const tensor::Tensor& x,
+                                    const std::vector<int64_t>& kept);
 
   double fraction_;
 };

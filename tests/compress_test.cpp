@@ -21,6 +21,7 @@
 #include "compress/randomk.h"
 #include "compress/settings.h"
 #include "compress/topk.h"
+#include "compress/wire.h"
 #include "core/threadpool.h"
 #include "tensor/fp16.h"
 #include "tensor/ops.h"
@@ -288,6 +289,119 @@ TEST(Quant, StraightThroughGradient) {
   ag::Variable y = c.apply(x);
   y.backward(ts::Tensor::full(ts::Shape{2, 8}, 2.0f));
   for (float g : x.grad().data()) EXPECT_FLOAT_EQ(g, 2.0f);
+}
+
+namespace {
+
+float fp16_rounded(float v) {
+  return ts::fp16_bits_to_fp32(ts::fp32_to_fp16_bits(v));
+}
+
+/// The quantizer's body as the original serial encoder built it
+/// (WIRE_FORMATS.md §3.4): per row fp16 (lo, scale), then every code of
+/// the tensor, in element order, through one LSB-first bit accumulator.
+std::vector<std::byte> quant_oracle_body(const ts::Tensor& x, int bits) {
+  const int64_t cols = x.shape().dim(-1);
+  const int64_t rows = x.numel() / cols;
+  const int levels = 1 << bits;
+  const auto d = x.data();
+  std::vector<std::byte> body;
+  std::vector<std::pair<float, float>> params;
+  for (int64_t r = 0; r < rows; ++r) {
+    const auto row = d.subspan(static_cast<size_t>(r * cols), static_cast<size_t>(cols));
+    const float lo = fp16_rounded(*std::min_element(row.begin(), row.end()));
+    const float hi = fp16_rounded(*std::max_element(row.begin(), row.end()));
+    const float scale =
+        fp16_rounded(hi > lo ? (hi - lo) / static_cast<float>(levels - 1) : 0.0f);
+    params.emplace_back(lo, scale);
+    cp::wire::append_pod<uint16_t>(body, ts::fp32_to_fp16_bits(lo));
+    cp::wire::append_pod<uint16_t>(body, ts::fp32_to_fp16_bits(scale));
+  }
+  uint32_t acc = 0;
+  int acc_bits = 0;
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    const auto [lo, scale] = params[static_cast<size_t>(i / cols)];
+    const long q =
+        scale > 0.0f
+            ? std::clamp(std::lround((d[static_cast<size_t>(i)] - lo) / scale), 0l,
+                         static_cast<long>(levels - 1))
+            : 0l;
+    acc |= static_cast<uint32_t>(q) << acc_bits;
+    acc_bits += bits;
+    while (acc_bits >= 8) {
+      body.push_back(static_cast<std::byte>(acc & 0xFFu));
+      acc >>= 8;
+      acc_bits -= 8;
+    }
+  }
+  if (acc_bits > 0) body.push_back(static_cast<std::byte>(acc & 0xFFu));
+  return body;
+}
+
+/// The original serial decoder: the accumulator refills a byte at a time
+/// and each code maps to lo + q * scale.
+std::vector<float> quant_oracle_decode(const std::vector<std::byte>& body,
+                                       int64_t rows, int64_t cols, int bits) {
+  std::vector<float> out;
+  size_t off = static_cast<size_t>(rows) * 4;
+  uint32_t acc = 0;
+  int acc_bits = 0;
+  for (int64_t i = 0; i < rows * cols; ++i) {
+    const size_t p = static_cast<size_t>(i / cols) * 4;
+    uint16_t lo = 0, scale = 0;
+    std::memcpy(&lo, body.data() + p, 2);
+    std::memcpy(&scale, body.data() + p + 2, 2);
+    while (acc_bits < bits) {
+      acc |= static_cast<uint32_t>(static_cast<uint8_t>(body[off++])) << acc_bits;
+      acc_bits += 8;
+    }
+    const auto q = static_cast<float>(acc & ((1u << bits) - 1));
+    acc >>= bits;
+    acc_bits -= bits;
+    out.push_back(ts::fp16_bits_to_fp32(lo) + q * ts::fp16_bits_to_fp32(scale));
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Quant, PackedBytesMatchSerialAccumulatorOracle) {
+  // Every width, rows that start mid-byte (odd widths times odd column
+  // counts), a lone partial group, and 17 rows of 1023 columns, whose
+  // 17,391 codes span three parallel chunks that start mid-row.
+  const int saved = actcomp::core::num_threads();
+  for (int bits = 1; bits <= 8; ++bits) {
+    cp::QuantizeCompressor c(bits);
+    for (const int64_t cols : {1, 3, 5, 7, 8, 9, 1023, 1024}) {
+      for (const int64_t rows : {1, 3, 17}) {
+        if (rows == 17 && cols != 1023) continue;
+        const ts::Tensor x = random_activation(
+            static_cast<uint64_t>(100 * bits + cols + rows), ts::Shape{rows, cols});
+        const std::vector<std::byte> want = quant_oracle_body(x, bits);
+        const std::vector<float> want_x = quant_oracle_decode(want, rows, cols, bits);
+        const ts::Tensor direct = c.round_trip(x);
+        for (const int threads : {1, 4}) {
+          actcomp::core::set_num_threads(threads);
+          SCOPED_TRACE(::testing::Message() << bits << " bits, " << rows << " x "
+                                            << cols << ", t=" << threads);
+          const cp::CompressedMessage m = c.encode(x);
+          ASSERT_EQ(m.body, want);
+          const ts::Tensor y = c.decode(m);
+          ASSERT_EQ(y.numel(), x.numel());
+          EXPECT_EQ(std::memcmp(y.data().data(), want_x.data(), want_x.size() * 4), 0);
+          EXPECT_EQ(std::memcmp(y.data().data(), direct.data().data(), want_x.size() * 4),
+                    0);
+          // A byte more or less is rejected before anything is allocated.
+          cp::CompressedMessage bad = m;
+          bad.body.push_back(std::byte{0});
+          EXPECT_THROW(c.decode(bad), std::invalid_argument);
+          bad.body.resize(m.body.size() - 1);
+          EXPECT_THROW(c.decode(bad), std::invalid_argument);
+        }
+      }
+    }
+  }
+  actcomp::core::set_num_threads(saved);
 }
 
 // ---------- wire exactness across all sparse formats ----------

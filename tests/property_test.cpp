@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -523,55 +524,216 @@ TEST(LosslessCodecProps, EncodeIsDeterministic) {
 
 namespace {
 
-/// A one-chunk, unsplit container (WIRE_FORMATS.md §4.1, §4.3) whose one
-/// plane is the Huffman stream (§4.5) `lens ++ bits` for `raw` symbols.
+/// A one-chunk, unsplit container (WIRE_FORMATS.md §4.1, §4.3) under
+/// `algo` whose one plane, coded with `plane_algo`, is `plane`.
+std::vector<std::byte> one_plane_container(cp::LosslessAlgo algo,
+                                           cp::LosslessAlgo plane_algo,
+                                           const std::vector<std::byte>& plane,
+                                           uint64_t raw) {
+  std::vector<std::byte> out;
+  cp::wire::append_pod<uint8_t>(out, 0xAC);  // magic
+  cp::wire::append_pod<uint8_t>(out, 1);     // version
+  cp::wire::append_pod<uint8_t>(out, static_cast<uint8_t>(algo));
+  cp::wire::append_pod<uint8_t>(out, static_cast<uint8_t>(cp::PlaneSplit::kNone));
+  cp::wire::append_pod<uint64_t>(out, raw);
+  cp::wire::append_pod<uint32_t>(out, 1);
+  cp::wire::append_pod<uint64_t>(out, raw);
+  cp::wire::append_pod<uint64_t>(out, 9 + plane.size());
+  cp::wire::append_pod<uint8_t>(out, static_cast<uint8_t>(plane_algo));
+  cp::wire::append_pod<uint64_t>(out, plane.size());
+  out.insert(out.end(), plane.begin(), plane.end());
+  return out;
+}
+
+/// A one-plane Huffman container whose plane is the stream (§4.5)
+/// `lens ++ bits` for `raw` symbols.
 std::vector<std::byte> huffman_container(const std::vector<uint8_t>& lens,
                                          const std::vector<uint8_t>& bits,
                                          uint64_t raw) {
   std::vector<std::byte> plane(256, std::byte{0});
   for (size_t s = 0; s < lens.size(); ++s) plane[s] = static_cast<std::byte>(lens[s]);
   for (const uint8_t b : bits) plane.push_back(static_cast<std::byte>(b));
+  return one_plane_container(cp::LosslessAlgo::kHuffman, cp::LosslessAlgo::kHuffman,
+                             plane, raw);
+}
+
+/// The original PackBits encoder (§4.4), kept as the oracle: at each byte
+/// it measures the run there, repeats runs of >= 3 and otherwise extends
+/// the literal one run (1 or 2 bytes) at a time.
+std::vector<std::byte> packbits_oracle(const std::vector<std::byte>& in) {
+  const std::byte* p = in.data();
+  const auto n = static_cast<int64_t>(in.size());
   std::vector<std::byte> out;
-  cp::wire::append_pod<uint8_t>(out, 0xAC);  // magic
-  cp::wire::append_pod<uint8_t>(out, 1);     // version
-  cp::wire::append_pod<uint8_t>(out, static_cast<uint8_t>(cp::LosslessAlgo::kHuffman));
-  cp::wire::append_pod<uint8_t>(out, static_cast<uint8_t>(cp::PlaneSplit::kNone));
-  cp::wire::append_pod<uint64_t>(out, raw);
-  cp::wire::append_pod<uint32_t>(out, 1);
-  cp::wire::append_pod<uint64_t>(out, raw);
-  cp::wire::append_pod<uint64_t>(out, 9 + plane.size());
-  cp::wire::append_pod<uint8_t>(out, static_cast<uint8_t>(cp::LosslessAlgo::kHuffman));
-  cp::wire::append_pod<uint64_t>(out, plane.size());
-  out.insert(out.end(), plane.begin(), plane.end());
+  const auto run_at = [&](int64_t j) {
+    int64_t run = 1;
+    while (j + run < n && run < 128 && p[j + run] == p[j]) ++run;
+    return run;
+  };
+  int64_t i = 0;
+  while (i < n) {
+    int64_t run = run_at(i);
+    if (run >= 3) {
+      out.push_back(static_cast<std::byte>(257 - run));
+      out.push_back(p[i]);
+      i += run;
+      continue;
+    }
+    int64_t lit = i;
+    while (i < n) {
+      run = run_at(i);
+      if (run >= 3) break;
+      i += run;
+    }
+    for (; lit < i; lit += 128) {
+      const int64_t len = std::min<int64_t>(128, i - lit);
+      out.push_back(static_cast<std::byte>(len - 1));
+      out.insert(out.end(), p + lit, p + lit + len);
+    }
+  }
   return out;
+}
+
+/// n bytes, no two neighbours equal.
+std::vector<std::byte> distinct_bytes(int64_t n, int salt) {
+  std::vector<std::byte> v(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) v[static_cast<size_t>(i)] = static_cast<std::byte>((7 * i + salt) & 0xFF);
+  return v;
 }
 
 }  // namespace
 
+TEST(LosslessCodecProps, PackBitsMatchesTheSerialEncoder) {
+  const cp::LosslessCodec rle{cp::LosslessAlgo::kRle, cp::PlaneSplit::kNone, 0};
+  const auto run = [](int64_t n, uint8_t b) {
+    return std::vector<std::byte>(static_cast<size_t>(n), static_cast<std::byte>(b));
+  };
+  // The container the codec must emit: the oracle's stream, or the raw
+  // plane where that stream would not be smaller.
+  const auto matches = [&](const std::vector<std::byte>& data) {
+    const std::vector<std::byte> packed = packbits_oracle(data);
+    const bool smaller = packed.size() < data.size();
+    const std::vector<std::byte> got = rle.encode(data);
+    if (got != one_plane_container(
+                   cp::LosslessAlgo::kRle,
+                   smaller ? cp::LosslessAlgo::kRle : cp::LosslessAlgo::kRaw,
+                   smaller ? packed : data, data.size())) {
+      return false;
+    }
+    EXPECT_EQ(rle.decode(got), data);
+    return true;
+  };
+  // Each plane alone, and after a 300-byte run of another byte: the run
+  // makes the container code the plane, so the whole stream shows.
+  const auto check = [&](const std::vector<std::byte>& plane) {
+    std::vector<std::byte> shown =
+        run(300, plane.empty() ? 0 : static_cast<uint8_t>(plane[0]) ^ 0xFF);
+    shown.insert(shown.end(), plane.begin(), plane.end());
+    return matches(plane) && matches(shown);
+  };
+  const auto cat = [](std::vector<std::byte> a, const std::vector<std::byte>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  // A run of 1-130 bytes after 0-255 literal bytes (every offset mod 128,
+  // with and without a whole 128-byte literal before it), then literals.
+  for (int64_t len = 1; len <= 130; ++len) {
+    for (int64_t off = 0; off < 256; ++off) {
+      ASSERT_TRUE(check(cat(cat(distinct_bytes(off, 1), run(len, 0xF0)),
+                            distinct_bytes(40, 2))))
+          << "run " << len << " at " << off;
+    }
+  }
+  // Alternating pairs (aabbcc...), alone and ending in runs of 2-4.
+  for (int64_t n = 1; n <= 300; ++n) {
+    std::vector<std::byte> pairs(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) pairs[static_cast<size_t>(i)] = static_cast<std::byte>(3 * (i / 2) & 0xFF);
+    for (const int64_t tail : {0, 2, 3, 4}) {
+      ASSERT_TRUE(check(cat(pairs, run(tail, 0xAA)))) << n << " pair bytes, run " << tail;
+    }
+  }
+  // All-equal and all-distinct planes, and every 0/1 plane of 0-3 bytes.
+  for (int64_t n = 0; n <= 520; ++n) {
+    ASSERT_TRUE(check(run(n, 0x5C))) << "equal " << n;
+    ASSERT_TRUE(check(distinct_bytes(n, 3))) << "distinct " << n;
+  }
+  for (int n = 0; n <= 3; ++n) {
+    for (int bits = 0; bits < 1 << n; ++bits) {
+      std::vector<std::byte> v;
+      for (int i = 0; i < n; ++i) v.push_back(static_cast<std::byte>(bits >> i & 1));
+      ASSERT_TRUE(check(v)) << n << " bytes, pattern " << bits;
+    }
+  }
+}
+
+TEST(LosslessCodecProps, HuffmanMixedCodeLengthsRoundTrip) {
+  // Fibonacci weights (symbol s occurs F(s + 1) times) give codes of 1 to
+  // 21 bits: pairs of short codes share one table entry, long codes go bit
+  // by bit, and each shuffle puts them at other stream offsets. The extra
+  // copies of symbol 21 move where the stream's last code ends.
+  const cp::LosslessCodec huffman{cp::LosslessAlgo::kHuffman, cp::PlaneSplit::kNone, 0};
+  std::vector<std::byte> symbols;
+  int64_t f0 = 1, f1 = 1;
+  for (int sym = 0; sym < 22; ++sym) {
+    symbols.insert(symbols.end(), static_cast<size_t>(f0), static_cast<std::byte>(sym));
+    f0 = std::exchange(f1, f0 + f1);
+  }
+  ts::Generator gen(2468);
+  for (int extra = 0; extra < 16; ++extra) {
+    std::vector<std::byte> data = symbols;
+    data.insert(data.end(), static_cast<size_t>(extra), std::byte{21});
+    std::shuffle(data.begin(), data.end(), gen.engine());
+    const std::vector<std::byte> enc = huffman.encode(data);
+    // Header, chunk table and plane prefix (§4.1, §4.3), then the lengths.
+    constexpr size_t kPlane = 24 + 8 + 9;
+    ASSERT_EQ(enc[kPlane - 9], static_cast<std::byte>(cp::LosslessAlgo::kHuffman));
+    int longest = 0;
+    for (size_t s = 0; s < 256; ++s) longest = std::max(longest, static_cast<int>(enc[kPlane + s]));
+    EXPECT_EQ(longest, 21) << extra;
+    EXPECT_EQ(huffman.decode(enc), data) << extra;
+  }
+}
+
 TEST(LosslessCodecProps, HostileHuffmanPlanesThrow) {
   const cp::LosslessCodec codec;
+  // Each hostile plane is rejected with its own message.
+  const auto rejects = [&](const std::vector<std::byte>& container,
+                           const std::string& message) -> ::testing::AssertionResult {
+    try {
+      codec.decode(container);
+    } catch (const std::invalid_argument& e) {
+      if (std::string(e.what()).find(message) != std::string::npos) {
+        return ::testing::AssertionSuccess();
+      }
+      return ::testing::AssertionFailure() << "threw \"" << e.what() << '"';
+    }
+    return ::testing::AssertionFailure() << "did not throw";
+  };
   // Symbols 0 and 1 with 1-bit codes 0 and 1: 16 symbols in 2 bytes.
   const std::vector<uint8_t> two{1, 1};
   ASSERT_EQ(codec.decode(huffman_container(two, {0x5A, 0xC3}, 16)).size(), 16u);
-  EXPECT_THROW(codec.decode(huffman_container(two, {0x5A}, 16)), std::invalid_argument)
+  EXPECT_TRUE(rejects(huffman_container(two, {0x5A}, 16),
+                      "truncated Huffman bitstream on wire"))
       << "one byte short";
-  EXPECT_THROW(codec.decode(huffman_container(two, {0x5A, 0xC3, 0x00}, 16)),
-               std::invalid_argument)
+  EXPECT_TRUE(rejects(huffman_container(two, {0x5A, 0xC3, 0x00}, 16),
+                      "Huffman bitstream has trailing bytes on wire"))
       << "one trailing byte";
-  EXPECT_THROW(codec.decode(huffman_container({33}, {0x00}, 1)), std::invalid_argument)
+  EXPECT_TRUE(rejects(huffman_container({33}, {0x00}, 1),
+                      "Huffman code length 33 exceeds limit 32"))
       << "code length 33";
-  EXPECT_THROW(codec.decode(huffman_container({1, 1, 1}, {0x00}, 8)),
-               std::invalid_argument)
+  EXPECT_TRUE(rejects(huffman_container({1, 1, 1}, {0x00}, 8),
+                      "over-full Huffman length table on wire"))
       << "over-full length table";
   // Incomplete table: symbol 0 = "0", symbol 1 = "10"; "11..." is unassigned.
   // Zero bytes decode as symbol 0, one per bit; the 0xFF bytes then start the
   // unassigned pattern, either with >= 8 bytes left (the table's region) or
-  // within the last 8.
-  for (const size_t zeros : {4u, 36u}) {
+  // within the last 8. With 36 bytes of ones the pattern passes 32 bits
+  // (invalid); with 4 it runs out of stream first (truncated).
+  for (const auto& [zeros, message] :
+       {std::pair{size_t{4}, "invalid Huffman code on wire"},
+        std::pair{size_t{36}, "truncated Huffman bitstream on wire"}}) {
     std::vector<uint8_t> bits(zeros, 0x00);
     bits.resize(40, 0xFF);
-    EXPECT_THROW(codec.decode(huffman_container({1, 2}, bits, 400)),
-                 std::invalid_argument)
+    EXPECT_TRUE(rejects(huffman_container({1, 2}, bits, 400), message))
         << "unassigned pattern after " << zeros << " bytes";
   }
 }

@@ -16,8 +16,9 @@ shapes than --quick) are reported as skipped, never failed; at least one
 shared record is required.
 
 The current run must also carry the codec records of the serialize path:
-`topk(...)` and `randk(...)` encode/decode, and at least one `lossless(...)`
-record (the per-tier encode/decode GB/s of standard_lossless_codecs(), see
+`topk(...)`, `randk(...)` and `quant(...)` encode/decode, and at least one
+`lossless(...)` record (the per-tier encode/decode GB/s of
+standard_lossless_codecs(), see
 WIRE_FORMATS.md §6); the `gemm_small_<tier>` records, the in-place GEMMs
 of decode and the attention products; the `gemm_edge_<tier>` records, the
 packed GEMM whose ragged right edge runs on the edge block; and the strided
@@ -36,9 +37,9 @@ import json
 import sys
 
 # Op families the current run must measure (op-name prefixes).
-REQUIRED_OPS = ("topk(", "randk(", "lossless(", "gemm_small_", "gemm_edge_",
-                "gemm_at_", "gemm_bt_", "gemm_kcache_", "row_max_",
-                "row_minmax_")
+REQUIRED_OPS = ("topk(", "randk(", "quant(", "lossless(", "gemm_small_",
+                "gemm_edge_", "gemm_at_", "gemm_bt_", "gemm_kcache_",
+                "row_max_", "row_minmax_")
 
 
 def kernel_records(path):
